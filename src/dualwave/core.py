@@ -78,6 +78,17 @@ class Grid1D:
         """Angular wavenumbers for the real-input (rfft) layout."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.dx)
 
+    @cached_property
+    def derivative_multipliers(self) -> dict:
+        """(1j*k)^order for orders 1, 2 keyed by (order, rfft_layout); the
+        Nyquist mode (index n/2 in both layouts) is zeroed for odd orders."""
+        out = {}
+        for real, k in ((False, self.wavenumbers), (True, self.wavenumbers_real)):
+            for order in (1, 2):
+                out[order, real] = (1j * k) ** order
+            out[1, real][self.n_points // 2] = 0.0
+        return out
+
     @property
     def nyquist(self) -> float:
         return np.pi / self.dx
@@ -146,37 +157,18 @@ def spectral_derivative(f, order: int):
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    v = f.values
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(f.values)):
         raise NonFiniteFieldError("non-finite field")
-    grid = f.grid
-    if isinstance(f, ComplexField):
-        mult = (1j * grid.wavenumbers) ** order
-        if order % 2 == 1:
-            mult = mult.copy()
-            mult[grid.n_points // 2] = 0.0
-        return ComplexField(np.fft.ifft(mult * np.fft.fft(v)), grid)
-    mult = (1j * grid.wavenumbers_real) ** order
-    if order % 2 == 1:
-        mult = mult.copy()
-        mult[-1] = 0.0
-    out = np.fft.irfft(mult * np.fft.rfft(v), n=grid.n_points)
-    return RealField(out, grid)
+    return type(f)(spectral_derivative_values(f.values, f.grid, order), f.grid)
 
 
 def spectral_derivative_values(values: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
     """Array-level spectral derivative (hot path used by the time steppers)."""
     if np.iscomplexobj(values):
-        mult = (1j * grid.wavenumbers) ** order
-        if order % 2 == 1:
-            mult = mult.copy()
-            mult[grid.n_points // 2] = 0.0
-        return np.fft.ifft(mult * np.fft.fft(values))
-    mult = (1j * grid.wavenumbers_real) ** order
-    if order % 2 == 1:
-        mult = mult.copy()
-        mult[-1] = 0.0
-    return np.fft.irfft(mult * np.fft.rfft(values), n=grid.n_points)
+        return np.fft.ifft(grid.derivative_multipliers[order, False]
+                           * np.fft.fft(values))
+    return np.fft.irfft(grid.derivative_multipliers[order, True]
+                        * np.fft.rfft(values), n=grid.n_points)
 
 
 def field_norm(f) -> float:

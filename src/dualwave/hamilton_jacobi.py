@@ -112,8 +112,8 @@ class PotentialSet:
     """Guiding potentials per channel plus coupling potentials or a closure rule.
 
     In `symmetric_closure` mode the coupling potentials are recomputed from
-    the current action fields on every evaluation (Vc0 = (hbar/4m) lap S1,
-    Vc1 = -(hbar/4m) lap S0, zero for higher channels); any stored vc arrays
+    the current action fields on every evaluation (Vc0 = (zeta/4m) lap S1,
+    Vc1 = -(zeta/4m) lap S0, zero for higher channels); any stored vc arrays
     are ignored. In `explicit` mode the stored vc arrays are used as given
     (missing vc means zero coupling).
     """
@@ -147,7 +147,7 @@ class PotentialSet:
 
 def _closure_couplings(values_2d, grid, p: DualParams):
     """Coupling potentials that cancel the wave equation's Laplacian terms."""
-    coeff = p.hbar / (4.0 * p.reduced_mass)
+    coeff = p.zeta / (4.0 * p.reduced_mass)
     lap_s1 = spectral_derivative_values(values_2d[1], grid, 2)
     lap_s0 = spectral_derivative_values(values_2d[0], grid, 2)
     vc = [coeff * lap_s1, -coeff * lap_s0]

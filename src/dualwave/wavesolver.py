@@ -12,7 +12,10 @@ The S fields are slaved to psi (extracted by the inverse Madelung map once
 per step), which closes the equation in psi. Integration is Strang
 splitting: an exact half-step kinetic propagator in Fourier space, a full
 RK2 (midpoint) step for the pointwise/nonlinear part with the S fields
-frozen at substep start, then the second kinetic half-step.
+frozen at substep start, then the second kinetic half-step. Between
+snapshots adjacent kinetic half-steps are merged into one full step, and
+every snapshot holds the full Strang state. `evolve` and the reference
+solver share this loop driver but assemble their multipliers separately.
 
 In `symmetric_closure` mode the bracketed coupling terms are cancelled
 analytically (they are identically zero when the coupling potentials equal
@@ -272,27 +275,21 @@ def generalized_rhs(psi: ComplexField, S, p: DualParams, pot: PotentialSet,
 # Strang split stepping
 # --------------------------------------------------------------------------
 
-def _kinetic_half_multiplier(grid: Grid1D, kinetic_rate_coeff: float,
-                             dt: float) -> np.ndarray:
-    """exp(-i * coeff * k^2 * dt/2): exact half-step kinetic propagator."""
+def _kinetic_multipliers(grid: Grid1D, kinetic_rate_coeff: float, dt: float):
+    """exp(-i * coeff * k^2 * tau) for tau = dt/2 and dt: exact kinetic propagators."""
     k = grid.wavenumbers
-    return np.exp(-0.5j * kinetic_rate_coeff * k * k * dt)
+    return (np.exp(-0.5j * kinetic_rate_coeff * k * k * dt),
+            np.exp(-1j * kinetic_rate_coeff * k * k * dt))
 
 
-def _rk2_full_step(v: np.ndarray, g, dt: float) -> np.ndarray:
-    mid = v + (0.5 * dt) * g(v)
-    return v + dt * g(mid)
-
-
-def _strang_step(v: np.ndarray, kmult_half: np.ndarray, make_pointwise, dt: float):
-    v = np.fft.ifft(kmult_half * np.fft.fft(v))
-    g = make_pointwise(v)
-    v = _rk2_full_step(v, g, dt)
-    return np.fft.ifft(kmult_half * np.fft.fft(v))
+def _rk2_multiplier(a: np.ndarray, dt: float) -> np.ndarray:
+    """RK2 (midpoint) map of du/dt = a u as one multiplier: 1 + a dt + (a dt)^2/2."""
+    adt = a * dt
+    return 1.0 + adt + 0.5 * adt * adt
 
 
 class _GeneralizedStepper:
-    """Precomputed one-step map for a WaveScenario."""
+    """Kinetic multipliers and pointwise substep of a WaveScenario."""
 
     def __init__(self, scenario: WaveScenario):
         self.scenario = scenario
@@ -301,55 +298,55 @@ class _GeneralizedStepper:
         z = scenario.action_scale
         self.z = z
         self.grid = grid
-        self.kmult_half = _kinetic_half_multiplier(
-            grid, z / (4.0 * p.reduced_mass), scenario.dt)
+        self.dt = scenario.dt
         self.coupling_coeff = z / (4.0 * p.reduced_mass)
+        self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
+            grid, self.coupling_coeff, scenario.dt)
         vg0 = scenario.potentials.vg_values(0, grid)
         vg1 = scenario.potentials.vg_values(1, grid)
         self.vg0 = vg0
         # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
         self.base_a = (vg1 - 1j * vg0) / z
+        self.rk2_base = _rk2_multiplier(self.base_a, scenario.dt)
         self.nu = 0.25 * z * z * p.residual_inv_mass if scenario.nonlinear_active else 0.0
         self.nonlinear = scenario.nonlinear_active
         self.explicit = scenario.closure_mode == EXPLICIT
         self.policy = scenario.unwrap_policy
         self.floor_engaged = False
 
-    def _make_pointwise(self, v: np.ndarray):
-        a = self.base_a
-        if self.explicit:
-            lap_s0, lap_s1, trust, engaged = _extract_action_terms(
-                v, self.grid, self.z, self.policy)
-            if engaged and not self.floor_engaged:
-                self.floor_engaged = True
-                warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
-            coeff = self.coupling_coeff
-            if self.scenario.potentials.mode == SYMMETRIC_CLOSURE:
-                vc0 = coeff * lap_s1
-                vc1 = -coeff * lap_s0
-            else:
-                vc0 = self.scenario.potentials.vc_values(0, self.grid)
-                vc1 = self.scenario.potentials.vc_values(1, self.grid)
-            c0 = trust * (vc0 - coeff * lap_s1)
-            c1 = trust * (vc1 + coeff * lap_s0)
-            # (1/iz) * [c0 + i*c1] = (c1 - i*c0)/z, frozen for this substep
-            a = a + (c1 - 1j * c0) / self.z
+    def _coupling_rate(self, v: np.ndarray) -> np.ndarray:
+        """Explicit coupling terms as a rate multiplier, S extracted from v."""
+        lap_s0, lap_s1, trust, engaged = _extract_action_terms(
+            v, self.grid, self.z, self.policy)
+        if engaged and not self.floor_engaged:
+            self.floor_engaged = True
+            warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
+        coeff = self.coupling_coeff
+        if self.scenario.potentials.mode == SYMMETRIC_CLOSURE:
+            vc0 = coeff * lap_s1
+            vc1 = -coeff * lap_s0
+        else:
+            vc0 = self.scenario.potentials.vc_values(0, self.grid)
+            vc1 = self.scenario.potentials.vc_values(1, self.grid)
+        c0 = trust * (vc0 - coeff * lap_s1)
+        c1 = trust * (vc1 + coeff * lap_s0)
+        # (1/iz) * [c0 + i*c1] = (c1 - i*c0)/z
+        return (c1 - 1j * c0) / self.z
 
+    def pointwise(self, v: np.ndarray) -> np.ndarray:
+        """RK2 (midpoint) step of the pointwise part, S frozen at substep start."""
+        if not self.explicit and not self.nonlinear:
+            return self.rk2_base * v
+        a = self.base_a + self._coupling_rate(v) if self.explicit else self.base_a
         if not self.nonlinear:
-            def g(u, a=a):
-                return a * u
-            return g
-
+            return _rk2_multiplier(a, self.dt) * v
         nlin_coeff = self.nu / (1j * self.z)
         grid, eps = self.grid, self.policy.amplitude_floor
 
-        def g(u, a=a, nlin_coeff=nlin_coeff):
+        def g(u):
             return a * u + nlin_coeff * _nonlinear_bracket(u, grid, eps)
-        return g
-
-    def step(self, v: np.ndarray) -> np.ndarray:
-        return _strang_step(v, self.kmult_half, self._make_pointwise,
-                            self.scenario.dt)
+        mid = v + (0.5 * self.dt) * g(v)
+        return v + self.dt * g(mid)
 
     def energy(self, v: np.ndarray) -> float:
         grad = spectral_derivative_values(v, self.grid, 1)
@@ -359,10 +356,37 @@ class _GeneralizedStepper:
         return float(np.sum(dens) * self.grid.dx)
 
 
+def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
+    """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) with adjacent
+    kinetic half-steps merged: 2 FFTs per step plus one pair per call.
+    The returned state is the full Strang state after the last step."""
+    u = stepper.kinetic_half * np.fft.fft(v)
+    for i in range(1, n_steps + 1):
+        u = np.fft.fft(stepper.pointwise(np.fft.ifft(u)))
+        u *= stepper.kinetic_half if i == n_steps else stepper.kinetic_full
+    return np.fft.ifft(u)
+
+
+def _integrate(stepper, v: np.ndarray, n_steps: int,
+               snapshot_every: int) -> WaveRun:
+    """Snapshots every `snapshot_every` steps and after the last; raises
+    BlowUpError carrying the partial WaveRun on overflow or non-finite state."""
+    grid, dt = stepper.grid, stepper.dt
+    run = WaveRun(snapshots=[_snapshot(0.0, v, grid, stepper)])
+    for start in range(0, n_steps, snapshot_every):
+        step = min(start + snapshot_every, n_steps)
+        v = _strang_steps(v, stepper, step - start)
+        amax = float(np.max(np.abs(v))) if np.all(np.isfinite(v)) else math.inf
+        if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
+            raise BlowUpError(f"blow-up at step {step}", step=step, partial=run)
+        run.snapshots.append(_snapshot(step * dt, v, grid, stepper))
+    return run
+
+
 def step_splitstep(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     """One Strang step of the generalized equation (kinetic/pointwise/kinetic)."""
     stepper = _GeneralizedStepper(scenario)
-    return ComplexField(stepper.step(psi.values.copy()), psi.grid)
+    return ComplexField(_strang_steps(psi.values, stepper, 1), psi.grid)
 
 
 def _snapshot(t: float, v: np.ndarray, grid: Grid1D, stepper) -> Snapshot:
@@ -377,18 +401,8 @@ def evolve(scenario: WaveScenario) -> WaveRun:
     Deterministic for identical inputs. Raises BlowUpError carrying the
     partial WaveRun if the state overflows or goes non-finite mid-run.
     """
-    stepper = _GeneralizedStepper(scenario)
-    grid = scenario.grid
-    v = scenario.psi0.values.copy()
-    run = WaveRun(snapshots=[_snapshot(0.0, v, grid, stepper)])
-    for step in range(1, scenario.n_steps + 1):
-        v = stepper.step(v)
-        if step % scenario.snapshot_every == 0 or step == scenario.n_steps:
-            amax = float(np.max(np.abs(v))) if np.all(np.isfinite(v)) else math.inf
-            if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
-                raise BlowUpError(f"blow-up at step {step}", step=step, partial=run)
-            run.snapshots.append(_snapshot(step * scenario.dt, v, grid, stepper))
-    return run
+    return _integrate(_GeneralizedStepper(scenario), scenario.psi0.values,
+                      scenario.n_steps, scenario.snapshot_every)
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +410,7 @@ def evolve(scenario: WaveScenario) -> WaveRun:
 # --------------------------------------------------------------------------
 
 class _ReferenceStepper:
-    """Split-step map for i*z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi."""
+    """Kinetic multipliers and linear substep of i*z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi."""
 
     def __init__(self, grid: Grid1D, vg0: np.ndarray, mass: float, scale: float,
                  dt: float):
@@ -404,18 +418,13 @@ class _ReferenceStepper:
         self.scale = scale
         self.mass = mass
         self.vg0 = vg0
-        self.kmult_half = _kinetic_half_multiplier(
-            grid, scale / (2.0 * mass), dt)
-        self.a = -1j * vg0 / scale
         self.dt = dt
+        self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
+            grid, scale / (2.0 * mass), dt)
+        self.rk2 = _rk2_multiplier(-1j * vg0 / scale, dt)
 
-    def _make_pointwise(self, v):
-        def g(u, a=self.a):
-            return a * u
-        return g
-
-    def step(self, v: np.ndarray) -> np.ndarray:
-        return _strang_step(v, self.kmult_half, self._make_pointwise, self.dt)
+    def pointwise(self, v: np.ndarray) -> np.ndarray:
+        return self.rk2 * v
 
     def energy(self, v: np.ndarray) -> float:
         grad = spectral_derivative_values(v, self.grid, 1)
@@ -432,8 +441,9 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
         i z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi,   z = hbar_or_zeta.
 
     Same Strang/RK2 discretization as `evolve`, assembled directly from
-    (Vg0, mass, z); serves as the oracle for the symmetric-limit
-    equivalence and for the deformed-dispersion checks.
+    (Vg0, mass, z) and sharing only the loop driver; serves as the oracle
+    for the symmetric-limit equivalence and for the deformed-dispersion
+    checks.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -441,16 +451,7 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
     vg0_values = vg0.values if isinstance(vg0, RealField) else (
         np.zeros(grid.n_points) if vg0 is None else np.asarray(vg0, dtype=float))
     stepper = _ReferenceStepper(grid, vg0_values, mass, hbar_or_zeta, dt)
-    v = psi0.values.copy()
-    run = WaveRun(snapshots=[_snapshot(0.0, v, grid, stepper)])
-    for step in range(1, n_steps + 1):
-        v = stepper.step(v)
-        if step % snapshot_every == 0 or step == n_steps:
-            amax = float(np.max(np.abs(v))) if np.all(np.isfinite(v)) else math.inf
-            if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
-                raise BlowUpError(f"blow-up at step {step}", step=step, partial=run)
-            run.snapshots.append(_snapshot(step * dt, v, grid, stepper))
-    return run
+    return _integrate(stepper, psi0.values, n_steps, snapshot_every)
 
 
 # --------------------------------------------------------------------------

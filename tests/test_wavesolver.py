@@ -182,7 +182,8 @@ class TestEvolve:
 
     def test_blowup_returns_partial_run(self):
         # a large positive imaginary potential amplifies the norm past the
-        # overflow threshold mid-run
+        # overflow threshold mid-run; the check runs at snapshot steps only,
+        # so growth exp(40 t) from amplitude ~0.9 trips it at t = 0.71
         psi = unit_gaussian()
         pot = PotentialSet((RealField.zeros(GRID),
                             RealField(np.full(GRID.n_points, 40.0), GRID)), None)
@@ -190,8 +191,8 @@ class TestEvolve:
                                 dt=1e-3, n_steps=1000, snapshot_every=10)
         with pytest.raises(BlowUpError) as info:
             evolve(scenario)
-        assert info.value.step > 0
-        assert len(info.value.partial.snapshots) >= 1
+        assert info.value.step == 710
+        assert len(info.value.partial.snapshots) == 71
 
     def test_galilean_boost_translates_density(self):
         k = 2 * math.pi * 8 / GRID.length
@@ -205,6 +206,80 @@ class TestEvolve:
         rho0 = np.abs(evolve(base).final.psi.values) ** 2
         rhob = np.abs(evolve(boosted).final.psi.values) ** 2
         assert np.max(np.abs(rhob - np.roll(rho0, cells))) < 1e-6
+
+
+class TestLoopDriver:
+    """`evolve` merges the kinetic half-steps of consecutive Strang steps
+    between snapshots; a loop of single steps is the unmerged reference."""
+
+    @staticmethod
+    def harmonic(n_steps, snapshot_every):
+        scenario = expand(builtin_by_name("harmonic_ground_symmetric"),
+                          GRID).scenario
+        return dataclasses.replace(scenario, n_steps=n_steps,
+                                   snapshot_every=snapshot_every)
+
+    def test_matches_loop_of_single_steps(self):
+        scenario = self.harmonic(2000, 7)  # 7 does not divide 2000
+        psi, times, states = scenario.psi0, [0.0], [scenario.psi0.values]
+        for step in range(1, scenario.n_steps + 1):
+            psi = step_splitstep(psi, scenario)
+            if step % 7 == 0 or step == scenario.n_steps:
+                times.append(step * scenario.dt)
+                states.append(psi.values)
+        run = evolve(scenario)
+        assert len(run.snapshots) == len(states) == 287
+        assert np.array_equal(run.times, np.array(times))
+        for snap, ref in zip(run.snapshots, states):
+            assert np.max(np.abs(snap.psi.values - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n_steps, snapshot_every, steps",
+                             [(0, 1, [0]), (0, 10, [0]), (5, 10, [0, 5]),
+                              (100, 7, [0, *range(7, 100, 7), 100])])
+    def test_snapshot_cadence(self, n_steps, snapshot_every, steps):
+        scenario = self.harmonic(n_steps, snapshot_every)
+        dt = scenario.dt
+        expected = np.array(steps) * dt
+        run = evolve(scenario)
+        ref = schrodinger_reference(scenario.psi0, scenario.potentials.vg[0],
+                                    1.0, 1.0, dt, n_steps, snapshot_every)
+        assert np.array_equal(run.times, expected)
+        assert np.array_equal(ref.times, expected)
+        assert np.array_equal(run.snapshots[0].psi.values,
+                              scenario.psi0.values)
+
+    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
+    @pytest.mark.parametrize("name, changes, per_step", [
+        ("harmonic_ground_symmetric", {}, 2),
+        ("residual_mass_plane_wave", {}, 14),
+        ("free_gaussian_symmetric", {"closure_mode": EXPLICIT}, 6),
+    ])
+    def test_fft_calls_per_step(self, monkeypatch, name, changes, per_step):
+        scenario = expand(builtin_by_name(name), GRID).scenario
+        if changes:
+            closure = PotentialSet(vg=scenario.potentials.vg,
+                                   mode=SYMMETRIC_CLOSURE)
+            scenario = dataclasses.replace(scenario, potentials=closure,
+                                           **changes)
+        calls = [0]
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fft_name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, fft_name,
+                                counting(getattr(np.fft, fft_name)))
+
+        def count(n):
+            calls[0] = 0
+            evolve(dataclasses.replace(scenario, n_steps=n, snapshot_every=n))
+            return calls[0]
+
+        # set-up and snapshot work cancel in the difference
+        assert count(6) - count(3) == 3 * per_step
 
 
 class TestSymmetricLimit:
@@ -233,19 +308,22 @@ class TestSymmetricLimit:
                              - evolve(analytic).final.psi.values))
         assert diff < 1e-6
 
-    def test_coevolved_hj_route_agrees(self):
+    @pytest.mark.parametrize("zeta", [1.0, 2.0])
+    def test_coevolved_hj_route_agrees(self, zeta):
         # independent route: RK4 on the closure Hamilton-Jacobi system in
-        # Madelung variables vs the split-step wavefunction solver
+        # Madelung variables vs the split-step wavefunction solver; the
+        # closure couplings must carry zeta, not hbar
+        p = DualParams(masses=(1.0, 1.0), zeta=zeta)
         two_pi = 2 * np.pi
         s0 = RealField(0.3 * np.sin(two_pi * GRID.x / GRID.length), GRID)
         s1 = RealField(1.0 - np.cos(two_pi * GRID.x / GRID.length), GRID)
         channels = ActionChannels((s0, s1), (1.0, 1.0))
         pot = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
-        psi0 = to_wavefunction(s0, s1, P_SYM)
+        psi0 = to_wavefunction(s0, s1, p)
         dt, n = 1e-4, 2000
-        co = coevolved_wavefunction_run(channels, pot, P_SYM, dt, n,
+        co = coevolved_wavefunction_run(channels, pot, p, dt, n,
                                         snapshot_every=n)
-        wave = evolve(WaveScenario(psi0=psi0, params=P_SYM, potentials=pot,
+        wave = evolve(WaveScenario(psi0=psi0, params=p, potentials=pot,
                                    dt=dt, n_steps=n, snapshot_every=n))
         assert np.max(np.abs(co.final.psi.values
                              - wave.final.psi.values)) < 1e-6

@@ -381,6 +381,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioSpec:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"sweep value for {param} must be finite, got {value}")
     if param == "m1":
         return _replace_spec(spec, masses=(spec.masses[0], value) + spec.masses[2:])
     if param == "lambda_Vg1":
@@ -390,6 +392,9 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
     if param == "zeta":
         return _replace_spec(spec, zeta=value)
     if param == "dt":
+        if value <= 0:
+            raise ConfigurationError(
+                f"sweep value for dt must be positive, got {value}")
         total_t = spec.integration.dt * spec.integration.n_steps
         n_steps = max(1, int(round(total_t / value)))
         return _replace_spec(spec, integration=Integration(
@@ -424,7 +429,10 @@ def _sweep_one(spec: ScenarioSpec, grid: Grid1D):
 
 def cmd_sweep(args) -> int:
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError as err:
+            raise ConfigurationError(f"bad sweep value list: {err}") from None
         if not values:
             raise ConfigurationError("empty sweep value list")
         if args.param not in SWEEP_PARAMS:
@@ -442,14 +450,19 @@ def cmd_sweep(args) -> int:
         # validate every point before burning cycles on any of them
         for spec in specs:
             expand(spec, grid)
+        max_threads = len(specs)
+        env_threads = os.environ.get("DUALWAVE_THREADS")
+        if env_threads:
+            try:
+                max_threads = max(1, min(max_threads, int(env_threads)))
+            except ValueError:
+                raise ConfigurationError(
+                    f"DUALWAVE_THREADS must be an integer, got {env_threads!r}"
+                ) from None
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    max_threads = len(specs)
-    env_threads = os.environ.get("DUALWAVE_THREADS")
-    if env_threads:
-        max_threads = max(1, min(max_threads, int(env_threads)))
     try:
         with ThreadPoolExecutor(max_workers=max_threads) as pool:
             rows = list(pool.map(lambda s: _sweep_one(s, grid), specs))

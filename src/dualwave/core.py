@@ -338,15 +338,18 @@ class DualParams:
         masses = tuple(float(m) for m in self.masses)
         if len(masses) < 2:
             raise ConfigurationError("need at least masses (m0, m1)")
-        if any(m <= 0 for m in masses):
-            raise ConfigurationError(f"masses must be positive, got {masses}")
-        if self.hbar <= 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
+        if not all(0 < m < math.inf for m in masses):
+            raise ConfigurationError(
+                f"masses must be positive and finite, got {masses}")
+        if not 0 < self.hbar < math.inf:
+            raise ConfigurationError(
+                f"hbar must be positive and finite, got {self.hbar}")
         object.__setattr__(self, "masses", masses)
         if self.zeta is None:
             object.__setattr__(self, "zeta", float(self.hbar))
-        elif self.zeta <= 0:
-            raise ConfigurationError(f"zeta must be positive, got {self.zeta}")
+        elif not 0 < self.zeta < math.inf:
+            raise ConfigurationError(
+                f"zeta must be positive and finite, got {self.zeta}")
 
     @property
     def m0(self) -> float:

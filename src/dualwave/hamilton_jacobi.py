@@ -193,14 +193,6 @@ def hj_rhs_multi(S: ActionChannels, pot: PotentialSet, p: DualParams):
     return [RealField(out[i], S.grid) for i in range(S.n_channels)]
 
 
-def hj_rhs_dual(S: ActionChannels, pot: PotentialSet, p: DualParams):
-    """Two-channel special case; identical arithmetic to hj_rhs_multi."""
-    if S.n_channels != 2:
-        raise ValueError(f"dual form needs exactly 2 channels, got {S.n_channels}")
-    ds0, ds1 = hj_rhs_multi(S, pot, p)
-    return ds0, ds1
-
-
 @dataclass
 class HJTrajectory:
     """Time series of channel states at the snapshot cadence."""

@@ -44,10 +44,6 @@ class AmplitudeFloorWarning(UserWarning):
     """The amplitude floor was engaged near a node of psi."""
 
 
-class PhaseAliasingWarning(UserWarning):
-    """Adjacent phase samples differ by >= pi; the unwrap may be wrong."""
-
-
 @dataclass(frozen=True)
 class UnwrapPolicy:
     """Regularization knobs for the inverse map.

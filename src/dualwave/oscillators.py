@@ -54,24 +54,6 @@ class OscParams:
         return math.sqrt(self.omega ** 2 - 0.25 * self.gamma ** 2)
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Named view of a doubled-oscillator state vector (x, xdot, y, ydot)."""
-
-    x: float
-    xdot: float
-    y: float = 0.0
-    ydot: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.xdot, self.y, self.ydot])
-
-    @classmethod
-    def from_array(cls, arr) -> "DualState":
-        x, xdot, y, ydot = arr
-        return cls(float(x), float(xdot), float(y), float(ydot))
-
-
 def bateman_rhs(state: np.ndarray, p: OscParams) -> np.ndarray:
     """Doubled-system equations: x damped, its mirror y anti-damped.
 
@@ -120,17 +102,6 @@ def bateman_velocity_coupling(gamma: float, a: float, adot: float,
                               b: float, bdot: float) -> float:
     """Own-velocity coupling gamma*adot: yields exact damping/anti-damping."""
     return gamma * adot
-
-
-def symmetric_velocity_coupling(gamma: float, a: float, adot: float,
-                                b: float, bdot: float) -> float:
-    """Symmetrized velocity coupling (gamma/2)*(adot + bdot).
-
-    Kept as an alternative: it mixes the sectors but does not reproduce the
-    exp(-gamma*t/2) envelope of the damped sector (the conservative normal
-    mode x + y never decays), so it is not the default.
-    """
-    return 0.5 * gamma * (adot + bdot)
 
 
 def dekker_complex_rhs(state: np.ndarray, p: OscParams, coupling=None) -> np.ndarray:

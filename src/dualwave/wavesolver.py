@@ -9,11 +9,18 @@ mbar, the evolved equation is
                   + i Vg1 psi + i [Vc1 + (z/4m) lap S0] psi
 
 The S fields are slaved to psi (extracted by the inverse Madelung map once
-per step), which closes the equation in psi. Integration is Strang
-splitting: an exact half-step kinetic propagator in Fourier space, a full
-RK2 (midpoint) step for the pointwise/nonlinear part with the S fields
-frozen at substep start, then the second kinetic half-step. Between
-snapshots adjacent kinetic half-steps are merged into one full step, and
+per step), which closes the equation in psi. The mass-asymmetry bracket
+is exactly psi* div(grad psi / psi*) - lap psi = -W psi with the real
+potential W = |grad psi|^2 / |psi|^2, so that term only rotates the phase.
+
+Integration is Strang splitting: an exact half-step kinetic propagator in
+Fourier space, a full step of the pointwise part with the S fields frozen
+at substep start, then the second kinetic half-step. The pointwise step
+is the RK2 (midpoint) map when it is linear, and the exponential midpoint
+rule of du/dt = (a + i nu W(u)/z) u when the mass-asymmetry term is on,
+which keeps the norm up to the a part by construction. Between snapshots
+adjacent kinetic half-steps are merged into one full step, so a step costs
+2 FFTs (linear), 6 (mass asymmetry: two gradients) or 6 (explicit), and
 every snapshot holds the full Strang state. `evolve` and the reference
 solver share this loop driver but assemble their multipliers separately.
 
@@ -87,8 +94,8 @@ class WaveScenario:
     unwrap_policy: UnwrapPolicy = SLAVED_EXTRACTION_POLICY
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 0:
             raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.snapshot_every < 1:
@@ -102,15 +109,15 @@ class WaveScenario:
         if self.zeta_override is not None and self.zeta_override <= 0:
             raise ConfigurationError("zeta_override must be positive")
         if self.nonlinear_active:
-            # explicit treatment of the mass-asymmetry bracket is only
-            # stable well below the kinetic rotation rate at the grid cutoff
+            # conservative for the exponential-midpoint substep; relaxing it
+            # needs a convergence study of that substep in dt
             kmax = self.psi0.grid.nyquist
             rate = self.action_scale * kmax ** 2 / (4.0 * self.params.reduced_mass)
             if self.dt * rate >= 0.5:
                 raise ConfigurationError(
                     f"dt * max kinetic eigenvalue = {self.dt * rate:.3g} >= 0.5; "
-                    f"reduce dt below {0.5 / rate:.3g} for the explicit "
-                    f"nonlinear substep")
+                    f"reduce dt below {0.5 / rate:.3g} for the mass-asymmetry "
+                    f"substep")
 
     @property
     def grid(self) -> Grid1D:
@@ -198,22 +205,17 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float,
     return lap_s0, lap_s1, trust, engaged
 
 
+def _asymmetry_potential(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
+    """W = |grad psi|^2 / |psi|^2, the denominator floored at (eps max|psi|)^2."""
+    grad = spectral_derivative_values(v, grid, 1)
+    rho = v.real * v.real + v.imag * v.imag
+    return (grad.real * grad.real + grad.imag * grad.imag) / np.maximum(
+        rho, eps * eps * float(np.max(rho)))
+
+
 def _nonlinear_bracket(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
-    """psi* div(grad psi / psi*) - lap psi with an amplitude-floored quotient."""
-    amax = float(np.max(np.abs(v)))
-    floor = eps * amax
-    conj = np.conj(v)
-    absv = np.abs(v)
-    # lift near-zero denominators to the floor, keeping the phase; exact
-    # zeros get a real positive floor
-    lift = np.maximum(absv, floor)
-    denom = np.where(absv > 0.0, conj * (lift / np.where(absv > 0.0, absv, 1.0)),
-                     floor)
-    grad_psi = spectral_derivative_values(v, grid, 1)
-    quotient = grad_psi / denom
-    div_q = spectral_derivative_values(quotient, grid, 1)
-    lap_psi = spectral_derivative_values(v, grid, 2)
-    return conj * div_q - lap_psi
+    """psi* div(grad psi / psi*) - lap psi, which is exactly -W psi."""
+    return -_asymmetry_potential(v, grid, eps) * v
 
 
 def generalized_rhs(psi: ComplexField, S, p: DualParams, pot: PotentialSet,
@@ -334,19 +336,17 @@ class _GeneralizedStepper:
         return (c1 - 1j * c0) / self.z
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
-        """RK2 (midpoint) step of the pointwise part, S frozen at substep start."""
+        """Pointwise substep, S frozen at substep start: the RK2 (midpoint)
+        map of du/dt = a u, or with the mass-asymmetry potential the
+        exponential midpoint of du/dt = r(u) u, r(u) = a + i nu W(u) / z."""
         if not self.explicit and not self.nonlinear:
             return self.rk2_base * v
         a = self.base_a + self._coupling_rate(v) if self.explicit else self.base_a
         if not self.nonlinear:
             return _rk2_multiplier(a, self.dt) * v
-        nlin_coeff = self.nu / (1j * self.z)
-        grid, eps = self.grid, self.policy.amplitude_floor
-
-        def g(u):
-            return a * u + nlin_coeff * _nonlinear_bracket(u, grid, eps)
-        mid = v + (0.5 * self.dt) * g(v)
-        return v + self.dt * g(mid)
+        grid, eps, c = self.grid, self.policy.amplitude_floor, 1j * self.nu / self.z
+        mid = np.exp((0.5 * self.dt) * (a + c * _asymmetry_potential(v, grid, eps))) * v
+        return np.exp(self.dt * (a + c * _asymmetry_potential(mid, grid, eps))) * v
 
     def energy(self, v: np.ndarray) -> float:
         grad = spectral_derivative_values(v, self.grid, 1)

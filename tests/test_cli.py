@@ -179,6 +179,26 @@ class TestSweep:
                      "--param", "mystery", "--values", "1.0",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("param, values, threads", [
+        ("zeta", "1.0", "abc"),
+        ("dt", "0", None),
+        ("dt", "nan", None),
+        ("zeta", "inf", None),
+        ("zeta", "1.0,abc", None),
+    ], ids=["threads_not_int", "dt_zero", "dt_nan", "zeta_inf", "value_not_number"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                             param, values, threads):
+        if threads is not None:
+            monkeypatch.setenv("DUALWAVE_THREADS", threads)
+        code = main(["sweep", "--scenario", "plane_wave_dispersion",
+                     "--param", param, "--values", values,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyCommand:
     def test_only_single_criterion(self, capsys):

@@ -180,3 +180,9 @@ class TestDualParams:
             DualParams(masses=(1.0, -1.0))
         with pytest.raises(ConfigurationError):
             DualParams(masses=(1.0, 1.0), hbar=0.0)
+        for bad in (math.inf, math.nan):
+            for kwargs in ({"masses": (1.0, bad)}, {"masses": (bad, 1.0)},
+                           {"masses": (1.0, 1.0), "hbar": bad},
+                           {"masses": (1.0, 1.0), "zeta": bad}):
+                with pytest.raises(ConfigurationError):
+                    DualParams(**kwargs)

@@ -8,7 +8,6 @@ from dualwave.hamilton_jacobi import (
     FieldBlowUpError,
     PotentialSet,
     evolve_hj,
-    hj_rhs_dual,
     hj_rhs_multi,
     participation_metric,
 )
@@ -47,7 +46,7 @@ class TestDualRhs:
         vg1 = RealField(np.full(256, 0.7), GRID)
         pot = PotentialSet((vg0, vg1), None)
         ch = ActionChannels((s0, RealField.zeros(GRID)), (1.0, 2.0))
-        ds0, ds1 = hj_rhs_dual(ch, pot, DualParams(masses=(1.0, 2.0)))
+        ds0, ds1 = hj_rhs_multi(ch, pot, DualParams(masses=(1.0, 2.0)))
         g0 = ch.gradient(0)
         assert np.max(np.abs(ds0.values + (g0 ** 2 / 2.0 + vg0.values))) < 1e-12
         assert np.max(np.abs(ds1.values + vg1.values)) < 1e-14
@@ -55,7 +54,7 @@ class TestDualRhs:
     def test_free_particle_residual(self):
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
                             (1.0, 1.0), (1.3, 0.0))
-        ds0, ds1 = hj_rhs_dual(ch, PotentialSet.zeros(GRID, 2), P_EQUAL)
+        ds0, ds1 = hj_rhs_multi(ch, PotentialSet.zeros(GRID, 2), P_EQUAL)
         assert np.max(np.abs(ds0.values + 1.3 ** 2 / 2.0)) < 1e-10
         assert np.max(np.abs(ds1.values)) < 1e-10
 
@@ -66,7 +65,7 @@ class TestDualRhs:
         s0, s1 = smooth_pair()
         pot = PotentialSet.zeros(GRID, 2)
         ch = ActionChannels((s0, s1), (1.0, 2.0))
-        ds0, ds1 = hj_rhs_dual(ch, pot, DualParams(masses=(1.0, 2.0)))
+        ds0, ds1 = hj_rhs_multi(ch, pot, DualParams(masses=(1.0, 2.0)))
         expected = {
             0: (-0.022700090122505633, -0.03553057584392144),
             50: (-0.020811549022183972, 0.002111021206865916),
@@ -76,29 +75,12 @@ class TestDualRhs:
             assert ds0.values[i] == pytest.approx(e0, rel=1e-12)
             assert ds1.values[i] == pytest.approx(e1, rel=1e-12)
         swapped = ActionChannels((s1, s0), (2.0, 1.0))
-        es0, es1 = hj_rhs_dual(swapped, pot, DualParams(masses=(2.0, 1.0)))
+        es0, es1 = hj_rhs_multi(swapped, pot, DualParams(masses=(2.0, 1.0)))
         assert np.max(np.abs(es0.values + ds0.values)) < 1e-14
         assert np.max(np.abs(es1.values - ds1.values)) < 1e-14
 
-    def test_rejects_wrong_channel_count(self):
-        fields = tuple(RealField.zeros(GRID) for _ in range(3))
-        ch = ActionChannels(fields, (1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            hj_rhs_dual(ch, PotentialSet.zeros(GRID, 3),
-                        DualParams(masses=(1.0, 1.0, 1.0)))
-
 
 class TestMultiRhs:
-    def test_reduces_to_dual_bit_for_bit(self):
-        s0, s1 = smooth_pair()
-        pot = PotentialSet.zeros(GRID, 2)
-        p = DualParams(masses=(1.0, 2.0))
-        ch = ActionChannels((s0, s1), (1.0, 2.0))
-        dual = hj_rhs_dual(ch, pot, p)
-        multi = hj_rhs_multi(ch, pot, p)
-        assert np.array_equal(dual[0].values, multi[0].values)
-        assert np.array_equal(dual[1].values, multi[1].values)
-
     def test_constant_fields_give_zero(self):
         fields = tuple(RealField(np.full(256, c), GRID) for c in (1.0, -2.0, 0.5))
         ch = ActionChannels(fields, (1.0, 2.0, 0.5))

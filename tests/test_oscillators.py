@@ -5,7 +5,6 @@ import pytest
 
 from dualwave.core import BlowUpError
 from dualwave.oscillators import (
-    DualState,
     OscParams,
     bateman_rhs,
     bateman_velocity_coupling,
@@ -205,11 +204,6 @@ class TestCrossFormalism:
                             np.array([1.0, 0.0, 0.0, 0.0]), dt, n)
         assert np.max(np.abs(bat[:, 0] - ck[:, 0])) < 1e-8
         assert np.max(np.abs(bat[:, 0] - dek[:, 0])) < 1e-8
-
-
-def test_dual_state_round_trip():
-    s = DualState(1.0, -2.0, 0.5, 0.25)
-    assert DualState.from_array(s.as_array()) == s
 
 
 def test_underdamped_flag_and_omega():

@@ -63,6 +63,17 @@ class TestGeneralizedRhs:
         bracket = _nonlinear_bracket(psi.values, GRID, 1e-8)
         assert np.max(np.abs(bracket + k ** 2 * psi.values)) < 1e-10
 
+    def test_gaussian_bracket_matches_closed_form(self):
+        # psi = A exp(-x^2/4 sigma^2 + i k x) has grad psi / psi =
+        # -x/2 sigma^2 + i k, so the bracket is -(x^2/4 sigma^4 + k^2) psi
+        sigma, k = 0.5, 2.0
+        psi = unit_gaussian(sigma=sigma, k=k)
+        bracket = _nonlinear_bracket(psi.values, GRID, 1e-8)
+        exact = -(GRID.x ** 2 / (4 * sigma ** 4) + k ** 2) * psi.values
+        rho = np.abs(psi.values) ** 2
+        support = rho > 1e-2 * np.max(rho)
+        assert np.max(np.abs(bracket - exact)[support]) <= 1e-10
+
     def test_residual_mass_term_on_plane_wave(self):
         k, psi = plane_wave()
         p = DualParams(masses=(1.0, 1.5))
@@ -194,6 +205,17 @@ class TestEvolve:
         assert info.value.step == 710
         assert len(info.value.partial.snapshots) == 71
 
+    def test_mass_asymmetric_gaussian_conserves_norm(self):
+        # the mass-asymmetry substep is a phase rotation by a real potential
+        scenario = WaveScenario(psi0=unit_gaussian(sigma=0.5, k=2.0),
+                                params=DualParams(masses=(1.0, 1.5)),
+                                potentials=PotentialSet.zeros(GRID, 2),
+                                dt=1e-5, n_steps=1000, snapshot_every=100)
+        run = evolve(scenario)
+        n0 = run.snapshots[0].norm
+        assert len(run.snapshots) == 11
+        assert max(abs(s.norm - n0) for s in run.snapshots) <= 1e-10
+
     def test_galilean_boost_translates_density(self):
         k = 2 * math.pi * 8 / GRID.length
         cells = 64
@@ -251,7 +273,7 @@ class TestLoopDriver:
     @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
     @pytest.mark.parametrize("name, changes, per_step", [
         ("harmonic_ground_symmetric", {}, 2),
-        ("residual_mass_plane_wave", {}, 14),
+        ("residual_mass_plane_wave", {}, 6),
         ("free_gaussian_symmetric", {"closure_mode": EXPLICIT}, 6),
     ])
     def test_fft_calls_per_step(self, monkeypatch, name, changes, per_step):
@@ -365,8 +387,9 @@ class TestReference:
 def test_scenario_validation():
     psi = unit_gaussian()
     pot = PotentialSet.zeros(GRID, 2)
-    with pytest.raises(ConfigurationError):
-        WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=0.0, n_steps=1)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=dt, n_steps=1)
     with pytest.raises(ConfigurationError):
         WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=1e-3,
                      n_steps=1, closure_mode="bogus")

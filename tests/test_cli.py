@@ -1,14 +1,51 @@
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dualwave.cli import main
+from dualwave.cli import load_config, main
+from dualwave.core import BlowUpError
+from dualwave.diagnostics import summarize_run
+from dualwave.hamilton_jacobi import evolve_hj
+from dualwave.madelung import from_wavefunction
+from dualwave.oscillators import integrate_rk4
+from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
+from dualwave.wavesolver import evolve
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def read_lines(path):
     return Path(path).read_text().splitlines()
+
+
+def data_cells(path):
+    """Cells of every data row; the header and '#' comment lines are skipped."""
+    return [line.split(",") for line in read_lines(path)[1:]
+            if not line.startswith("#")]
+
+
+def assert_canonical(cells):
+    """Each cell is exactly the 17-significant-digit form of its value."""
+    for row in cells:
+        for s in row:
+            assert format(float(s), ".17g") == s
+
+
+def parse_csv(path) -> np.ndarray:
+    cells = data_cells(path)
+    assert_canonical(cells)
+    return np.array([[float(s) for s in row] for row in cells])
+
+
+def assert_bitwise(parsed, expected):
+    assert parsed.shape == expected.shape
+    assert parsed.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestRun:
@@ -136,6 +173,9 @@ class TestSweep:
                            "residual_mass_plane_wave_sweep_m1.csv")
         assert lines[0] == ("param,value,t_end,norm_end,drift_rate,"
                             "phase_rate,nonlinear_phase_shift")
+        cells = data_cells(tmp_path / "residual_mass_plane_wave_sweep_m1.csv")
+        assert [row[0] for row in cells] == ["m1"] * 3
+        assert_canonical(row[1:] for row in cells)
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values)
         shifts = {float(line.split(",")[1]): float(line.split(",")[-1])
@@ -198,6 +238,108 @@ class TestSweep:
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+
+# a focusing HJ run on a coarse grid: the caustic check stops it at step
+# 1048, after eleven snapshots
+CAUSTIC_INI = """\
+[grid]
+n = 128
+[scenario]
+kind = hj
+label = focus
+channel0_type = quadratic
+channel0_coeff = -0.5
+channel1_type = zero
+[integration]
+dt = 1e-3
+n_steps = 2000
+snapshot_every = 100
+"""
+
+# sha256 of the (snapshots, summary) CSVs; the oscillator runs use no FFT
+OSCILLATOR_SHA256 = {
+    "bateman_damped": (
+        "5e56da70976655c0430e058b12e24681e5c149c00bf739a1ef5500a6280fe4e2",
+        "c43c7018f19a5ad4c3342aecefb6f3c6049126f17bfcc39d372133f63672cb0f"),
+    "ck_damped": (
+        "25ab409176d3d7a359aad2b3f3993c1b6fc09b15121bcd1a43c025ea86384f91",
+        "442c9235388a2793e840c68bbc1228e542816ee80b0a587dc636df54574b0621"),
+    "dekker_damped": (
+        "5e56da70976655c0430e058b12e24681e5c149c00bf739a1ef5500a6280fe4e2",
+        "f952eb5dfcbb8365edf42d3a4a325a9b2719c7526c934be893d7494e1f8609dd"),
+}
+
+
+class TestByteContract:
+    """Every cell is canonical %.17g and parses back to the solver's bits."""
+
+    def test_wave_run(self, tmp_path):
+        name = "free_gaussian_symmetric"
+        assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
+        scenario = expand(builtin_by_name(name), DEFAULT_GRID).scenario
+        run = evolve(scenario)
+        x = scenario.grid.x
+        blocks = []
+        for snap in run.snapshots:
+            inv = from_wavefunction(snap.psi, scenario.params)
+            v = snap.psi.values
+            blocks.append(np.column_stack((
+                np.full(x.size, snap.t), x, v.real, v.imag,
+                v.real * v.real + v.imag * v.imag,
+                inv.s0.values, inv.s1.values)))
+        assert_bitwise(parse_csv(tmp_path / f"{name}_snapshots.csv"),
+                       np.vstack(blocks))
+        reports = summarize_run(run, 2.0 * scenario.params.reduced_mass,
+                                scenario.action_scale)
+        assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"),
+                       np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
+                                  r.continuity_residual_l2) for r in reports]))
+
+    @pytest.mark.parametrize("caustic", [False, True], ids=["free", "caustic"])
+    def test_hj_run(self, tmp_path, caustic):
+        if caustic:
+            cfg = tmp_path / "focus.ini"
+            cfg.write_text(CAUSTIC_INI)
+            spec, grid, _ = load_config(str(cfg))
+            argv = ["run", "--config", str(cfg)]
+        else:
+            spec, grid = builtin_by_name("hj_free_particle"), DEFAULT_GRID
+            argv = ["run", "--scenario", spec.name]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == (3 if caustic else 0)
+        exp = expand(spec, grid)
+        integ = exp.integration
+        try:
+            traj = evolve_hj(exp.channels, exp.potentials, exp.params,
+                             integ.dt, integ.n_steps, integ.snapshot_every)
+            assert not caustic
+        except BlowUpError as err:
+            assert caustic
+            traj = err.partial
+        x = grid.x
+        expected = np.vstack([
+            np.column_stack([np.full(x.size, t), x] + [
+                state.total_samples(i) for i in range(state.n_channels)])
+            for t, state in zip(traj.times, traj.states)])
+        assert_bitwise(parse_csv(out / f"{spec.name}_snapshots.csv"), expected)
+        summary = read_lines(out / f"{spec.name}_summary.csv")
+        assert len(parse_csv(out / f"{spec.name}_summary.csv")) == len(traj.times)
+        assert summary[-1].startswith("# caustic") == caustic
+
+    @pytest.mark.parametrize("name", sorted(OSCILLATOR_SHA256))
+    def test_oscillator_run(self, tmp_path, name):
+        assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
+        exp = expand(builtin_by_name(name), DEFAULT_GRID)
+        integ = exp.integration
+        traj = integrate_rk4(exp.rhs, exp.state0, integ.dt, integ.n_steps)
+        keep = np.arange(0, traj.shape[0], integ.snapshot_every)
+        snapshots = tmp_path / f"{name}_snapshots.csv"
+        summary = tmp_path / f"{name}_summary.csv"
+        assert_bitwise(parse_csv(snapshots),
+                       np.column_stack((keep * integ.dt, traj[keep])))
+        assert len(parse_csv(summary)) == keep.size
+        assert (sha256(snapshots), sha256(summary)) == OSCILLATOR_SHA256[name]
 
 
 class TestVerifyCommand:

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from dualwave.core import BlowUpError, ConfigurationError, Grid1D
+from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate
 from dualwave.diagnostics import summarize_run
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
 from dualwave.madelung import from_wavefunction
@@ -52,20 +54,21 @@ EXIT_BLOWUP = 3
 SWEEP_PARAMS = ("m1", "lambda_Vg1", "zeta", "dt")
 
 
-def _fmt(x) -> str:
-    """17 significant digits: lossless for 64-bit floats."""
-    return format(float(x), ".17g")
+def _write_csv(path: Path, header, blocks, trailer_comments=()):
+    """Write the header, each 2-D block with one %-format, then '# ' comments.
 
-
-def _cell(v) -> str:
-    return v if isinstance(v, str) else _fmt(v)
-
-
-def _write_csv(path: Path, header, rows, trailer_comments=()):
+    Float columns use %.17g (the conversion of format(x, ".17g"), lossless
+    for 64-bit values); string columns, as typed in a block's first row,
+    use %s. `blocks` may be lazy, so one block is held at a time.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        for block in blocks:
+            n_rows, n_cols = block.shape
+            cells = block.ravel().tolist()
+            line = ",".join("%s" if isinstance(c, str) else "%.17g"
+                            for c in cells[:n_cols]) + "\n"
+            fh.write((line * n_rows) % tuple(cells))
         for comment in trailer_comments:
             fh.write(f"# {comment}\n")
 
@@ -74,124 +77,117 @@ def _write_csv(path: Path, header, rows, trailer_comments=()):
 # Scenario execution and output
 # --------------------------------------------------------------------------
 
-def _run_wave(expanded: ExpandedWave, out_dir: Path, name: str) -> int:
+def _solve(solver, *args):
+    """(result, trailer comments, exit code); a blow-up yields its partial result."""
+    try:
+        return solver(*args), [], EXIT_OK
+    except BlowUpError as err:
+        return err.partial, [str(err)], EXIT_BLOWUP
+
+
+def _wave_tables(expanded: ExpandedWave):
     scenario = expanded.scenario
-    comments = []
-    code = EXIT_OK
-    try:
-        run = evolve(scenario)
-    except BlowUpError as err:
-        run = err.partial
-        comments.append(str(err))
-        code = EXIT_BLOWUP
+    run, comments, code = _solve(evolve, scenario)
+    x = scenario.grid.x
 
-    grid = scenario.grid
-    snap_rows = []
-    for snap in run.snapshots:
-        inv = from_wavefunction(snap.psi, scenario.params)
-        v = snap.psi.values
-        rho = v.real * v.real + v.imag * v.imag
-        for i in range(grid.n_points):
-            snap_rows.append((snap.t, grid.x[i], v[i].real, v[i].imag,
-                              rho[i], inv.s0.values[i], inv.s1.values[i]))
-    _write_csv(out_dir / f"{name}_snapshots.csv",
-               ("t", "x", "re_psi", "im_psi", "rho", "S0", "S1"),
-               snap_rows, comments)
+    def snapshots():
+        for snap in run.snapshots:
+            inv = from_wavefunction(snap.psi, scenario.params)
+            v = snap.psi.values
+            yield np.column_stack((
+                np.full(x.size, snap.t), x, v.real, v.imag,
+                v.real * v.real + v.imag * v.imag,
+                inv.s0.values, inv.s1.values))
 
-    reports = summarize_run(run, scenario.params.m0, scenario.action_scale)
-    _write_csv(out_dir / f"{name}_summary.csv",
-               ("t", "norm", "energy", "drift_rate", "continuity_residual"),
-               [(r.t, r.norm, r.energy, r.norm_drift_rate,
-                 r.continuity_residual_l2) for r in reports],
-               comments)
-    return code
+    # the stepped kinetic term is zeta^2 k^2 / (4 m_red), so the
+    # probability flux carries the mass 2 m_red (m0 only when m0 == m1)
+    reports = summarize_run(run, 2.0 * scenario.params.reduced_mass,
+                            scenario.action_scale)
+    summary = np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
+                         r.continuity_residual_l2) for r in reports])
+    return (code, comments,
+            (("t", "x", "re_psi", "im_psi", "rho", "S0", "S1"), snapshots()),
+            (("t", "norm", "energy", "drift_rate", "continuity_residual"), summary))
 
 
-def _run_hj(expanded: ExpandedHJ, out_dir: Path, name: str) -> int:
+def _hj_tables(expanded: ExpandedHJ):
     integ = expanded.integration
-    comments = []
-    code = EXIT_OK
-    try:
-        traj = evolve_hj(expanded.channels, expanded.potentials, expanded.params,
-                         integ.dt, integ.n_steps, integ.snapshot_every)
-    except BlowUpError as err:
-        traj = err.partial
-        comments.append(str(err))
-        code = EXIT_BLOWUP
-
+    traj, comments, code = _solve(
+        evolve_hj, expanded.channels, expanded.potentials, expanded.params,
+        integ.dt, integ.n_steps, integ.snapshot_every)
     grid = expanded.channels.grid
     n_ch = expanded.channels.n_channels
-    header = ("t", "x") + tuple(f"S{i}" for i in range(n_ch))
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        totals = [state.total_samples(i) for i in range(n_ch)]
-        for i in range(grid.n_points):
-            rows.append((t, grid.x[i]) + tuple(tot[i] for tot in totals))
-    _write_csv(out_dir / f"{name}_snapshots.csv", header, rows, comments)
-
-    sum_rows = []
-    for t, state in zip(traj.times, traj.states):
+    states = list(zip(traj.times, traj.states))
+    snapshots = (np.column_stack([np.full(grid.n_points, t), grid.x]
+                                 + [state.total_samples(i) for i in range(n_ch)])
+                 for t, state in states)
+    summary = []
+    for t, state in states:
         grads = [state.gradient(i) for i in range(n_ch)]
         max_grad = max(float(np.max(np.abs(gv))) for gv in grads)
         w = participation_metric(state)
-        sum_rows.append((t, max_grad, float(np.sum(w.values) * grid.dx)))
-    _write_csv(out_dir / f"{name}_summary.csv",
-               ("t", "max_abs_grad", "participation_integral"),
-               sum_rows, comments)
-    return code
+        summary.append((t, max_grad, integrate(w.values, grid)))
+    return (code, comments,
+            (("t", "x") + tuple(f"S{i}" for i in range(n_ch)), snapshots),
+            (("t", "max_abs_grad", "participation_integral"), np.array(summary)))
 
 
-def _run_oscillator(expanded: ExpandedOscillator, out_dir: Path, name: str) -> int:
+def _oscillator_tables(expanded: ExpandedOscillator):
     integ = expanded.integration
-    comments = []
-    code = EXIT_OK
-    try:
-        traj = integrate_rk4(expanded.rhs, expanded.state0, integ.dt, integ.n_steps)
-    except BlowUpError as err:
-        traj = err.partial
-        comments.append(str(err))
-        code = EXIT_BLOWUP
-
-    keep = range(0, traj.shape[0], integ.snapshot_every)
-    rows = [(idx * integ.dt,) + tuple(traj[idx]) for idx in keep]
-    _write_csv(out_dir / f"{name}_snapshots.csv",
-               ("t",) + expanded.state_columns, rows, comments)
-
+    traj, comments, code = _solve(
+        integrate_rk4, expanded.rhs, expanded.state0, integ.dt, integ.n_steps)
+    keep = np.arange(0, traj.shape[0], integ.snapshot_every)
+    times = keep * integ.dt
     p = expanded.params
-    sum_rows = []
-    for idx in keep:
-        t = idx * integ.dt
-        state = traj[idx]
+    summary = []
+    for t, state in zip(times.tolist(), traj[keep]):
         if expanded.formalism == "ck":
-            sum_rows.append((t, mechanical_energy(state[0], state[1], p),
-                             ck_hamiltonian(state, t, p)))
+            summary.append((t, mechanical_energy(state[0], state[1], p),
+                            ck_hamiltonian(state, t, p)))
         elif expanded.formalism == "dekker":
-            ex, ey = dekker_energies(state, p)
-            sum_rows.append((t, ex, ey))
+            summary.append((t, *dekker_energies(state, p)))
         else:
-            ex = mechanical_energy(state[0], state[1], p)
-            ey = mechanical_energy(state[2], state[3], p)
-            sum_rows.append((t, ex, ey))
+            summary.append((t, mechanical_energy(state[0], state[1], p),
+                            mechanical_energy(state[2], state[3], p)))
     header = (("t", "energy", "ck_hamiltonian") if expanded.formalism == "ck"
               else ("t", "energy_x", "energy_y"))
-    _write_csv(out_dir / f"{name}_summary.csv", header, sum_rows, comments)
-    return code
+    return (code, comments,
+            (("t",) + expanded.state_columns, [np.column_stack((times, traj[keep]))]),
+            (header, np.array(summary)))
 
 
 def run_scenario_to_files(spec: ScenarioSpec, grid: Grid1D, out_dir: Path) -> int:
     """Expand and run one scenario, writing its snapshot/summary CSV pair."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     expanded = expand(spec, grid)
-    if isinstance(expanded, ExpandedWave):
-        return _run_wave(expanded, out_dir, spec.name)
-    if isinstance(expanded, ExpandedHJ):
-        return _run_hj(expanded, out_dir, spec.name)
-    return _run_oscillator(expanded, out_dir, spec.name)
+    tables = (_wave_tables if isinstance(expanded, ExpandedWave)
+              else _hj_tables if isinstance(expanded, ExpandedHJ)
+              else _oscillator_tables)
+    code, comments, (snap_header, snapshots), (sum_header, summary) = tables(expanded)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / f"{spec.name}_snapshots.csv", snap_header, snapshots,
+               comments)
+    _write_csv(out_dir / f"{spec.name}_summary.csv", sum_header, [summary],
+               comments)
+    return code
 
 
 # --------------------------------------------------------------------------
 # Config files (INI sections: grid, params, scenario, integration, output)
 # --------------------------------------------------------------------------
+
+def _number(section, key: str, kind=float, default=None):
+    """section[key] as a finite float or an int; `default` if the key is absent."""
+    if key not in section:
+        return default
+    try:
+        value = kind(section[key])
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigurationError(f"config key {key!r} needs {what}, got {section[key]!r}")
+
 
 def _parse_descriptor(section, prefix: str):
     """Collect keys `<prefix>_<field>` into a descriptor dict, or None."""
@@ -199,13 +195,10 @@ def _parse_descriptor(section, prefix: str):
     if kind is None:
         return None
     desc = {"type": kind}
-    for key, value in section.items():
+    for key in section:
         if key.startswith(prefix + "_") and key != f"{prefix}_type":
             field = key[len(prefix) + 1:]
-            if field == "mode":
-                desc[field] = int(value)
-            else:
-                desc[field] = float(value)
+            desc[field] = _number(section, key, int if field == "mode" else float)
     return desc
 
 
@@ -218,16 +211,20 @@ def load_config(path: str):
     `initial_type = gaussian`, `initial_sigma = 0.5`,
     `vg0_type = harmonic`, `vg0_omega = 1.0`.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigurationError(
+            f"cannot parse config file {path!r}: {err}".splitlines()[0]) from None
     if not read:
         raise ConfigurationError(f"cannot read config file {path!r}")
 
     grid_sec = parser["grid"] if parser.has_section("grid") else {}
     grid = Grid1D(
-        n_points=int(grid_sec.get("n", DEFAULT_GRID.n_points)),
-        x_min=float(grid_sec.get("x_min", DEFAULT_GRID.x_min)),
-        x_max=float(grid_sec.get("x_max", DEFAULT_GRID.x_max)),
+        n_points=_number(grid_sec, "n", int, DEFAULT_GRID.n_points),
+        x_min=_number(grid_sec, "x_min", float, DEFAULT_GRID.x_min),
+        x_max=_number(grid_sec, "x_max", float, DEFAULT_GRID.x_max),
     )
 
     if not parser.has_section("scenario"):
@@ -238,8 +235,9 @@ def load_config(path: str):
     if parser.has_section("integration"):
         isec = parser["integration"]
         if "dt" in isec and "n_steps" in isec:
-            integ = Integration(dt=float(isec["dt"]), n_steps=int(isec["n_steps"]),
-                                snapshot_every=int(isec.get("snapshot_every", 1)))
+            integ = Integration(dt=_number(isec, "dt"),
+                                n_steps=_number(isec, "n_steps", int),
+                                snapshot_every=_number(isec, "snapshot_every", int, 1))
         elif isec.keys():
             raise ConfigurationError(
                 "config [integration] needs both keys 'dt' and 'n_steps'")
@@ -247,7 +245,7 @@ def load_config(path: str):
     if "name" in scen:
         spec = builtin_by_name(scen["name"])
         if integ is not None:
-            spec = _replace_spec(spec, integration=integ)
+            spec = dataclasses.replace(spec, integration=integ)
     else:
         if "kind" not in scen:
             raise ConfigurationError(
@@ -261,15 +259,15 @@ def load_config(path: str):
         psec = parser["params"]
         masses = list(spec.masses)
         for key in psec:
-            if key.startswith("m") and key[1:].isdigit():
+            if key.startswith("m") and key[1:].isdecimal():
                 idx = int(key[1:])
                 while len(masses) <= idx:
                     masses.append(1.0)
-                masses[idx] = float(psec[key])
-        spec = _replace_spec(
+                masses[idx] = _number(psec, key)
+        spec = dataclasses.replace(
             spec, masses=tuple(masses),
-            hbar=float(psec.get("hbar", spec.hbar)),
-            zeta=float(psec["zeta"]) if "zeta" in psec else spec.zeta)
+            hbar=_number(psec, "hbar", float, spec.hbar),
+            zeta=_number(psec, "zeta", float, spec.zeta))
 
     out_dir = Path("runs")
     if parser.has_section("output"):
@@ -281,19 +279,18 @@ def load_config(path: str):
     return spec, grid, out_dir
 
 
-def _replace_spec(spec: ScenarioSpec, **kwargs) -> ScenarioSpec:
-    import dataclasses
-    return dataclasses.replace(spec, **kwargs)
-
-
 def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
     kind = scen["kind"]
     name = scen.get("label", f"custom_{kind}")
+    if not re.fullmatch(r"[A-Za-z0-9_.+-]{1,100}", name):
+        raise ConfigurationError(
+            f"label {name!r} must be 1-100 letters, digits or '_.+-'; "
+            "it names the output files")
     if kind == "oscillator":
         osc = {"formalism": scen.get("formalism", "bateman")}
         for key in ("gamma", "omega", "mass", "x0", "v0", "y0", "vy0"):
             if key in scen:
-                osc[key] = float(scen[key])
+                osc[key] = _number(scen, key)
         return ScenarioSpec(name=name, kind=kind, integration=integ, osc=osc)
     if kind == "hj":
         channels = []
@@ -339,15 +336,12 @@ def cmd_run(args) -> int:
         if args.config:
             spec, grid, cfg_out = load_config(args.config)
             out_dir = Path(args.out) if args.out else cfg_out
-        elif args.scenario:
+        else:
             spec = builtin_by_name(args.scenario)
             grid = DEFAULT_GRID
             out_dir = Path(args.out) if args.out else Path("runs")
-        else:
-            print("run: need --scenario NAME or --config FILE", file=sys.stderr)
-            return EXIT_CONFIG
         if args.snapshot_every is not None:
-            spec = _replace_spec(
+            spec = dataclasses.replace(
                 spec, integration=Integration(
                     spec.integration.dt, spec.integration.n_steps,
                     args.snapshot_every))
@@ -384,20 +378,21 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
     if not math.isfinite(value):
         raise ConfigurationError(f"sweep value for {param} must be finite, got {value}")
     if param == "m1":
-        return _replace_spec(spec, masses=(spec.masses[0], value) + spec.masses[2:])
+        return dataclasses.replace(
+            spec, masses=(spec.masses[0], value) + spec.masses[2:])
     if param == "lambda_Vg1":
         potentials = dict(spec.potentials)
         potentials["vg1"] = {"type": "constant", "v0": -value}
-        return _replace_spec(spec, potentials=potentials)
+        return dataclasses.replace(spec, potentials=potentials)
     if param == "zeta":
-        return _replace_spec(spec, zeta=value)
+        return dataclasses.replace(spec, zeta=value)
     if param == "dt":
         if value <= 0:
             raise ConfigurationError(
                 f"sweep value for dt must be positive, got {value}")
         total_t = spec.integration.dt * spec.integration.n_steps
         n_steps = max(1, int(round(total_t / value)))
-        return _replace_spec(spec, integration=Integration(
+        return dataclasses.replace(spec, integration=Integration(
             value, n_steps, max(1, n_steps // 10)))
     raise ConfigurationError(
         f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEP_PARAMS)}")
@@ -418,7 +413,6 @@ def _sweep_one(spec: ScenarioSpec, grid: Grid1D):
                         for s in run.snapshots])
     phase_rate = (phases[-1] - phases[0]) / t_end if t_end > 0 else 0.0
     if scenario.nonlinear_active:
-        import dataclasses
         off = evolve(dataclasses.replace(scenario, nonlinear_term=NONLINEAR_OFF))
         shift = float(np.angle(np.vdot(off.final.psi.values,
                                        run.final.psi.values)))
@@ -435,10 +429,6 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"bad sweep value list: {err}") from None
         if not values:
             raise ConfigurationError("empty sweep value list")
-        if args.param not in SWEEP_PARAMS:
-            raise ConfigurationError(
-                f"unknown sweep parameter {args.param!r}; "
-                f"choose from {', '.join(SWEEP_PARAMS)}")
         if args.config:
             base, grid, cfg_out = load_config(args.config)
             out_dir = Path(args.out) if args.out else cfg_out
@@ -479,7 +469,8 @@ def cmd_sweep(args) -> int:
     _write_csv(path,
                ("param", "value", "t_end", "norm_end", "drift_rate",
                 "phase_rate", "nonlinear_phase_shift"),
-               [[args.param, values[i], *rows[i]] for i in order])
+               [np.array([(args.param, values[i], *rows[i]) for i in order],
+                         dtype=object)])
     return EXIT_OK
 
 

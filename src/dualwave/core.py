@@ -39,6 +39,17 @@ class ConfigurationError(ValueError):
     """A scenario/run configuration is invalid (maps to CLI exit code 2)."""
 
 
+def check_stepping(dt: float, n_steps: int, snapshot_every: int):
+    """Reject a step size, step count or snapshot cadence no run can use."""
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    if n_steps < 0:
+        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
+    if snapshot_every < 1:
+        raise ConfigurationError(
+            f"snapshot_every must be >= 1, got {snapshot_every}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic grid on [x_min, x_max) with a power-of-two point count."""
@@ -117,13 +128,6 @@ class RealField:
     def zeros(cls, grid) -> "RealField":
         return cls(np.zeros(grid.n_points), grid)
 
-    @classmethod
-    def from_function(cls, grid, fn) -> "RealField":
-        return cls(np.asarray(fn(grid.x), dtype=np.float64), grid)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -139,13 +143,6 @@ class ComplexField:
     @classmethod
     def zeros(cls, grid) -> "ComplexField":
         return cls(np.zeros(grid.n_points, dtype=np.complex128), grid)
-
-    @classmethod
-    def from_function(cls, grid, fn) -> "ComplexField":
-        return cls(np.asarray(fn(grid.x), dtype=np.complex128), grid)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
 
 def spectral_derivative(f, order: int):
@@ -239,9 +236,6 @@ class Quaternion:
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 def quaternion_exp(q: Quaternion) -> Quaternion:

@@ -9,7 +9,7 @@ deviation probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,10 +123,9 @@ class SnapshotReport:
     energy: float
     norm_drift_rate: float
     continuity_residual_l2: float
-    extras: dict = field(default_factory=dict)
 
 
-def report(prev, snap, mass: float, hbar: float, extras=None) -> SnapshotReport:
+def report(prev, snap, mass: float, hbar: float) -> SnapshotReport:
     """Diagnostics for `snap`, differenced against the previous snapshot.
 
     Pass prev=None for the first snapshot; backward-difference quantities
@@ -142,7 +141,7 @@ def report(prev, snap, mass: float, hbar: float, extras=None) -> SnapshotReport:
             prev.psi.values, snap.psi.values, snap.psi.grid, delta_t, mass, hbar)
     return SnapshotReport(
         t=snap.t, norm=snap.norm, energy=snap.energy, norm_drift_rate=drift,
-        continuity_residual_l2=resid, extras=dict(extras or {}))
+        continuity_residual_l2=resid)
 
 
 def summarize_run(run, mass: float, hbar: float) -> list:

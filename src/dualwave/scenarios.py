@@ -21,6 +21,7 @@ from dualwave.core import (
     DualParams,
     Grid1D,
     RealField,
+    check_stepping,
     field_norm,
 )
 from dualwave.hamilton_jacobi import (
@@ -50,6 +51,9 @@ class Integration:
     n_steps: int
     snapshot_every: int = 1
 
+    def __post_init__(self):
+        check_stepping(self.dt, self.n_steps, self.snapshot_every)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -66,7 +70,6 @@ class ScenarioSpec:
     closure_mode: str = SYMMETRIC_CLOSURE
     nonlinear_term: str = "auto"
     osc: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def dual_params(self) -> DualParams:
         return DualParams(masses=self.masses, hbar=self.hbar, zeta=self.zeta)
@@ -218,7 +221,24 @@ def _expand_potentials(spec: ScenarioSpec, grid: Grid1D, n_channels: int) -> Pot
 
 
 def expand(spec: ScenarioSpec, grid: Grid1D = DEFAULT_GRID):
-    """Realize a ScenarioSpec on a grid; returns the kind-specific bundle."""
+    """Realize a ScenarioSpec on a grid; returns the kind-specific bundle.
+
+    Expansion runs no solver, so every failure in it is the spec's: a
+    missing descriptor key, a value rejected by a field or parameter
+    type, or arithmetic that leaves the float range (a mass of 5e-324).
+    """
+    try:
+        return _expand_kind(spec, grid)
+    except ConfigurationError:
+        raise
+    except KeyError as err:
+        raise ConfigurationError(
+            f"scenario {spec.name!r} is missing the descriptor key {err}") from None
+    except (ValueError, ArithmeticError) as err:
+        raise ConfigurationError(f"scenario {spec.name!r}: {err}") from None
+
+
+def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
     if spec.kind == KIND_WAVE:
         psi0 = expand_initial_wave(spec.initial, grid)
         pot = _expand_potentials(spec, grid, 2)
@@ -333,7 +353,6 @@ def builtin_suite() -> list:
             integration=Integration(dt=1e-3, n_steps=625, snapshot_every=125),
             initial={"type": "two_gaussian", "sigma": 0.5, "separation": 5.0,
                      "k_rel": 4.0},
-            extras={"visibility_window": (0.45, 0.55)},
         ),
         ScenarioSpec(
             name="bateman_damped", kind=KIND_OSCILLATOR,

@@ -47,6 +47,7 @@ from dualwave.core import (
     Grid1D,
     NonFiniteFieldError,
     RealField,
+    check_stepping,
     spectral_derivative_values,
 )
 from dualwave.hamilton_jacobi import (
@@ -94,13 +95,7 @@ class WaveScenario:
     unwrap_policy: UnwrapPolicy = SLAVED_EXTRACTION_POLICY
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 0:
-            raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.snapshot_every < 1:
-            raise ConfigurationError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        check_stepping(self.dt, self.n_steps, self.snapshot_every)
         if self.closure_mode not in (EXPLICIT, SYMMETRIC_CLOSURE):
             raise ConfigurationError(f"unknown closure mode {self.closure_mode!r}")
         if self.nonlinear_term not in (NONLINEAR_ON, NONLINEAR_OFF, NONLINEAR_AUTO):

@@ -1,8 +1,12 @@
 import hashlib
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualwave.cli import load_config, main
 from dualwave.core import BlowUpError
@@ -48,6 +52,14 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+WAVE_INI = ("[scenario]\nkind = wave\nlabel = bad\ninitial_type = gaussian\n"
+            "initial_sigma = 0.5\n[integration]\ndt = 1e-3\nn_steps = 10\n")
+HJ_INI = ("[scenario]\nkind = hj\nlabel = bad\nchannel0_type = zero\n"
+          "channel1_type = samples\n[integration]\ndt = 1e-3\nn_steps = 10\n")
+OSC_INI = ("[scenario]\nkind = oscillator\nlabel = bad\nformalism = ck\n"
+           "[integration]\ndt = -0.001\nn_steps = 10\n")
+
+
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -69,6 +81,31 @@ class TestRun:
 
     def test_missing_arguments_exit_2(self):
         assert main(["run"]) == 2
+
+    @pytest.mark.parametrize("ini, flags", [
+        ("[grid]\nn = ten\n" + WAVE_INI, []),
+        (WAVE_INI.replace("= 0.5", "= abc"), []),
+        (WAVE_INI.replace("n_steps = 10", "n_steps = 1.5"), []),
+        (WAVE_INI.replace("= gaussian", "= samples"), []),
+        (HJ_INI, []),
+        (OSC_INI, []),
+        (None, ["--scenario", "bateman_damped", "--snapshot-every", "0"]),
+        (None, ["--scenario", "hj_free_particle", "--snapshot-every", "0"]),
+    ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
+            "wave_samples_without_values", "hj_samples_without_values",
+            "oscillator_dt_negative", "oscillator_snapshot_every_0",
+            "hj_snapshot_every_0"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
+        if ini is not None:
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(ini)
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["run", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_caustic_run_exits_3_and_flags_summary(self, tmp_path):
         code = main(["run", "--scenario", "hj_caustic", "--out", str(tmp_path)])
@@ -147,6 +184,21 @@ class TestConfigFile:
             f"[output]\npath = {tmp_path / 'out'}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "masses" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nonlinear", ["on", "off"])
+    def test_continuity_residual_uses_flux_mass(self, tmp_path, nonlinear):
+        # with m0 != m1 the stepped kinetic term is zeta^2 k^2 / (4 m_red):
+        # the flux mass is 2 m_red; differencing with m0 leaves ~1e-2
+        cfg = tmp_path / "asym.ini"
+        cfg.write_text(
+            "[scenario]\nkind = wave\nlabel = asym\n"
+            "initial_type = gaussian\ninitial_sigma = 0.5\n"
+            f"nonlinear = {nonlinear}\n"
+            "[params]\nm0 = 1.0\nm1 = 1.5\n"
+            "[integration]\ndt = 2e-5\nn_steps = 2000\nsnapshot_every = 200\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        summary = parse_csv(tmp_path / "asym_summary.csv")
+        assert np.max(summary[:, 4]) < 1e-4
 
     def test_snapshot_cadence_override(self, tmp_path):
         assert main(["run", "--scenario", "plane_wave_dispersion",
@@ -340,6 +392,60 @@ class TestByteContract:
                        np.column_stack((keep * integ.dt, traj[keep])))
         assert len(parse_csv(summary)) == keep.size
         assert (sha256(snapshots), sha256(summary)) == OSCILLATOR_SHA256[name]
+
+
+# valid tiny configs, one per scenario kind, each well under 20 steps
+_FUZZ_GRID = {"n": "64", "x_min": "-5", "x_max": "5"}
+_FUZZ_INTEGRATION = {"dt": "1e-3", "n_steps": "12", "snapshot_every": "4"}
+FUZZ_BASES = [
+    {"grid": _FUZZ_GRID, "params": {"m0": "1.0", "m1": "1.2", "hbar": "1.0"},
+     "scenario": {"kind": "wave", "label": "fz", "initial_type": "gaussian",
+                  "initial_sigma": "1.0", "initial_k": "0.5",
+                  "vg0_type": "harmonic", "vg0_omega": "1.0"},
+     "integration": {**_FUZZ_INTEGRATION, "dt": "1e-4"},
+     "output": {"format": "csv"}},
+    {"grid": _FUZZ_GRID, "params": {"m0": "1.0", "m1": "2.0"},
+     "scenario": {"kind": "hj", "label": "fz", "channel0_type": "linear",
+                  "channel0_slope": "1.0", "channel1_type": "zero"},
+     "integration": _FUZZ_INTEGRATION, "output": {"format": "csv"}},
+    {"scenario": {"kind": "oscillator", "label": "fz", "formalism": "bateman",
+                  "gamma": "0.2", "omega": "1.0", "x0": "1.0", "y0": "1.0"},
+     "integration": _FUZZ_INTEGRATION, "output": {"format": "csv"}},
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    """One base config with one key's value replaced by drawn text or a number."""
+    base = draw(st.sampled_from(FUZZ_BASES))
+    section = draw(st.sampled_from(sorted(base)))
+    key = draw(st.sampled_from(sorted(base[section])))
+    value = draw(st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        st.integers(-4, 64).map(str),
+        st.floats(-1e3, 1e3).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e308", "5e-324", "-0.0"])))
+    sections = {name: dict(keys) for name, keys in base.items()}
+    sections[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ini=mutated_configs())
+    def test_mutated_config_exits_cleanly(self, tmp_path, capsys, monkeypatch, ini):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(work)
+        cfg = work / "fuzz.ini"
+        cfg.write_text(ini, encoding="utf-8")
+        code = main(["run", "--config", str(cfg), "--out", str(work / "out")])
+        assert code in (0, 2, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
+        written = {p.relative_to(work).parts[0] for p in work.iterdir()}
+        assert written <= {"fuzz.ini", "out"}
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestVerifyCommand:

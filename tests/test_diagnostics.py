@@ -167,7 +167,7 @@ class TestReports:
         exp = expand(builtin_by_name("interference_two_gaussian"), GRID)
         run = evolve(exp.scenario)
         rho = RealField(np.abs(run.final.psi.values) ** 2, GRID)
-        frac = exp.spec.extras["visibility_window"]
+        frac = (0.45, 0.55)
         window = (int(frac[0] * GRID.n_points), int(frac[1] * GRID.n_points))
         vis = fringe_visibility(rho, window)
         assert vis == pytest.approx(0.9998778077192557, rel=1e-9)

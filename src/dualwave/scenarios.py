@@ -228,14 +228,16 @@ def expand(spec: ScenarioSpec, grid: Grid1D = DEFAULT_GRID):
     type, or arithmetic that leaves the float range (a mass of 5e-324).
     """
     try:
-        return _expand_kind(spec, grid)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _expand_kind(spec, grid)
     except ConfigurationError:
         raise
     except KeyError as err:
         raise ConfigurationError(
             f"scenario {spec.name!r} is missing the descriptor key {err}") from None
     except (ValueError, ArithmeticError) as err:
-        raise ConfigurationError(f"scenario {spec.name!r}: {err}") from None
+        raise ConfigurationError(
+            f"scenario {spec.name!r}: {type(err).__name__}: {err}") from None
 
 
 def _expand_kind(spec: ScenarioSpec, grid: Grid1D):

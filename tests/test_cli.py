@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tempfile
 from pathlib import Path
 
@@ -443,9 +442,8 @@ class TestConfigFuzz:
         code = main(["run", "--config", str(cfg), "--out", str(work / "out")])
         assert code in (0, 2, 3)
         assert capsys.readouterr().err.count("\n") <= 1
-        written = {p.relative_to(work).parts[0] for p in work.iterdir()}
-        assert written <= {"fuzz.ini", "out"}
-        assert not list(tmp_path.glob("*.csv"))
+        # cwd is `work`, so a write to any relative path would land here
+        assert {p.name for p in work.iterdir()} <= {"fuzz.ini", "out"}
 
 
 class TestVerifyCommand:

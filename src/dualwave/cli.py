@@ -16,10 +16,8 @@ import argparse
 import configparser
 import dataclasses
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +34,7 @@ from dualwave.oscillators import (
 )
 from dualwave.scenarios import (
     DEFAULT_GRID,
+    KIND_HJ,
     ExpandedHJ,
     ExpandedOscillator,
     ExpandedWave,
@@ -44,7 +43,7 @@ from dualwave.scenarios import (
     builtin_by_name,
     expand,
 )
-from dualwave.wavesolver import NONLINEAR_OFF, evolve
+from dualwave.wavesolver import NONLINEAR_OFF, WaveScenario, evolve
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -102,7 +101,7 @@ def _wave_tables(expanded: ExpandedWave):
     # the stepped kinetic term is zeta^2 k^2 / (4 m_red), so the
     # probability flux carries the mass 2 m_red (m0 only when m0 == m1)
     reports = summarize_run(run, 2.0 * scenario.params.reduced_mass,
-                            scenario.action_scale)
+                            scenario.params.zeta)
     summary = np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
                          r.continuity_residual_l2) for r in reports])
     return (code, comments,
@@ -258,9 +257,15 @@ def load_config(path: str):
     if parser.has_section("params"):
         psec = parser["params"]
         masses = list(spec.masses)
+        n_channels = (len(spec.initial.get("channels", ())) if spec.kind == KIND_HJ
+                      else 2)
         for key in psec:
             if key.startswith("m") and key[1:].isdecimal():
                 idx = int(key[1:])
+                if idx >= n_channels:
+                    raise ConfigurationError(
+                        f"mass key {key!r} names no channel: the scenario has "
+                        f"{n_channels} channels, m0..m{n_channels - 1}")
                 while len(masses) <= idx:
                     masses.append(1.0)
                 masses[idx] = _number(psec, key)
@@ -398,12 +403,8 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
         f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEP_PARAMS)}")
 
 
-def _sweep_one(spec: ScenarioSpec, grid: Grid1D):
+def _sweep_point(scenario: WaveScenario):
     """Run one sweep point; returns the per-value diagnostics row."""
-    expanded = expand(spec, grid)
-    if not isinstance(expanded, ExpandedWave):
-        raise ConfigurationError("sweep supports wave scenarios only")
-    scenario = expanded.scenario
     run = evolve(scenario)
     psi0 = scenario.psi0.values
     t_end = run.final.t
@@ -436,26 +437,14 @@ def cmd_sweep(args) -> int:
             base = builtin_by_name(args.scenario)
             grid = DEFAULT_GRID
             out_dir = Path(args.out) if args.out else Path("runs")
-        specs = [_sweep_value_spec(base, args.param, v) for v in values]
         # validate every point before burning cycles on any of them
-        for spec in specs:
-            expand(spec, grid)
-        max_threads = len(specs)
-        env_threads = os.environ.get("DUALWAVE_THREADS")
-        if env_threads:
-            try:
-                max_threads = max(1, min(max_threads, int(env_threads)))
-            except ValueError:
-                raise ConfigurationError(
-                    f"DUALWAVE_THREADS must be an integer, got {env_threads!r}"
-                ) from None
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        with ThreadPoolExecutor(max_workers=max_threads) as pool:
-            rows = list(pool.map(lambda s: _sweep_one(s, grid), specs))
+        scenarios = []
+        for value in values:
+            expanded = expand(_sweep_value_spec(base, args.param, value), grid)
+            if not isinstance(expanded, ExpandedWave):
+                raise ConfigurationError("sweep supports wave scenarios only")
+            scenarios.append(expanded.scenario)
+        rows = [_sweep_point(scenario) for scenario in scenarios]
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

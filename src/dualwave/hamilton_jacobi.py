@@ -25,6 +25,7 @@ from dualwave.core import (
     DualParams,
     Grid1D,
     RealField,
+    check_stepping,
     spectral_derivative_values,
 )
 
@@ -145,15 +146,11 @@ class PotentialSet:
         return np.zeros(grid.n_points)
 
 
-def _closure_couplings(values_2d, grid, p: DualParams):
-    """Coupling potentials that cancel the wave equation's Laplacian terms."""
+def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
+    """The closure rule (Vc0, Vc1) = ((zeta/4m) lap S1, -(zeta/4m) lap S0):
+    the coupling potentials that cancel the wave equation's Laplacian terms."""
     coeff = p.zeta / (4.0 * p.reduced_mass)
-    lap_s1 = spectral_derivative_values(values_2d[1], grid, 2)
-    lap_s0 = spectral_derivative_values(values_2d[0], grid, 2)
-    vc = [coeff * lap_s1, -coeff * lap_s0]
-    for _ in range(values_2d.shape[0] - 2):
-        vc.append(np.zeros(grid.n_points))
-    return vc
+    return coeff * lap_s1, -coeff * lap_s0
 
 
 def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
@@ -162,7 +159,10 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
     grads = [slopes[i] + spectral_derivative_values(values_2d[i], grid, 1)
              for i in range(n_ch)]
     if pot.mode == SYMMETRIC_CLOSURE:
-        vc = _closure_couplings(values_2d, grid, p)
+        vc0, vc1 = closure_couplings(
+            spectral_derivative_values(values_2d[0], grid, 2),
+            spectral_derivative_values(values_2d[1], grid, 2), p)
+        vc = [vc0, vc1] + [np.zeros(grid.n_points)] * (n_ch - 2)
     else:
         vc = [pot.vc_values(i, grid) for i in range(n_ch)]
     out = np.empty_like(values_2d)
@@ -210,8 +210,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     channel gradient exceeds `grad_threshold` or fields go non-finite; the
     exception carries the partial HJTrajectory collected so far.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_stepping(dt, n_steps, snapshot_every)
     grid = S0.grid
     slopes, masses = S0.slopes, S0.masses
 

@@ -44,7 +44,7 @@ from dualwave.scenarios import (
 from dualwave.wavesolver import (
     NONLINEAR_OFF,
     NONLINEAR_ON,
-    _nonlinear_bracket,
+    _asymmetry_potential,
     evolve,
     schrodinger_reference,
 )
@@ -76,7 +76,7 @@ def _sup_diff(run_a, run_b) -> float:
 def _reference_for(scenario):
     return schrodinger_reference(
         scenario.psi0, scenario.potentials.vg[0], scenario.params.m0,
-        scenario.action_scale, scenario.dt, scenario.n_steps,
+        scenario.params.zeta, scenario.dt, scenario.n_steps,
         scenario.snapshot_every)
 
 
@@ -166,7 +166,7 @@ def crit_residual_mass_term(tol, cache):
     grid = DEFAULT_GRID
     k = 2.0 * math.pi * 8 / grid.length
     v = np.exp(1j * k * grid.x)
-    bracket = _nonlinear_bracket(v, grid, 1e-8)
+    bracket = -_asymmetry_potential(v, grid, 1e-8) * v
     dev = float(np.max(np.abs(bracket + k ** 2 * v)))
     out = [_lt("residual_mass_term[bracket]", dev, tol(1e-10))]
 

@@ -22,7 +22,9 @@ which keeps the norm up to the a part by construction. Between snapshots
 adjacent kinetic half-steps are merged into one full step, so a step costs
 2 FFTs (linear), 6 (mass asymmetry: two gradients) or 6 (explicit), and
 every snapshot holds the full Strang state. `evolve` and the reference
-solver share this loop driver but assemble their multipliers separately.
+solver share this loop driver and the snapshot diagnostics but assemble
+their multipliers separately. The equation's terms are written once, in
+the stepper; `generalized_rhs` evaluates the same terms at one state.
 
 In `symmetric_closure` mode the bracketed coupling terms are cancelled
 analytically (they are identically zero when the coupling potentials equal
@@ -55,6 +57,7 @@ from dualwave.hamilton_jacobi import (
     SYMMETRIC_CLOSURE,
     ActionChannels,
     PotentialSet,
+    closure_couplings,
     evolve_hj,
 )
 from dualwave.madelung import (
@@ -91,8 +94,6 @@ class WaveScenario:
     snapshot_every: int = 1
     closure_mode: str = SYMMETRIC_CLOSURE
     nonlinear_term: str = NONLINEAR_AUTO
-    zeta_override: float | None = None
-    unwrap_policy: UnwrapPolicy = SLAVED_EXTRACTION_POLICY
 
     def __post_init__(self):
         check_stepping(self.dt, self.n_steps, self.snapshot_every)
@@ -101,13 +102,11 @@ class WaveScenario:
         if self.nonlinear_term not in (NONLINEAR_ON, NONLINEAR_OFF, NONLINEAR_AUTO):
             raise ConfigurationError(
                 f"unknown nonlinear_term {self.nonlinear_term!r}")
-        if self.zeta_override is not None and self.zeta_override <= 0:
-            raise ConfigurationError("zeta_override must be positive")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
             kmax = self.psi0.grid.nyquist
-            rate = self.action_scale * kmax ** 2 / (4.0 * self.params.reduced_mass)
+            rate = self.params.zeta * kmax ** 2 / (4.0 * self.params.reduced_mass)
             if self.dt * rate >= 0.5:
                 raise ConfigurationError(
                     f"dt * max kinetic eigenvalue = {self.dt * rate:.3g} >= 0.5; "
@@ -117,10 +116,6 @@ class WaveScenario:
     @property
     def grid(self) -> Grid1D:
         return self.psi0.grid
-
-    @property
-    def action_scale(self) -> float:
-        return self.zeta_override if self.zeta_override is not None else self.params.zeta
 
     @property
     def nonlinear_active(self) -> bool:
@@ -160,8 +155,7 @@ class WaveRun:
 # Field extraction and term evaluation
 # --------------------------------------------------------------------------
 
-def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float,
-                          policy: UnwrapPolicy):
+def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
     """Laplacians of the slaved action fields S0, S1 extracted from psi.
 
     The amplitude channel uses a smooth additive floor (log(rho + floor^2)
@@ -176,7 +170,7 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float,
     if amax == 0.0:
         raise NonFiniteFieldError("degenerate wavefunction")
     rho = v.real * v.real + v.imag * v.imag
-    floor2 = (policy.amplitude_floor * amax) ** 2
+    floor2 = (SLAVED_EXTRACTION_POLICY.amplitude_floor * amax) ** 2
     engaged = bool(np.any(rho < floor2))
     trust = rho / (rho + floor2)
     s1 = -0.5 * scale * np.log(rho + floor2)
@@ -208,66 +202,6 @@ def _asymmetry_potential(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
         rho, eps * eps * float(np.max(rho)))
 
 
-def _nonlinear_bracket(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
-    """psi* div(grad psi / psi*) - lap psi, which is exactly -W psi."""
-    return -_asymmetry_potential(v, grid, eps) * v
-
-
-def generalized_rhs(psi: ComplexField, S, p: DualParams, pot: PotentialSet,
-                    closure_mode: str = SYMMETRIC_CLOSURE,
-                    nonlinear_term: str = NONLINEAR_AUTO,
-                    zeta_override: float | None = None,
-                    policy: UnwrapPolicy = SLAVED_EXTRACTION_POLICY) -> ComplexField:
-    """Full right-hand side dpsi/dt of the generalized wave equation.
-
-    S may be a pair of RealFields (S0, S1) with periodic samples, or None
-    to extract the slaved fields from psi. In symmetric_closure mode the
-    bracketed coupling terms are replaced by their exact cancellation and S
-    is not consulted.
-    """
-    grid = psi.grid
-    v = psi.values
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteFieldError("non-finite field")
-    z = zeta_override if zeta_override is not None else p.zeta
-    m = p.reduced_mass
-
-    lap_psi = spectral_derivative_values(v, grid, 2)
-    bracket = -(z * z / (4.0 * m)) * lap_psi + pot.vg_values(0, grid) * v
-    bracket = bracket + 1j * pot.vg_values(1, grid) * v
-
-    if closure_mode == EXPLICIT:
-        coeff = z / (4.0 * m)
-        if S is not None:
-            s0, s1 = S
-            lap_s0 = spectral_derivative_values(s0.values, grid, 2)
-            lap_s1 = spectral_derivative_values(s1.values, grid, 2)
-            trust = 1.0
-        else:
-            lap_s0, lap_s1, trust, engaged = _extract_action_terms(v, grid, z, policy)
-            if engaged:
-                warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
-        if pot.mode == SYMMETRIC_CLOSURE:
-            vc0 = coeff * lap_s1
-            vc1 = -coeff * lap_s0
-        else:
-            vc0 = pot.vc_values(0, grid)
-            vc1 = pot.vc_values(1, grid)
-        bracket = bracket + trust * (vc0 - coeff * lap_s1) * v
-        bracket = bracket + 1j * (trust * (vc1 + coeff * lap_s0)) * v
-
-    active = (nonlinear_term == NONLINEAR_ON or
-              (nonlinear_term == NONLINEAR_AUTO and p.residual_inv_mass != 0.0))
-    if active:
-        nu = 0.25 * z * z * p.residual_inv_mass
-        bracket = bracket + nu * _nonlinear_bracket(v, grid, policy.amplitude_floor)
-
-    out = bracket / (1j * z)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError("non-finite right-hand side")
-    return ComplexField(out, grid)
-
-
 # --------------------------------------------------------------------------
 # Strang split stepping
 # --------------------------------------------------------------------------
@@ -285,20 +219,27 @@ def _rk2_multiplier(a: np.ndarray, dt: float) -> np.ndarray:
     return 1.0 + adt + 0.5 * adt * adt
 
 
+
+
 class _GeneralizedStepper:
-    """Kinetic multipliers and pointwise substep of a WaveScenario."""
+    """The terms of the generalized equation for one WaveScenario, divided
+    by i z: the kinetic term i * kinetic_coeff * lap psi (stepped exactly
+    by the kinetic multipliers), the frozen rate a(v) and the mass-asymmetry
+    rate, and the pointwise substep built from those two rates."""
 
     def __init__(self, scenario: WaveScenario):
         self.scenario = scenario
         grid = scenario.grid
         p = scenario.params
-        z = scenario.action_scale
+        z = p.zeta
         self.z = z
+        # the stepped kinetic term is z^2 k^2 / (4 m_red): kinetic mass 2 m_red
+        self.mass = 2.0 * p.reduced_mass
         self.grid = grid
         self.dt = scenario.dt
-        self.coupling_coeff = z / (4.0 * p.reduced_mass)
+        self.kinetic_coeff = z / (4.0 * p.reduced_mass)
         self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
-            grid, self.coupling_coeff, scenario.dt)
+            grid, self.kinetic_coeff, scenario.dt)
         vg0 = scenario.potentials.vg_values(0, grid)
         vg1 = scenario.potentials.vg_values(1, grid)
         self.vg0 = vg0
@@ -308,27 +249,33 @@ class _GeneralizedStepper:
         self.nu = 0.25 * z * z * p.residual_inv_mass if scenario.nonlinear_active else 0.0
         self.nonlinear = scenario.nonlinear_active
         self.explicit = scenario.closure_mode == EXPLICIT
-        self.policy = scenario.unwrap_policy
         self.floor_engaged = False
 
-    def _coupling_rate(self, v: np.ndarray) -> np.ndarray:
-        """Explicit coupling terms as a rate multiplier, S extracted from v."""
-        lap_s0, lap_s1, trust, engaged = _extract_action_terms(
-            v, self.grid, self.z, self.policy)
+    def frozen_rate(self, v: np.ndarray) -> np.ndarray:
+        """a(v): the guiding potentials plus, in explicit mode, the coupling
+        terms with S extracted from v."""
+        if not self.explicit:
+            return self.base_a
+        grid = self.grid
+        lap_s0, lap_s1, trust, engaged = _extract_action_terms(v, grid, self.z)
         if engaged and not self.floor_engaged:
             self.floor_engaged = True
             warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
-        coeff = self.coupling_coeff
-        if self.scenario.potentials.mode == SYMMETRIC_CLOSURE:
-            vc0 = coeff * lap_s1
-            vc1 = -coeff * lap_s0
+        pot = self.scenario.potentials
+        if pot.mode == SYMMETRIC_CLOSURE:
+            vc0, vc1 = closure_couplings(lap_s0, lap_s1, self.scenario.params)
         else:
-            vc0 = self.scenario.potentials.vc_values(0, self.grid)
-            vc1 = self.scenario.potentials.vc_values(1, self.grid)
+            vc0, vc1 = pot.vc_values(0, grid), pot.vc_values(1, grid)
+        coeff = self.kinetic_coeff
         c0 = trust * (vc0 - coeff * lap_s1)
         c1 = trust * (vc1 + coeff * lap_s0)
         # (1/iz) * [c0 + i*c1] = (c1 - i*c0)/z
-        return (c1 - 1j * c0) / self.z
+        return self.base_a + (c1 - 1j * c0) / self.z
+
+    def asymmetry_rate(self, v: np.ndarray) -> np.ndarray:
+        """i nu W(v) / z, the mass-asymmetry term as a rate."""
+        eps = SLAVED_EXTRACTION_POLICY.amplitude_floor
+        return 1j * self.nu / self.z * _asymmetry_potential(v, self.grid, eps)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
         """Pointwise substep, S frozen at substep start: the RK2 (midpoint)
@@ -336,19 +283,32 @@ class _GeneralizedStepper:
         exponential midpoint of du/dt = r(u) u, r(u) = a + i nu W(u) / z."""
         if not self.explicit and not self.nonlinear:
             return self.rk2_base * v
-        a = self.base_a + self._coupling_rate(v) if self.explicit else self.base_a
+        a = self.frozen_rate(v)
         if not self.nonlinear:
             return _rk2_multiplier(a, self.dt) * v
-        grid, eps, c = self.grid, self.policy.amplitude_floor, 1j * self.nu / self.z
-        mid = np.exp((0.5 * self.dt) * (a + c * _asymmetry_potential(v, grid, eps))) * v
-        return np.exp(self.dt * (a + c * _asymmetry_potential(mid, grid, eps))) * v
+        mid = np.exp((0.5 * self.dt) * (a + self.asymmetry_rate(v))) * v
+        return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
 
-    def energy(self, v: np.ndarray) -> float:
-        grad = spectral_derivative_values(v, self.grid, 1)
-        m0 = self.scenario.params.m0
-        dens = (self.z ** 2 / (2.0 * m0)) * np.abs(grad) ** 2 \
-            + self.vg0 * np.abs(v) ** 2
-        return float(np.sum(dens) * self.grid.dx)
+
+def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
+    """Full right-hand side dpsi/dt of the scenario's generalized wave
+    equation at psi, from the stepper's kinetic coefficient and rates.
+
+    In explicit mode the S fields are extracted from psi; in
+    symmetric_closure mode the coupling terms are cancelled analytically.
+    """
+    v = psi.values
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteFieldError("non-finite field")
+    stepper = _GeneralizedStepper(scenario)
+    rate = stepper.frozen_rate(v)
+    if stepper.nonlinear:
+        rate = rate + stepper.asymmetry_rate(v)
+    lap = spectral_derivative_values(v, psi.grid, 2)
+    out = 1j * stepper.kinetic_coeff * lap + rate * v
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteFieldError("non-finite right-hand side")
+    return ComplexField(out, psi.grid)
 
 
 def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
@@ -367,14 +327,15 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
     """Snapshots every `snapshot_every` steps and after the last; raises
     BlowUpError carrying the partial WaveRun on overflow or non-finite state."""
     grid, dt = stepper.grid, stepper.dt
-    run = WaveRun(snapshots=[_snapshot(0.0, v, grid, stepper)])
+    energy_terms = (stepper.vg0, stepper.z, stepper.mass)
+    run = WaveRun(snapshots=[_snapshot(0.0, v, grid, *energy_terms)])
     for start in range(0, n_steps, snapshot_every):
         step = min(start + snapshot_every, n_steps)
         v = _strang_steps(v, stepper, step - start)
         amax = float(np.max(np.abs(v))) if np.all(np.isfinite(v)) else math.inf
         if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
             raise BlowUpError(f"blow-up at step {step}", step=step, partial=run)
-        run.snapshots.append(_snapshot(step * dt, v, grid, stepper))
+        run.snapshots.append(_snapshot(step * dt, v, grid, *energy_terms))
     return run
 
 
@@ -384,10 +345,15 @@ def step_splitstep(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     return ComplexField(_strang_steps(psi.values, stepper, 1), psi.grid)
 
 
-def _snapshot(t: float, v: np.ndarray, grid: Grid1D, stepper) -> Snapshot:
+def _snapshot(t: float, v: np.ndarray, grid: Grid1D, vg0: np.ndarray,
+              z: float, mass: float) -> Snapshot:
+    """Snapshot of v with its norm and its energy, the integral of
+    (z^2/2 mass) |grad psi|^2 + Vg0 |psi|^2 for the kinetic mass `mass`."""
     psi = ComplexField(v.copy(), grid)
     norm = float(np.sum(v.real * v.real + v.imag * v.imag) * grid.dx)
-    return Snapshot(t=t, psi=psi, norm=norm, energy=stepper.energy(v))
+    grad = spectral_derivative_values(v, grid, 1)
+    dens = (z ** 2 / (2.0 * mass)) * np.abs(grad) ** 2 + vg0 * np.abs(v) ** 2
+    return Snapshot(t=t, psi=psi, norm=norm, energy=float(np.sum(dens) * grid.dx))
 
 
 def evolve(scenario: WaveScenario) -> WaveRun:
@@ -407,25 +373,19 @@ def evolve(scenario: WaveScenario) -> WaveRun:
 class _ReferenceStepper:
     """Kinetic multipliers and linear substep of i*z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi."""
 
-    def __init__(self, grid: Grid1D, vg0: np.ndarray, mass: float, scale: float,
+    def __init__(self, grid: Grid1D, vg0: np.ndarray, mass: float, z: float,
                  dt: float):
         self.grid = grid
-        self.scale = scale
+        self.z = z
         self.mass = mass
         self.vg0 = vg0
         self.dt = dt
         self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
-            grid, scale / (2.0 * mass), dt)
-        self.rk2 = _rk2_multiplier(-1j * vg0 / scale, dt)
+            grid, z / (2.0 * mass), dt)
+        self.rk2 = _rk2_multiplier(-1j * vg0 / z, dt)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
         return self.rk2 * v
-
-    def energy(self, v: np.ndarray) -> float:
-        grad = spectral_derivative_values(v, self.grid, 1)
-        dens = (self.scale ** 2 / (2.0 * self.mass)) * np.abs(grad) ** 2 \
-            + self.vg0 * np.abs(v) ** 2
-        return float(np.sum(dens) * self.grid.dx)
 
 
 def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
@@ -436,12 +396,11 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
         i z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi,   z = hbar_or_zeta.
 
     Same Strang/RK2 discretization as `evolve`, assembled directly from
-    (Vg0, mass, z) and sharing only the loop driver; serves as the oracle
-    for the symmetric-limit equivalence and for the deformed-dispersion
-    checks.
+    (Vg0, mass, z) and sharing only the loop driver and snapshot
+    diagnostics; serves as the oracle for the symmetric-limit equivalence
+    and for the deformed-dispersion checks.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    check_stepping(dt, n_steps, snapshot_every)
     grid = psi0.grid
     vg0_values = vg0.values if isinstance(vg0, RealField) else (
         np.zeros(grid.n_points) if vg0 is None else np.asarray(vg0, dtype=float))
@@ -462,7 +421,8 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     With the symmetric-closure coupling potentials this integrates the same
     dynamics as `evolve` in Madelung variables (the closure terms are
     exactly the quantum potential and the continuity equation), so the two
-    routes agree on nodeless states up to discretization error.
+    routes agree on nodeless states up to discretization error. Energies
+    use the kinetic mass 2 m_red, as `evolve` does.
 
     Two usage constraints: the channel fields must be periodic-smooth on
     the grid (a log-amplitude with a kink at the wrap point rings under the
@@ -471,15 +431,9 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     imaginary-axis bound of ~2.8.
     """
     traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
-    snapshots = []
-    for t, state in zip(traj.times, traj.states):
-        psi = to_wavefunction(state.channels[0], state.channels[1], p)
-        v = psi.values
-        norm = float(np.sum(v.real * v.real + v.imag * v.imag) * state.grid.dx)
-        grad = spectral_derivative_values(v, state.grid, 1)
-        vg0 = pot.vg_values(0, state.grid)
-        energy = float(np.sum(
-            (p.zeta ** 2 / (2.0 * p.m0)) * np.abs(grad) ** 2
-            + vg0 * np.abs(v) ** 2) * state.grid.dx)
-        snapshots.append(Snapshot(t=t, psi=psi, norm=norm, energy=energy))
-    return WaveRun(snapshots=snapshots)
+    grid = channels.grid
+    vg0 = pot.vg_values(0, grid)
+    return WaveRun(snapshots=[
+        _snapshot(t, to_wavefunction(state.channels[0], state.channels[1], p).values,
+                  grid, vg0, p.zeta, 2.0 * p.reduced_mass)
+        for t, state in zip(traj.times, traj.states)])

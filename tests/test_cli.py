@@ -90,10 +90,13 @@ class TestRun:
         (OSC_INI, []),
         (None, ["--scenario", "bateman_damped", "--snapshot-every", "0"]),
         (None, ["--scenario", "hj_free_particle", "--snapshot-every", "0"]),
+        (WAVE_INI + "[params]\nm3000000 = 1.0\n", []),
+        ("[scenario]\nname = hj_free_particle\n[params]\nm2 = 1.0\n", []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
-            "hj_snapshot_every_0"])
+            "hj_snapshot_every_0", "wave_mass_key_beyond_channels",
+            "hj_mass_key_beyond_channels"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -252,14 +255,6 @@ class TestSweep:
         t_ends = [float(line.split(",")[2]) for line in lines[1:]]
         assert t_ends == pytest.approx([0.5, 0.5])
 
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DUALWAVE_THREADS", "1")
-        code = main(["sweep", "--scenario", "plane_wave_dispersion",
-                     "--param", "zeta", "--values", "1.0,2.0",
-                     "--out", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "plane_wave_dispersion_sweep_zeta.csv").exists()
-
     def test_empty_values_exit_2(self, tmp_path):
         assert main(["sweep", "--scenario", "plane_wave_dispersion",
                      "--param", "zeta", "--values", "",
@@ -270,17 +265,13 @@ class TestSweep:
                      "--param", "mystery", "--values", "1.0",
                      "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("param, values, threads", [
-        ("zeta", "1.0", "abc"),
-        ("dt", "0", None),
-        ("dt", "nan", None),
-        ("zeta", "inf", None),
-        ("zeta", "1.0,abc", None),
-    ], ids=["threads_not_int", "dt_zero", "dt_nan", "zeta_inf", "value_not_number"])
-    def test_bad_input_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys,
-                                             param, values, threads):
-        if threads is not None:
-            monkeypatch.setenv("DUALWAVE_THREADS", threads)
+    @pytest.mark.parametrize("param, values", [
+        ("dt", "0"),
+        ("dt", "nan"),
+        ("zeta", "inf"),
+        ("zeta", "1.0,abc"),
+    ], ids=["dt_zero", "dt_nan", "zeta_inf", "value_not_number"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, param, values):
         code = main(["sweep", "--scenario", "plane_wave_dispersion",
                      "--param", param, "--values", values,
                      "--out", str(tmp_path)])
@@ -342,7 +333,7 @@ class TestByteContract:
         assert_bitwise(parse_csv(tmp_path / f"{name}_snapshots.csv"),
                        np.vstack(blocks))
         reports = summarize_run(run, 2.0 * scenario.params.reduced_mass,
-                                scenario.action_scale)
+                                scenario.params.zeta)
         assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"),
                        np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
                                   r.continuity_residual_l2) for r in reports]))

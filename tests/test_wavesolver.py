@@ -16,6 +16,7 @@ from dualwave.hamilton_jacobi import (
     SYMMETRIC_CLOSURE,
     ActionChannels,
     PotentialSet,
+    evolve_hj,
 )
 from dualwave.madelung import to_wavefunction
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
@@ -23,7 +24,7 @@ from dualwave.wavesolver import (
     NONLINEAR_OFF,
     NONLINEAR_ON,
     WaveScenario,
-    _nonlinear_bracket,
+    _asymmetry_potential,
     coevolved_wavefunction_run,
     evolve,
     generalized_rhs,
@@ -35,9 +36,9 @@ GRID = DEFAULT_GRID
 P_SYM = DualParams(masses=(1.0, 1.0))
 
 
-def unit_gaussian(grid=GRID, sigma=0.5, k=0.0):
+def unit_gaussian(grid=GRID, sigma=0.5, k=0.0, center=0.0):
     amp = (2.0 * math.pi * sigma ** 2) ** -0.25
-    vals = amp * np.exp(-grid.x ** 2 / (4 * sigma ** 2) + 1j * k * grid.x)
+    vals = amp * np.exp(-(grid.x - center) ** 2 / (4 * sigma ** 2) + 1j * k * grid.x)
     return ComplexField(vals, grid)
 
 
@@ -46,13 +47,23 @@ def plane_wave(mode=8, grid=GRID):
     return k, ComplexField(np.exp(1j * k * grid.x), grid)
 
 
+def rhs_scenario(psi, params, pot, **changes):
+    """A zero-step scenario that fixes the physics generalized_rhs evaluates."""
+    return WaveScenario(psi0=psi, params=params, potentials=pot, dt=1e-6,
+                        n_steps=0, **changes)
+
+
+def bracket(v):
+    """psi* div(grad psi / psi*) - lap psi, which is exactly -W psi."""
+    return -_asymmetry_potential(v, GRID, 1e-8) * v
+
+
 class TestGeneralizedRhs:
     def test_symmetric_closure_reduces_to_schrodinger_rhs(self):
         vg0 = RealField(0.5 * GRID.x ** 2, GRID)
         pot = PotentialSet((vg0, RealField.zeros(GRID)), None)
         psi = unit_gaussian(sigma=math.sqrt(0.5))
-        rhs = generalized_rhs(psi, None, P_SYM, pot,
-                              closure_mode=SYMMETRIC_CLOSURE)
+        rhs = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot))
         from dualwave.core import spectral_derivative_values
         lap = spectral_derivative_values(psi.values, GRID, 2)
         expected = (-0.5 * lap + vg0.values * psi.values) / 1j
@@ -60,28 +71,26 @@ class TestGeneralizedRhs:
 
     def test_plane_wave_bracket(self):
         k, psi = plane_wave()
-        bracket = _nonlinear_bracket(psi.values, GRID, 1e-8)
-        assert np.max(np.abs(bracket + k ** 2 * psi.values)) < 1e-10
+        assert np.max(np.abs(bracket(psi.values) + k ** 2 * psi.values)) < 1e-10
 
     def test_gaussian_bracket_matches_closed_form(self):
         # psi = A exp(-x^2/4 sigma^2 + i k x) has grad psi / psi =
         # -x/2 sigma^2 + i k, so the bracket is -(x^2/4 sigma^4 + k^2) psi
         sigma, k = 0.5, 2.0
         psi = unit_gaussian(sigma=sigma, k=k)
-        bracket = _nonlinear_bracket(psi.values, GRID, 1e-8)
         exact = -(GRID.x ** 2 / (4 * sigma ** 4) + k ** 2) * psi.values
         rho = np.abs(psi.values) ** 2
         support = rho > 1e-2 * np.max(rho)
-        assert np.max(np.abs(bracket - exact)[support]) <= 1e-10
+        assert np.max(np.abs(bracket(psi.values) - exact)[support]) <= 1e-10
 
     def test_residual_mass_term_on_plane_wave(self):
         k, psi = plane_wave()
         p = DualParams(masses=(1.0, 1.5))
         pot = PotentialSet.zeros(GRID, 2)
-        on = generalized_rhs(psi, None, p, pot, closure_mode=EXPLICIT,
-                             nonlinear_term=NONLINEAR_ON)
-        off = generalized_rhs(psi, None, p, pot, closure_mode=EXPLICIT,
-                              nonlinear_term=NONLINEAR_OFF)
+        on = generalized_rhs(psi, rhs_scenario(psi, p, pot, closure_mode=EXPLICIT,
+                                               nonlinear_term=NONLINEAR_ON))
+        off = generalized_rhs(psi, rhs_scenario(psi, p, pot, closure_mode=EXPLICIT,
+                                                nonlinear_term=NONLINEAR_OFF))
         nu = 0.25 * p.residual_inv_mass
         expected = nu * (-(k ** 2) * psi.values) / 1j
         assert np.max(np.abs((on.values - off.values) - expected)) < 1e-10
@@ -89,17 +98,16 @@ class TestGeneralizedRhs:
     def test_mass_symmetric_kills_nonlinear_term(self):
         _, psi = plane_wave()
         pot = PotentialSet.zeros(GRID, 2)
-        on = generalized_rhs(psi, None, P_SYM, pot, closure_mode=EXPLICIT,
-                             nonlinear_term=NONLINEAR_ON)
-        off = generalized_rhs(psi, None, P_SYM, pot, closure_mode=EXPLICIT,
-                              nonlinear_term=NONLINEAR_OFF)
+        on = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot, closure_mode=EXPLICIT,
+                                               nonlinear_term=NONLINEAR_ON))
+        off = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot, closure_mode=EXPLICIT,
+                                                nonlinear_term=NONLINEAR_OFF))
         assert np.array_equal(on.values, off.values)
 
     def test_real_gaussian_symmetric_mode_pure_kinetic(self):
         psi = unit_gaussian()
         pot = PotentialSet.zeros(GRID, 2)
-        rhs = generalized_rhs(psi, None, P_SYM, pot,
-                              closure_mode=SYMMETRIC_CLOSURE)
+        rhs = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot))
         from dualwave.core import spectral_derivative_values
         lap = spectral_derivative_values(psi.values, GRID, 2)
         expected = (-(1.0 / (4 * P_SYM.reduced_mass)) * lap) / 1j
@@ -215,6 +223,35 @@ class TestEvolve:
         n0 = run.snapshots[0].norm
         assert len(run.snapshots) == 11
         assert max(abs(s.norm - n0) for s in run.snapshots) <= 1e-10
+
+    def test_energy_uses_stepped_kinetic_mass(self):
+        # i z dpsi/dt = -(z^2/4 m_red) lap psi + Vg0 psi conserves the energy
+        # with the kinetic mass 2 m_red; with m0 it drifts by ~4e-2
+        vg0 = RealField(0.5 * GRID.x ** 2, GRID)
+        scenario = WaveScenario(psi0=unit_gaussian(sigma=0.5, center=1.0),
+                                params=DualParams(masses=(1.0, 1.5)),
+                                potentials=PotentialSet((vg0, RealField.zeros(GRID))),
+                                dt=1e-3, n_steps=3000, snapshot_every=100,
+                                nonlinear_term=NONLINEAR_OFF)
+        run = evolve(scenario)
+        e0 = run.snapshots[0].energy
+        assert max(abs(s.energy - e0) for s in run.snapshots) < 1e-6
+
+    @pytest.mark.parametrize("zeta", [1.0, 2.0])
+    @pytest.mark.parametrize("closure_mode", [SYMMETRIC_CLOSURE, EXPLICIT])
+    def test_mass_asymmetric_plane_wave_closed_form(self, closure_mode, zeta):
+        # the kinetic rate zeta k^2 (1/m0 + 1/m1) / 4 and the mass-asymmetry
+        # rotation zeta k^2 (1/m0 - 1/m1) / 4 leave the phase rate zeta k^2 / 2 m1
+        k, psi = plane_wave()
+        p = DualParams(masses=(1.0, 1.5), zeta=zeta)
+        n = 2000
+        closure = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
+        scenario = WaveScenario(psi0=psi, params=p, potentials=closure,
+                                dt=1e-5, n_steps=n, snapshot_every=n,
+                                closure_mode=closure_mode)
+        run = evolve(scenario)
+        exact = np.exp(-1j * zeta * k ** 2 * run.final.t / (2 * p.m1)) * psi.values
+        assert np.max(np.abs(run.final.psi.values - exact)) <= 1e-10
 
     def test_galilean_boost_translates_density(self):
         k = 2 * math.pi * 8 / GRID.length
@@ -372,12 +409,12 @@ class TestReference:
         for snap in run.snapshots:
             assert abs(snap.energy - 0.5) < 1e-7
 
-    def test_zeta_override_in_evolve_matches_reference(self):
+    def test_zeta_in_evolve_matches_reference(self):
         k, psi = plane_wave()
-        scenario = WaveScenario(psi0=psi, params=P_SYM,
+        scenario = WaveScenario(psi0=psi,
+                                params=DualParams(masses=(1.0, 1.0), zeta=2.0),
                                 potentials=PotentialSet.zeros(GRID, 2),
-                                dt=1e-3, n_steps=100, snapshot_every=100,
-                                zeta_override=2.0)
+                                dt=1e-3, n_steps=100, snapshot_every=100)
         run = evolve(scenario)
         ref = schrodinger_reference(psi, None, 1.0, 2.0, 1e-3, 100, 100)
         assert np.max(np.abs(run.final.psi.values
@@ -396,3 +433,17 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=1e-3,
                      n_steps=1, nonlinear_term="maybe")
+
+
+@pytest.mark.parametrize("dt, snapshot_every", [(math.nan, 1), (1e-3, 0)],
+                         ids=["dt_nan", "snapshot_every_0"])
+@pytest.mark.parametrize("solve", [
+    lambda dt, every: schrodinger_reference(unit_gaussian(), None, 1.0, 1.0,
+                                            dt, 10, every),
+    lambda dt, every: evolve_hj(
+        ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)), (1.0, 1.0)),
+        PotentialSet.zeros(GRID, 2), P_SYM, dt, 10, every),
+], ids=["schrodinger_reference", "evolve_hj"])
+def test_public_solvers_check_stepping(solve, dt, snapshot_every):
+    with pytest.raises(ConfigurationError):
+        solve(dt, snapshot_every)

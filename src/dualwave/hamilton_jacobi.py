@@ -154,14 +154,24 @@ def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
 
 
 def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
-                   p: DualParams, grid: Grid1D) -> np.ndarray:
+                   p: DualParams, grid: Grid1D) -> tuple:
+    """Time derivatives of the channel stack and the gradients they use.
+
+    One rfft of the (n_ch, N) stack and one irfft of the stacked spectra
+    times the derivative multipliers give every channel gradient and, under
+    the closure rule, lap S0 and lap S1; each row equals the 1-D transform
+    of that channel bit for bit.
+    """
     n_ch = values_2d.shape[0]
-    grads = [slopes[i] + spectral_derivative_values(values_2d[i], grid, 1)
-             for i in range(n_ch)]
-    if pot.mode == SYMMETRIC_CLOSURE:
-        vc0, vc1 = closure_couplings(
-            spectral_derivative_values(values_2d[0], grid, 2),
-            spectral_derivative_values(values_2d[1], grid, 2), p)
+    closure = pot.mode == SYMMETRIC_CLOSURE
+    spectra = np.fft.rfft(values_2d)
+    mult = grid.derivative_multipliers
+    derivs = np.fft.irfft(np.concatenate(
+        (spectra * mult[1, True], spectra[:2 * closure] * mult[2, True])),
+        n=grid.n_points)
+    grads = np.reshape(slopes, (-1, 1)) + derivs[:n_ch]
+    if closure:
+        vc0, vc1 = closure_couplings(derivs[n_ch], derivs[n_ch + 1], p)
         vc = [vc0, vc1] + [np.zeros(grid.n_points)] * (n_ch - 2)
     else:
         vc = [pot.vc_values(i, grid) for i in range(n_ch)]
@@ -175,7 +185,7 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
         cross = grads[0] * grads[n]
         out[n] = -(cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
                    + pot.vg_values(n, grid) + vc[n])
-    return out
+    return out, grads
 
 
 def _check_finite(values_2d: np.ndarray):
@@ -188,7 +198,8 @@ def _check_finite(values_2d: np.ndarray):
 
 def hj_rhs_multi(S: ActionChannels, pot: PotentialSet, p: DualParams):
     """Time derivatives of all channels; list of RealField."""
-    out = _hj_rhs_values(S.values_stack(), S.slopes, S.masses, pot, p, S.grid)
+    out, _ = _hj_rhs_values(S.values_stack(), S.slopes, S.masses, pot, p,
+                            S.grid)
     _check_finite(out)
     return [RealField(out[i], S.grid) for i in range(S.n_channels)]
 
@@ -206,31 +217,33 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
               grad_threshold: float = GRADIENT_BLOWUP_THRESHOLD) -> HJTrajectory:
     """RK4 time integration of the coupled channel equations.
 
+    Each RK4 stage is one batched rfft/irfft pair (`_hj_rhs_values`); the
+    stage at a new state gives the caustic check its gradients and is the
+    next step's k1, so a step makes 8 FFT calls in either potential mode.
+
     Aborts with BlowUpError("caustic/blow-up detected at step s") when any
     channel gradient exceeds `grad_threshold` or fields go non-finite; the
     exception carries the partial HJTrajectory collected so far.
     """
     check_stepping(dt, n_steps, snapshot_every)
     grid = S0.grid
-    slopes, masses = S0.slopes, S0.masses
+    slopes, masses = np.reshape(S0.slopes, (-1, 1)), S0.masses
 
     def rhs(v):
         return _hj_rhs_values(v, slopes, masses, pot, p, grid)
 
     v = S0.values_stack()
+    k1, _ = rhs(v)
     traj = HJTrajectory(times=[0.0], states=[S0])
     for step in range(1, n_steps + 1):
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * dt * k1)
-        k3 = rhs(v + 0.5 * dt * k2)
-        k4 = rhs(v + dt * k3)
+        k2, _ = rhs(v + 0.5 * dt * k1)
+        k3, _ = rhs(v + 0.5 * dt * k2)
+        k4, _ = rhs(v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         bad = not np.all(np.isfinite(v))
         if not bad:
-            max_grad = max(
-                float(np.max(np.abs(slopes[i] + spectral_derivative_values(
-                    v[i], grid, 1)))) for i in range(v.shape[0]))
-            bad = max_grad > grad_threshold
+            k1, grads = rhs(v)
+            bad = float(np.max(np.abs(grads))) > grad_threshold
         if bad:
             raise BlowUpError(f"caustic/blow-up detected at step {step}",
                               step=step, partial=traj)

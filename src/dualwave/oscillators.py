@@ -54,7 +54,7 @@ class OscParams:
         return math.sqrt(self.omega ** 2 - 0.25 * self.gamma ** 2)
 
 
-def bateman_rhs(state: np.ndarray, p: OscParams) -> np.ndarray:
+def bateman_rhs(state, p: OscParams) -> tuple:
     """Doubled-system equations: x damped, its mirror y anti-damped.
 
     state = (x, xdot, y, ydot); returns the time derivative
@@ -62,22 +62,22 @@ def bateman_rhs(state: np.ndarray, p: OscParams) -> np.ndarray:
     """
     x, xdot, y, ydot = state
     w2 = p.omega ** 2
-    return np.array([
+    return (
         xdot,
         -p.gamma * xdot - w2 * x,
         ydot,
         p.gamma * ydot - w2 * y,
-    ])
+    )
 
 
-def caldirola_kanai_rhs(state: np.ndarray, p: OscParams) -> np.ndarray:
+def caldirola_kanai_rhs(state, p: OscParams) -> tuple:
     """Physical-coordinate equation of the time-dependent-Lagrangian route.
 
     state = (x, xdot); generates xddot + gamma*xdot + omega^2*x = 0, the
     same damped ODE as the x sector of the doubled system.
     """
     x, xdot = state
-    return np.array([xdot, -p.gamma * xdot - p.omega ** 2 * x])
+    return (xdot, -p.gamma * xdot - p.omega ** 2 * x)
 
 
 def ck_canonical_momentum(state: np.ndarray, t: float, p: OscParams) -> float:
@@ -104,7 +104,7 @@ def bateman_velocity_coupling(gamma: float, a: float, adot: float,
     return gamma * adot
 
 
-def dekker_complex_rhs(state: np.ndarray, p: OscParams, coupling=None) -> np.ndarray:
+def dekker_complex_rhs(state, p: OscParams, coupling=None) -> tuple:
     """Real/imaginary sector equations of the complex coordinate z = x + iy.
 
     Both sectors keep the restoring force -omega^2 of the complex-Lagrangian
@@ -123,12 +123,12 @@ def dekker_complex_rhs(state: np.ndarray, p: OscParams, coupling=None) -> np.nda
         coupling = bateman_velocity_coupling
     x, xdot, y, ydot = state
     w2 = p.omega ** 2
-    return np.array([
+    return (
         xdot,
         -w2 * x - coupling(p.gamma, x, xdot, y, ydot),
         ydot,
         -w2 * y + coupling(p.gamma, y, ydot, x, xdot),
-    ])
+    )
 
 
 def dekker_energies(state: np.ndarray, p: OscParams) -> tuple:
@@ -166,6 +166,10 @@ def damped_oscillator_solution(t, p: OscParams, x0: float = 1.0, v0: float = 0.0
 def integrate_rk4(rhs, state0, dt: float, n_steps: int) -> np.ndarray:
     """Classical fixed-step 4th-order Runge-Kutta.
 
+    The state is stepped as a list of Python floats (`rhs` returns a float
+    sequence): far cheaper than NumPy arrays at 2 or 4 components, and the
+    same bits, since the operation order is the array formula's.
+
     Returns an (n_steps + 1, dim) trajectory including the initial state.
     Raises BlowUpError (carrying the partial trajectory) as soon as any
     state component exceeds the 1e12 overflow threshold or goes non-finite;
@@ -173,17 +177,20 @@ def integrate_rk4(rhs, state0, dt: float, n_steps: int) -> np.ndarray:
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    state = np.asarray(state0, dtype=float)
-    traj = np.empty((n_steps + 1, state.size))
+    state = np.asarray(state0, dtype=float).tolist()
+    traj = np.empty((n_steps + 1, len(state)))
     traj[0] = state
+    h, sixth = 0.5 * dt, dt / 6.0
     for step in range(1, n_steps + 1):
         k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs([s + h * k for s, k in zip(state, k1)])
+        k3 = rhs([s + h * k for s, k in zip(state, k2)])
+        k4 = rhs([s + dt * k for s, k in zip(state, k3)])
+        state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
         traj[step] = state
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > OVERFLOW_THRESHOLD:
+        if not all(math.isfinite(s) and abs(s) <= OVERFLOW_THRESHOLD
+                   for s in state):
             raise BlowUpError(f"blow-up at step {step}", step=step,
                               partial=traj[: step + 1])
     return traj

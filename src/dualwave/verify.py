@@ -24,7 +24,7 @@ from dualwave.core import (
     DualParams,
     RealField,
 )
-from dualwave.diagnostics import quantum_potential
+from dualwave.diagnostics import quantum_potential, rms_width
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction, to_wavefunction
 from dualwave.oscillators import (
@@ -105,10 +105,7 @@ def crit_free_spreading(tol, cache):
     spec = dataclasses.replace(
         spec, integration=Integration(1e-3, n_steps, n_steps))
     run = evolve(expand(spec, DEFAULT_GRID).scenario)
-    rho = np.abs(run.final.psi.values) ** 2
-    x = DEFAULT_GRID.x
-    mean = float(np.sum(x * rho) / np.sum(rho))
-    sigma = math.sqrt(float(np.sum((x - mean) ** 2 * rho) / np.sum(rho)))
+    sigma = rms_width(RealField(np.abs(run.final.psi.values) ** 2, DEFAULT_GRID))
     exact = sigma0 * math.sqrt(1.0 + (hbar * t_star / (2 * m0 * sigma0 ** 2)) ** 2)
     return [_lt("free_spreading", abs(sigma - exact) / exact, tol(1e-6))]
 
@@ -200,7 +197,7 @@ def crit_madelung_round_trip(tol, cache):
         to_wavefunction(RealField(-s0.values, grid), s1, p).values
         - np.conj(psi.values))))
     gauge_dev = float(np.max(np.abs(
-        to_wavefunction(RealField(s0.values + two_pi * p.hbar, grid), s1, p).values
+        to_wavefunction(RealField(s0.values + two_pi * p.zeta, grid), s1, p).values
         - psi.values)))
     out.append(_lt("madelung_round_trip[conjugation]", conj_dev, tol(1e-12)))
     out.append(_lt("madelung_round_trip[gauge]", gauge_dev, tol(1e-12)))

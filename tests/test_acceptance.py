@@ -4,8 +4,12 @@ Runs the same checks as `dualwave verify` (default profile) and prints one
 pass/fail line per criterion.
 """
 
+import functools
+
 import pytest
 
+from dualwave import verify
+from dualwave.core import DualParams
 from dualwave.verify import CRITERIA, run_criteria
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -31,3 +35,12 @@ def test_all_criteria_pass(results):
 def test_every_registered_criterion_reported(results):
     reported = {r.name.split("[")[0] for r in results}
     assert reported == set(CRITERIA)
+
+
+def test_madelung_round_trip_holds_at_zeta_not_hbar(monkeypatch):
+    # the map divides S0 by zeta, so the gauge period is 2*pi*zeta; a
+    # 2*pi*hbar shift would flip the sign of psi at hbar = 1, zeta = 2
+    monkeypatch.setattr(verify, "DualParams",
+                        functools.partial(DualParams, hbar=1.0, zeta=2.0))
+    results = verify.crit_madelung_round_trip(lambda bound: bound, {})
+    assert [r.name for r in results if not r.passed] == []

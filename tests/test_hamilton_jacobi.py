@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from dualwave.core import BlowUpError, DualParams, Grid1D, RealField
+from dualwave.core import (
+    BlowUpError,
+    DualParams,
+    Grid1D,
+    RealField,
+    spectral_derivative_values,
+)
 from dualwave.hamilton_jacobi import (
+    EXPLICIT,
     SYMMETRIC_CLOSURE,
     ActionChannels,
     FieldBlowUpError,
     PotentialSet,
+    closure_couplings,
     evolve_hj,
     hj_rhs_multi,
     participation_metric,
@@ -169,6 +177,89 @@ class TestEvolve:
                              RealField(0.1 * s1.values + 1.0, GRID)), (1.0, 1.0))
         traj = evolve_hj(ch, pot, P_EQUAL, 1e-3, 100, snapshot_every=100)
         assert np.all(np.isfinite(traj.states[-1].values_stack()))
+
+
+def per_channel_rhs(v, S, pot, p):
+    """Reference right-hand side: one spectral derivative call per channel
+    and per closure Laplacian, in the batched version's operation order."""
+    grid, masses, n_ch = S.grid, S.masses, v.shape[0]
+    grads = [S.slopes[i] + spectral_derivative_values(v[i], grid, 1)
+             for i in range(n_ch)]
+    if pot.mode == SYMMETRIC_CLOSURE:
+        vc0, vc1 = closure_couplings(
+            spectral_derivative_values(v[0], grid, 2),
+            spectral_derivative_values(v[1], grid, 2), p)
+        vc = [vc0, vc1] + [np.zeros(grid.n_points)] * (n_ch - 2)
+    else:
+        vc = [pot.vc_values(i, grid) for i in range(n_ch)]
+    out = np.empty_like(v)
+    env_kinetic = np.zeros(grid.n_points)
+    for n in range(1, n_ch):
+        env_kinetic = env_kinetic + grads[n] * grads[n] / (2.0 * masses[n])
+    out[0] = -(grads[0] * grads[0] / (2.0 * masses[0]) - env_kinetic
+               + pot.vg_values(0, grid) + vc[0])
+    for n in range(1, n_ch):
+        cross = grads[0] * grads[n]
+        out[n] = -(cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
+                   + pot.vg_values(n, grid) + vc[n])
+    return out
+
+
+class TestBatchedStages:
+    """Each RK4 stage is one rfft of the channel stack and one irfft of the
+    stacked derivative spectra; the caustic check's stage is the next k1."""
+
+    @staticmethod
+    def three_channels():
+        s0, s1 = smooth_pair()
+        s2 = RealField(0.3 * np.cos(2 * np.pi * 4 * GRID.x / GRID.length), GRID)
+        ch = ActionChannels((RealField(0.1 * s0.values, GRID),
+                             RealField(0.1 * s1.values + 1.0, GRID), s2),
+                            (1.0, 1.5, 2.0), (0.4, 0.0, -0.2))
+        pot = PotentialSet((RealField(0.01 * GRID.x ** 2, GRID),) * 3,
+                           mode=SYMMETRIC_CLOSURE)
+        return ch, pot, DualParams(masses=(1.0, 1.5, 2.0), zeta=2.0)
+
+    def test_matches_per_channel_reference_bitwise(self):
+        ch, pot, p = self.three_channels()
+        dt, n_steps, every = 1e-3, 60, 20
+        traj = evolve_hj(ch, pot, p, dt, n_steps, snapshot_every=every)
+        v, ref = ch.values_stack(), [ch.values_stack()]
+        for step in range(1, n_steps + 1):
+            k1 = per_channel_rhs(v, ch, pot, p)
+            k2 = per_channel_rhs(v + 0.5 * dt * k1, ch, pot, p)
+            k3 = per_channel_rhs(v + 0.5 * dt * k2, ch, pot, p)
+            k4 = per_channel_rhs(v + dt * k3, ch, pot, p)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step % every == 0:
+                ref.append(v)
+        assert len(traj.states) == len(ref) == 4
+        for state, expected in zip(traj.states, ref):
+            assert state.values_stack().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", [EXPLICIT, SYMMETRIC_CLOSURE])
+    def test_fft_calls_per_step(self, monkeypatch, mode):
+        ch, _, p = self.three_channels()
+        pot = PotentialSet.zeros(GRID, 3, mode=mode)
+        calls = [0]
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fft_name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, fft_name,
+                                counting(getattr(np.fft, fft_name)))
+
+        def count(n):
+            calls[0] = 0
+            evolve_hj(ch, pot, p, 1e-3, n, snapshot_every=n)
+            return calls[0]
+
+        # set-up and snapshot work cancel in the difference
+        assert count(6) - count(3) == 3 * 8
 
 
 class TestParticipationMetric:

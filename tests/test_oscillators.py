@@ -192,6 +192,58 @@ class TestIntegrateRK4:
             integrate_rk4(lambda s: s, np.array([1.0]), 0.0, 10)
 
 
+def array_rk4(rhs, state0, dt, n_steps):
+    """Reference RK4 on NumPy arrays, the float loop's operation order."""
+    state = np.asarray(state0, dtype=float)
+    traj = np.empty((n_steps + 1, state.size))
+    traj[0] = state
+    for step in range(1, n_steps + 1):
+        k1 = np.array(rhs(state))
+        k2 = np.array(rhs(state + 0.5 * dt * k1))
+        k3 = np.array(rhs(state + 0.5 * dt * k2))
+        k4 = np.array(rhs(state + dt * k3))
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        traj[step] = state
+        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > 1e12:
+            raise BlowUpError(f"blow-up at step {step}", step=step,
+                              partial=traj[: step + 1])
+    return traj
+
+
+def flipped_coupling(gamma, a, adot, b, bdot):
+    return -bateman_velocity_coupling(gamma, a, adot, b, bdot)
+
+
+class TestFloatLoopMatchesArrayReference:
+    @pytest.mark.parametrize("rhs, state0", [
+        (lambda s: bateman_rhs(s, DAMPED), [1.0, 0.3, -0.5, 0.2]),
+        (lambda s: caldirola_kanai_rhs(s, DAMPED), [1.0, -0.4]),
+        (lambda s: dekker_complex_rhs(s, DAMPED), [1.0, 0.3, -0.5, 0.2]),
+        (lambda s: dekker_complex_rhs(s, DAMPED, flipped_coupling),
+         [-0.5, 0.2, 1.0, 0.3]),
+    ], ids=["bateman", "ck", "dekker", "dekker_flipped"])
+    def test_bitwise_equal(self, rhs, state0):
+        traj = integrate_rk4(rhs, np.array(state0), 1e-3, 3000)
+        ref = array_rk4(rhs, np.array(state0), 1e-3, 3000)
+        assert traj.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e13], ids=["nan", "overflow"])
+    def test_blowup_in_a_later_component(self, bad):
+        # component 0 is the clock; component 2 turns bad in step 3's k4
+        # stage, while components 0 and 1 stay finite and small
+        def rhs(s):
+            return (1.0, 0.0, bad if s[0] > 2.5 else 0.0)
+
+        with pytest.raises(BlowUpError) as info:
+            integrate_rk4(rhs, np.zeros(3), 1.0, 10)
+        with pytest.raises(BlowUpError) as ref:
+            array_rk4(rhs, np.zeros(3), 1.0, 10)
+        err = info.value
+        assert err.step == ref.value.step == 3
+        assert err.partial.shape == (err.step + 1, 3)
+        assert err.partial.tobytes() == ref.value.partial.tobytes()
+
+
 class TestCrossFormalism:
     def test_all_three_produce_identical_damped_trajectory(self):
         dt = 1e-3

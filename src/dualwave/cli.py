@@ -26,12 +26,7 @@ from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate
 from dualwave.diagnostics import summarize_run
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
 from dualwave.madelung import from_wavefunction
-from dualwave.oscillators import (
-    ck_hamiltonian,
-    dekker_energies,
-    integrate_rk4,
-    mechanical_energy,
-)
+from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import (
     DEFAULT_GRID,
     KIND_HJ,
@@ -137,22 +132,12 @@ def _oscillator_tables(expanded: ExpandedOscillator):
         integrate_rk4, expanded.rhs, expanded.state0, integ.dt, integ.n_steps)
     keep = np.arange(0, traj.shape[0], integ.snapshot_every)
     times = keep * integ.dt
-    p = expanded.params
-    summary = []
-    for t, state in zip(times.tolist(), traj[keep]):
-        if expanded.formalism == "ck":
-            summary.append((t, mechanical_energy(state[0], state[1], p),
-                            ck_hamiltonian(state, t, p)))
-        elif expanded.formalism == "dekker":
-            summary.append((t, *dekker_energies(state, p)))
-        else:
-            summary.append((t, mechanical_energy(state[0], state[1], p),
-                            mechanical_energy(state[2], state[3], p)))
-    header = (("t", "energy", "ck_hamiltonian") if expanded.formalism == "ck"
-              else ("t", "energy_x", "energy_y"))
+    table = FORMALISMS[expanded.formalism]
+    summary = [(t, *table.summary_row(state, t, expanded.params))
+               for t, state in zip(times.tolist(), traj[keep])]
     return (code, comments,
-            (("t",) + expanded.state_columns, [np.column_stack((times, traj[keep]))]),
-            (header, np.array(summary)))
+            (("t",) + table.columns, [np.column_stack((times, traj[keep]))]),
+            (("t",) + table.summary_header, np.array(summary)))
 
 
 def run_scenario_to_files(spec: ScenarioSpec, grid: Grid1D, out_dir: Path) -> int:

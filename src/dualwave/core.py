@@ -225,9 +225,6 @@ class Quaternion:
             return self * other
         return NotImplemented
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def norm(self) -> float:
         return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
 
@@ -281,11 +278,6 @@ class QuaternionField:
                 quaternion_multiply_arrays(self.values, other.values), self.grid)
         return NotImplemented
 
-    def conjugate(self) -> "QuaternionField":
-        out = self.values.copy()
-        out[:, 1:] *= -1.0
-        return QuaternionField(out, self.grid)
-
     def norm(self) -> np.ndarray:
         return np.sqrt(np.sum(self.values ** 2, axis=1))
 
@@ -314,19 +306,18 @@ class QuaternionField:
 
 @dataclass(frozen=True)
 class DualParams:
-    """Masses of the system/environment channels plus the action scales.
+    """Masses of the system/environment channels plus the action scale zeta.
 
     `masses[0]` is the system mass m0, `masses[1:]` the environment channel
     masses. The reduced mass m = (1/m0 + 1/m1)^-1 sets the kinetic scale of
     the composite pair; the residual inverse mass 1/m0 - 1/m1 measures the
     mass asymmetry and vanishes exactly in the symmetric limit m0 == m1.
-    `zeta` generalizes hbar in the deformed-dispersion variant and defaults
-    to hbar.
+    `zeta` is the one action scale every map and solver divides by; it
+    plays the role of Planck's constant in the Schrodinger limit.
     """
 
     masses: tuple
-    hbar: float = 1.0
-    zeta: float | None = None
+    zeta: float = 1.0
 
     def __post_init__(self):
         masses = tuple(float(m) for m in self.masses)
@@ -335,15 +326,10 @@ class DualParams:
         if not all(0 < m < math.inf for m in masses):
             raise ConfigurationError(
                 f"masses must be positive and finite, got {masses}")
-        if not 0 < self.hbar < math.inf:
-            raise ConfigurationError(
-                f"hbar must be positive and finite, got {self.hbar}")
-        object.__setattr__(self, "masses", masses)
-        if self.zeta is None:
-            object.__setattr__(self, "zeta", float(self.hbar))
-        elif not 0 < self.zeta < math.inf:
+        if not 0 < self.zeta < math.inf:
             raise ConfigurationError(
                 f"zeta must be positive and finite, got {self.zeta}")
+        object.__setattr__(self, "masses", masses)
 
     @property
     def m0(self) -> float:
@@ -363,14 +349,3 @@ class DualParams:
         if self.m0 == self.m1:
             return 0.0
         return 1.0 / self.m0 - 1.0 / self.m1
-
-    @property
-    def residual_mass(self) -> float:
-        """(1/m0 - 1/m1)^-1, +inf in the mass-symmetric limit."""
-        inv = self.residual_inv_mass
-        if inv == 0.0:
-            return math.inf
-        return 1.0 / inv
-
-    def is_mass_symmetric(self) -> bool:
-        return self.residual_inv_mass == 0.0

@@ -1,9 +1,8 @@
 """Physical observables and deviation probes computed on run snapshots.
 
 The quantum potential and the continuity residual quantify how far a run
-sits from ideal Schrodinger behavior; fringe visibility and the dual-pair
-timescale tau = mbar L^2 / hbar are the interferometric and long-time
-deviation probes.
+sits from ideal Schrodinger behavior, at the action scale zeta; the rms
+width is the natural length scale of a density.
 """
 
 from __future__ import annotations
@@ -13,17 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualwave.core import (
-    DualParams,
-    Grid1D,
-    RealField,
-    spectral_derivative_values,
-)
+from dualwave.core import Grid1D, RealField, spectral_derivative_values
 
 
-def quantum_potential(rho: RealField, mass: float, hbar: float,
+def quantum_potential(rho: RealField, mass: float, zeta: float,
                       floor_eps: float = 1e-12) -> RealField:
-    """Q = -(hbar^2/2m) lap(sqrt(rho)) / sqrt(rho) with a spectral Laplacian.
+    """Q = -(zeta^2/2m) lap(sqrt(rho)) / sqrt(rho) with a spectral Laplacian.
 
     rho is floored at (floor_eps^2 * max rho), applied additively so the
     regularized density stays smooth through nodes. Q is invariant under
@@ -37,25 +31,7 @@ def quantum_potential(rho: RealField, mass: float, hbar: float,
         raise ValueError("rho is identically zero")
     amp = np.sqrt(vals + (floor_eps ** 2) * rmax)
     lap = spectral_derivative_values(amp, rho.grid, 2)
-    return RealField(-(hbar ** 2 / (2.0 * mass)) * lap / amp, rho.grid)
-
-
-def fringe_visibility(rho: RealField, window) -> float:
-    """(max - min)/(max + min) of the density over an index window.
-
-    `window` is a slice or an (lo, hi) pair of grid indices. Raises on an
-    empty or identically-zero window.
-    """
-    if isinstance(window, tuple):
-        window = slice(window[0], window[1])
-    seg = rho.values[window]
-    if seg.size == 0:
-        raise ValueError("empty visibility window")
-    hi = float(np.max(seg))
-    lo = float(np.min(seg))
-    if hi + lo == 0.0:
-        raise ValueError("visibility undefined on an all-zero window")
-    return (hi - lo) / (hi + lo)
+    return RealField(-(zeta ** 2 / (2.0 * mass)) * lap / amp, rho.grid)
 
 
 def rms_width(rho: RealField) -> float:
@@ -70,35 +46,16 @@ def rms_width(rho: RealField) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def tau_dual(p: DualParams, L: float) -> float:
-    """Characteristic dual-sector timescale |mbar| L^2 / hbar.
-
-    Infinite in the mass-symmetric limit: with 1/mbar = 0 the asymmetry
-    corrections never accumulate. L is the dominant spatial scale of the
-    state (rms_width of the density is the reproducible default).
-    """
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
-    inv = p.residual_inv_mass
-    if inv == 0.0:
-        return math.inf
-    return abs(1.0 / inv) * L ** 2 / p.hbar
-
-
-def tau_dual_from_density(p: DualParams, rho: RealField) -> float:
-    return tau_dual(p, rms_width(rho))
-
-
 def probability_current(psi_values: np.ndarray, grid: Grid1D, mass: float,
-                        hbar: float) -> np.ndarray:
-    """J = (hbar/m) Im(psi* grad psi), the Madelung flux rho * grad(S0)/m."""
+                        zeta: float) -> np.ndarray:
+    """J = (zeta/m) Im(psi* grad psi), the Madelung flux rho * grad(S0)/m."""
     grad = spectral_derivative_values(psi_values, grid, 1)
-    return (hbar / mass) * np.imag(np.conj(psi_values) * grad)
+    return (zeta / mass) * np.imag(np.conj(psi_values) * grad)
 
 
 def continuity_residual_l2(psi_prev: np.ndarray, psi_next: np.ndarray,
                            grid: Grid1D, delta_t: float, mass: float,
-                           hbar: float) -> float:
+                           zeta: float) -> float:
     """L2 norm of d(rho)/dt + div J across one snapshot interval.
 
     The time derivative is the centered difference about the interval
@@ -108,7 +65,7 @@ def continuity_residual_l2(psi_prev: np.ndarray, psi_next: np.ndarray,
     rho_prev = np.abs(psi_prev) ** 2
     rho_next = np.abs(psi_next) ** 2
     mid = 0.5 * (psi_prev + psi_next)
-    flux = probability_current(mid, grid, mass, hbar)
+    flux = probability_current(mid, grid, mass, zeta)
     resid = (rho_next - rho_prev) / delta_t + spectral_derivative_values(
         flux, grid, 1)
     return math.sqrt(float(np.sum(resid ** 2) * grid.dx))
@@ -125,7 +82,7 @@ class SnapshotReport:
     continuity_residual_l2: float
 
 
-def report(prev, snap, mass: float, hbar: float) -> SnapshotReport:
+def report(prev, snap, mass: float, zeta: float) -> SnapshotReport:
     """Diagnostics for `snap`, differenced against the previous snapshot.
 
     Pass prev=None for the first snapshot; backward-difference quantities
@@ -138,17 +95,17 @@ def report(prev, snap, mass: float, hbar: float) -> SnapshotReport:
         delta_t = snap.t - prev.t
         drift = (math.log(snap.norm) - math.log(prev.norm)) / delta_t
         resid = continuity_residual_l2(
-            prev.psi.values, snap.psi.values, snap.psi.grid, delta_t, mass, hbar)
+            prev.psi.values, snap.psi.values, snap.psi.grid, delta_t, mass, zeta)
     return SnapshotReport(
         t=snap.t, norm=snap.norm, energy=snap.energy, norm_drift_rate=drift,
         continuity_residual_l2=resid)
 
 
-def summarize_run(run, mass: float, hbar: float) -> list:
+def summarize_run(run, mass: float, zeta: float) -> list:
     """Per-snapshot reports for a whole WaveRun."""
     out = []
     prev = None
     for snap in run.snapshots:
-        out.append(report(prev, snap, mass, hbar))
+        out.append(report(prev, snap, mass, zeta))
         prev = snap
     return out

@@ -170,22 +170,22 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
         (spectra * mult[1, True], spectra[:2 * closure] * mult[2, True])),
         n=grid.n_points)
     grads = np.reshape(slopes, (-1, 1)) + derivs[:n_ch]
-    if closure:
-        vc0, vc1 = closure_couplings(derivs[n_ch], derivs[n_ch + 1], p)
-        vc = [vc0, vc1] + [np.zeros(grid.n_points)] * (n_ch - 2)
-    else:
-        vc = [pot.vc_values(i, grid) for i in range(n_ch)]
-    out = np.empty_like(values_2d)
-    env_kinetic = np.zeros(grid.n_points)
-    for n in range(1, n_ch):
+    env_kinetic = grads[1] * grads[1] / (2.0 * masses[1])
+    for n in range(2, n_ch):
         env_kinetic = env_kinetic + grads[n] * grads[n] / (2.0 * masses[n])
-    out[0] = -(grads[0] * grads[0] / (2.0 * masses[0]) - env_kinetic
-               + pot.vg_values(0, grid) + vc[0])
+    out = np.empty_like(values_2d)
+    out[0] = grads[0] * grads[0] / (2.0 * masses[0]) - env_kinetic
     for n in range(1, n_ch):
         cross = grads[0] * grads[n]
-        out[n] = -(cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
-                   + pot.vg_values(n, grid) + vc[n])
-    return out, grads
+        out[n] = cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
+    for n in range(n_ch):
+        out[n] += pot.vg_values(n, grid)
+    # only the channels that have coupling potentials add them
+    vc = (closure_couplings(derivs[n_ch], derivs[n_ch + 1], p) if closure
+          else [f.values for f in pot.vc or ()])
+    for row, vc_row in zip(out, vc):
+        row += vc_row
+    return -out, grads
 
 
 def _check_finite(values_2d: np.ndarray):

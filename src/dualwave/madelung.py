@@ -1,9 +1,9 @@
 """Maps between action channels and wavefunctions.
 
-Forward map: psi = exp(i*S0/hbar - S1/hbar), so the phase carries the
+Forward map: psi = exp(i*S0/zeta - S1/zeta), so the phase carries the
 conservative action and the amplitude carries the dissipative channel.
 The inverse needs a 1D phase unwrap (cumulative wrapped differences,
-anchored to the principal value at a reference index) and an amplitude
+anchored to the principal value at the first grid point) and an amplitude
 floor at near-zeros of psi.
 
 Multi-channel composition: environment channels S2, S3 map to the j and k
@@ -11,7 +11,7 @@ quaternion units. The composed factor is DEFINED as the ordered product of
 per-unit exponentials (quaternion exponentials of sums do not factor, so
 the ordered factorization is the definition, not a theorem):
 
-    phi_inv = exp(j*S2/hbar) * exp(-k*S3/hbar),   Psi = exp(i*S0/hbar - S1/hbar)
+    phi_inv = exp(j*S2/zeta) * exp(-k*S3/zeta),   Psi = exp(i*S0/zeta - S1/zeta)
 
 and psi is fixed by psi * phi = Psi.
 """
@@ -44,25 +44,9 @@ class AmplitudeFloorWarning(UserWarning):
     """The amplitude floor was engaged near a node of psi."""
 
 
-@dataclass(frozen=True)
-class UnwrapPolicy:
-    """Regularization knobs for the inverse map.
-
-    amplitude_floor: relative floor on |psi| (w.r.t. max|psi|) below which
-        the log-amplitude is clamped.
-    reference_index: grid index at which the unwrapped phase is anchored to
-        its principal value in (-pi, pi].
-    """
-
-    amplitude_floor: float = 1e-12
-    reference_index: int = 0
-
-    def __post_init__(self):
-        if self.amplitude_floor <= 0:
-            raise ValueError("amplitude_floor must be positive")
-
-
-DEFAULT_UNWRAP_POLICY = UnwrapPolicy()
+# Relative floor on |psi| (w.r.t. max|psi|) below which the one-shot
+# inverse map clamps the log-amplitude.
+AMPLITUDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,71 +59,67 @@ class UnwrapResult:
 
 
 def to_wavefunction(s0: RealField, s1: RealField, p: DualParams) -> ComplexField:
-    """psi = exp(i*S0/scale - S1/scale) pointwise (scale = zeta, default hbar)."""
+    """psi = exp(i*S0/zeta - S1/zeta) pointwise."""
     if s0.grid != s1.grid:
         raise ValueError("S0 and S1 must share one grid")
-    scale = p.zeta
-    return ComplexField(np.exp((1j * s0.values - s1.values) / scale), s0.grid)
+    return ComplexField(np.exp((1j * s0.values - s1.values) / p.zeta), s0.grid)
 
 
 def wrapped_phase_differences(theta: np.ndarray) -> np.ndarray:
-    """Adjacent phase differences wrapped into [-pi, pi)."""
-    return np.mod(np.diff(theta) + np.pi, 2.0 * np.pi) - np.pi
+    """The N cyclic phase increments theta[i+1] - theta[i], the last one
+    across the periodic wrap, each wrapped into [-pi, pi)."""
+    return np.mod(np.roll(theta, -1) - theta + np.pi, 2.0 * np.pi) - np.pi
 
 
-def unwrap_phase(theta: np.ndarray, reference_index: int = 0):
-    """Cumulative-difference unwrap anchored to the principal value.
+def unwrap_phase(theta: np.ndarray):
+    """Cumulative-difference unwrap anchored to the principal value at index 0.
 
-    Returns (unwrapped, aliased) where `aliased` flags adjacent jumps at the
-    branch boundary (|diff| ~ pi), i.e. inputs that violate the band-limited
-    phase assumption.
+    Sums the first N-1 cyclic increments, so the result keeps the winding
+    of psi as a linear ramp. Returns (unwrapped, aliased) where `aliased`
+    flags adjacent jumps at the branch boundary (|diff| ~ pi), i.e. inputs
+    that violate the band-limited phase assumption.
     """
-    d = wrapped_phase_differences(theta)
+    d = wrapped_phase_differences(theta)[:-1]
     aliased = bool(np.any(np.abs(d) >= np.pi - 1e-9))
     unwrapped = np.empty_like(theta)
     unwrapped[0] = 0.0
     np.cumsum(d, out=unwrapped[1:])
-    # anchor: exact principal value at the reference index
-    ref = int(reference_index)
-    unwrapped = theta[ref] + (unwrapped - unwrapped[ref])
-    return unwrapped, aliased
+    return theta[0] + unwrapped, aliased
 
 
-def phase_winding(psi: ComplexField) -> int:
-    """Net phase turns of psi around the periodic domain (an exact integer)."""
-    theta = np.angle(psi.values)
-    d = wrapped_phase_differences(theta)
-    wrap_pair = np.mod(theta[0] - theta[-1] + np.pi, 2.0 * np.pi) - np.pi
-    return int(round((np.sum(d) + wrap_pair) / (2.0 * np.pi)))
-
-
-def from_wavefunction(psi: ComplexField, p: DualParams,
-                      policy: UnwrapPolicy = DEFAULT_UNWRAP_POLICY) -> UnwrapResult:
+def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
     """Invert the Madelung map: S1 from the amplitude, S0 from the unwrapped phase.
 
-    S1 = -(scale/2) ln(psi* psi) with |psi|^2 floored at (eps*max|psi|)^2;
-    S0 = scale * unwrap(arg psi) anchored at policy.reference_index. Raises
+    S1 = -(zeta/2) ln(psi* psi) with |psi|^2 clamped below at
+    (AMPLITUDE_FLOOR * max|psi|)^2, or at the smallest normal float if
+    that is smaller; S0 = zeta * unwrap(arg psi), anchored to
+    the principal value at index 0. This is the one-shot map of a given
+    state, so it keeps the winding and the anchor and clamps the floor.
+    The in-loop extraction of the wave solver (`_extract_action_terms`)
+    differs on purpose: it only needs Laplacians, so it tapers the
+    increments, floors additively and rebuilds a periodic phase. Raises
     DegenerateWavefunctionError for psi identically zero; attaches "phase
-    aliasing" / "amplitude floor engaged" warnings to the result instead of
-    failing on marginal inputs.
+    aliasing" / "amplitude floor engaged" warnings to the result instead
+    of failing on marginal inputs.
     """
     v = psi.values
     amax = float(np.max(np.abs(v)))
     if amax == 0.0:
         raise DegenerateWavefunctionError("degenerate wavefunction")
-    scale = p.zeta
     warnings = []
 
-    floor2 = (policy.amplitude_floor * amax) ** 2
+    # at amax below ~1e-142 the relative floor itself would underflow to
+    # zero and S1 to infinity; the smallest normal float keeps it finite
+    floor2 = max((AMPLITUDE_FLOOR * amax) ** 2, np.finfo(float).tiny)
     rho = (v.real * v.real + v.imag * v.imag)
     if np.any(rho < floor2):
         warnings.append("amplitude floor engaged")
-    s1 = -0.5 * scale * np.log(np.maximum(rho, floor2))
+    s1 = -0.5 * p.zeta * np.log(np.maximum(rho, floor2))
 
-    theta, aliased = unwrap_phase(np.angle(v), policy.reference_index)
+    theta, aliased = unwrap_phase(np.angle(v))
     if aliased:
         warnings.append("phase aliasing")
-    s0 = scale * theta
+    s0 = p.zeta * theta
 
     return UnwrapResult(RealField(s0, psi.grid), RealField(s1, psi.grid),
                         tuple(warnings))
@@ -171,9 +151,9 @@ def _unit_exponential_factor(unit_axis: int, angle: np.ndarray, n: int) -> np.nd
 def compose_channels(S: ActionChannels, p: DualParams) -> ComposedWave:
     """Compose system + environment channels into (psi, Psi, phi).
 
-    Psi = exp(i*S0/scale - S1/scale) is the complex reduction that the wave
+    Psi = exp(i*S0/zeta - S1/zeta) is the complex reduction that the wave
     solver consumes; phi_inv is the ordered product of the j and k unit
-    exponentials exp(+j*S2/scale) * exp(-k*S3/scale) (index order, literal
+    exponentials exp(+j*S2/zeta) * exp(-k*S3/zeta) (index order, literal
     sign pattern); phi is its pointwise quaternion inverse and
     psi = Psi * phi_inv.
     """

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,6 +147,34 @@ def dekker_energies(state: np.ndarray, p: OscParams) -> tuple:
 
 def mechanical_energy(x: float, xdot: float, p: OscParams) -> float:
     return 0.5 * p.mass * xdot ** 2 + 0.5 * p.stiffness * x ** 2
+
+
+class Formalism(NamedTuple):
+    """What a run of one formalism needs: its right-hand side rhs(state, p),
+    the state columns, and the summary columns after t with the function
+    summary_row(state, t, p) that fills them."""
+
+    rhs: Callable
+    columns: tuple
+    summary_header: tuple
+    summary_row: Callable
+
+
+_DOUBLED = ("x", "xdot", "y", "ydot")
+
+FORMALISMS = {
+    "bateman": Formalism(
+        bateman_rhs, _DOUBLED, ("energy_x", "energy_y"),
+        lambda s, t, p: (mechanical_energy(s[0], s[1], p),
+                         mechanical_energy(s[2], s[3], p))),
+    "ck": Formalism(
+        caldirola_kanai_rhs, ("x", "xdot"), ("energy", "ck_hamiltonian"),
+        lambda s, t, p: (mechanical_energy(s[0], s[1], p),
+                         ck_hamiltonian(s, t, p))),
+    "dekker": Formalism(
+        dekker_complex_rhs, _DOUBLED, ("energy_x", "energy_y"),
+        lambda s, t, p: dekker_energies(s, p)),
+}
 
 
 def damped_oscillator_solution(t, p: OscParams, x0: float = 1.0, v0: float = 0.0):

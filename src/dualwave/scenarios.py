@@ -30,12 +30,7 @@ from dualwave.hamilton_jacobi import (
     ActionChannels,
     PotentialSet,
 )
-from dualwave.oscillators import (
-    OscParams,
-    bateman_rhs,
-    caldirola_kanai_rhs,
-    dekker_complex_rhs,
-)
+from dualwave.oscillators import FORMALISMS, OscParams
 from dualwave.wavesolver import WaveScenario
 
 DEFAULT_GRID = Grid1D(1024, -10.0, 10.0)
@@ -72,7 +67,13 @@ class ScenarioSpec:
     osc: dict = field(default_factory=dict)
 
     def dual_params(self) -> DualParams:
-        return DualParams(masses=self.masses, hbar=self.hbar, zeta=self.zeta)
+        """The solver parameters: `zeta` is the action scale, and `hbar`
+        is only its default when `zeta` is unset."""
+        if not 0 < self.hbar < math.inf:
+            raise ConfigurationError(
+                f"hbar must be positive and finite, got {self.hbar}")
+        zeta = float(self.hbar) if self.zeta is None else self.zeta
+        return DualParams(masses=self.masses, zeta=zeta)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class ExpandedOscillator:
     state0: np.ndarray
     params: OscParams
     integration: Integration
-    state_columns: tuple
     spec: ScenarioSpec
 
 
@@ -279,31 +279,19 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
     if spec.kind == KIND_OSCILLATOR:
         osc = spec.osc
         formalism = osc.get("formalism", "bateman")
+        table = FORMALISMS.get(formalism)
+        if table is None:
+            raise ConfigurationError(f"unknown oscillator formalism {formalism!r}")
         mass = float(osc.get("mass", 1.0))
         omega = float(osc.get("omega", 1.0))
         gamma = float(osc.get("gamma", 0.0))
         params = OscParams(mass=mass, gamma=gamma, stiffness=mass * omega ** 2)
-        x0 = float(osc.get("x0", 1.0))
-        v0 = float(osc.get("v0", 0.0))
-        y0 = float(osc.get("y0", 0.0))
-        vy0 = float(osc.get("vy0", 0.0))
-        if formalism == "bateman":
-            rhs = lambda s: bateman_rhs(s, params)
-            state0 = np.array([x0, v0, y0, vy0])
-            columns = ("x", "xdot", "y", "ydot")
-        elif formalism == "ck":
-            rhs = lambda s: caldirola_kanai_rhs(s, params)
-            state0 = np.array([x0, v0])
-            columns = ("x", "xdot")
-        elif formalism == "dekker":
-            rhs = lambda s: dekker_complex_rhs(s, params)
-            state0 = np.array([x0, v0, y0, vy0])
-            columns = ("x", "xdot", "y", "ydot")
-        else:
-            raise ConfigurationError(f"unknown oscillator formalism {formalism!r}")
-        return ExpandedOscillator(formalism=formalism, rhs=rhs, state0=state0,
-                                  params=params, integration=spec.integration,
-                                  state_columns=columns, spec=spec)
+        state0 = np.array([float(osc.get(key, default)) for key, default in
+                           (("x0", 1.0), ("v0", 0.0), ("y0", 0.0), ("vy0", 0.0))])
+        return ExpandedOscillator(
+            formalism=formalism, rhs=lambda s: table.rhs(s, params),
+            state0=state0[:len(table.columns)],
+            params=params, integration=spec.integration, spec=spec)
 
     raise ConfigurationError(f"unknown scenario kind {spec.kind!r}")
 

@@ -98,15 +98,15 @@ def crit_symmetric_limit(tol, cache):
 
 
 def crit_free_spreading(tol, cache):
-    sigma0, m0, hbar = 0.5, 1.0, 1.0
-    t_star = 2.0 * m0 * sigma0 ** 2 / hbar
+    sigma0, m0, zeta = 0.5, 1.0, 1.0
+    t_star = 2.0 * m0 * sigma0 ** 2 / zeta
     spec = builtin_by_name("free_gaussian_symmetric")
     n_steps = int(round(t_star / 1e-3))
     spec = dataclasses.replace(
         spec, integration=Integration(1e-3, n_steps, n_steps))
     run = evolve(expand(spec, DEFAULT_GRID).scenario)
     sigma = rms_width(RealField(np.abs(run.final.psi.values) ** 2, DEFAULT_GRID))
-    exact = sigma0 * math.sqrt(1.0 + (hbar * t_star / (2 * m0 * sigma0 ** 2)) ** 2)
+    exact = sigma0 * math.sqrt(1.0 + (zeta * t_star / (2 * m0 * sigma0 ** 2)) ** 2)
     return [_lt("free_spreading", abs(sigma - exact) / exact, tol(1e-6))]
 
 
@@ -147,13 +147,13 @@ def crit_norm_conservation(tol, cache):
                     for s in run10.snapshots))
     out = [_lt("norm_conservation[symmetric]", max(devs), tol(1e-8))]
 
-    lam, hbar = 0.5, 1.0
+    lam, zeta = 0.5, 1.0
     drift_run = evolve(expand(builtin_by_name("norm_drift_constant_Vg1"),
                               DEFAULT_GRID).scenario)
     t0, t1 = drift_run.snapshots[0].t, drift_run.final.t
     rate = (math.log(drift_run.final.norm)
             - math.log(drift_run.snapshots[0].norm)) / (t1 - t0)
-    expected = -2.0 * lam / hbar
+    expected = -2.0 * lam / zeta
     out.append(_lt("norm_conservation[drift_law]",
                    abs(rate - expected) / abs(expected), tol(1e-4)))
     return out

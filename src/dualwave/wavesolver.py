@@ -1,7 +1,7 @@
 """Time integration of the generalized dissipative wave equation, plus the
 reference linear Schrodinger solver that the symmetric limit must match.
 
-With action scale z (zeta, default hbar), reduced mass m and residual mass
+With action scale z (zeta), reduced mass m and residual mass
 mbar, the evolved equation is
 
     i z dpsi/dt = -(z^2/4m) lap psi + Vg0 psi + [Vc0 - (z/4m) lap S1] psi
@@ -62,8 +62,9 @@ from dualwave.hamilton_jacobi import (
 )
 from dualwave.madelung import (
     AmplitudeFloorWarning,
-    UnwrapPolicy,
+    DegenerateWavefunctionError,
     to_wavefunction,
+    wrapped_phase_differences,
 )
 
 NONLINEAR_ON = "on"
@@ -72,14 +73,14 @@ NONLINEAR_AUTO = "auto"
 
 PSI_OVERFLOW_THRESHOLD = 1e12
 
-# Floor for in-the-loop extraction of the slaved S fields. This must sit
-# well above the spectral roundoff noise floor (~1e-13 relative per step,
-# accumulating over thousands of steps): with a lower floor the phase of
-# roundoff-dominated samples enters the coupling terms with order-one
-# trust and feeds back through the kinetic step into a runaway. The
-# tighter 1e-12 default of UnwrapPolicy remains appropriate for one-shot
-# inversions of a given wavefunction.
-SLAVED_EXTRACTION_POLICY = UnwrapPolicy(amplitude_floor=1e-8)
+# Relative amplitude floor for in-the-loop extraction of the slaved S
+# fields. This must sit well above the spectral roundoff noise floor
+# (~1e-13 relative per step, accumulating over thousands of steps): with a
+# lower floor the phase of roundoff-dominated samples enters the coupling
+# terms with order-one trust and feeds back through the kinetic step into
+# a runaway. The tighter madelung.AMPLITUDE_FLOOR (1e-12) remains
+# appropriate for one-shot inversions of a given wavefunction.
+SLAVED_AMPLITUDE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -158,19 +159,23 @@ class WaveRun:
 def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
     """Laplacians of the slaved action fields S0, S1 extracted from psi.
 
-    The amplitude channel uses a smooth additive floor (log(rho + floor^2)
+    This is not `madelung.from_wavefunction`, and must not be: the one-shot
+    map keeps the winding and the anchor and clamps the floor, while the
+    coupling terms need only Laplacians, free of ringing and of noise. The
+    amplitude channel uses a smooth additive floor (log(rho + floor^2)
     stays analytic through nodes, so its spectral Laplacian does not ring
     the way a hard clamp would). Returns (lap_s0, lap_s1, trust, engaged)
     where `trust` = rho/(rho + floor^2) is a smooth window that is 1 on
     the support of psi and 0 where the amplitude has fallen to the floor:
     there the phase is rounding noise and the extracted fields are
     meaningless, so coupling terms built from them must be switched off.
+    Raises DegenerateWavefunctionError for psi identically zero.
     """
     amax = float(np.max(np.abs(v)))
     if amax == 0.0:
-        raise NonFiniteFieldError("degenerate wavefunction")
+        raise DegenerateWavefunctionError("degenerate wavefunction")
     rho = v.real * v.real + v.imag * v.imag
-    floor2 = (SLAVED_EXTRACTION_POLICY.amplitude_floor * amax) ** 2
+    floor2 = (SLAVED_AMPLITUDE_FLOOR * amax) ** 2
     engaged = bool(np.any(rho < floor2))
     trust = rho / (rho + floor2)
     s1 = -0.5 * scale * np.log(rho + floor2)
@@ -180,11 +185,10 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
     # zero-mean periodic phase by cumulative summation. Removing the mean
     # increment strips both the integer winding ramp and any tapering bias
     # as a linear-in-x term, which the Laplacian cannot see anyway.
-    theta = np.angle(v)
-    d = np.mod(np.roll(theta, -1) - theta + np.pi, 2.0 * np.pi) - np.pi
+    d = wrapped_phase_differences(np.angle(v))
     d *= trust * np.roll(trust, -1)
     d -= np.mean(d)
-    s0_periodic = np.empty_like(theta)
+    s0_periodic = np.empty_like(d)
     s0_periodic[0] = 0.0
     np.cumsum(d[:-1], out=s0_periodic[1:])
     s0_periodic *= scale
@@ -274,8 +278,8 @@ class _GeneralizedStepper:
 
     def asymmetry_rate(self, v: np.ndarray) -> np.ndarray:
         """i nu W(v) / z, the mass-asymmetry term as a rate."""
-        eps = SLAVED_EXTRACTION_POLICY.amplitude_floor
-        return 1j * self.nu / self.z * _asymmetry_potential(v, self.grid, eps)
+        return 1j * self.nu / self.z * _asymmetry_potential(
+            v, self.grid, SLAVED_AMPLITUDE_FLOOR)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
         """Pointwise substep, S frozen at substep start: the RK2 (midpoint)
@@ -325,7 +329,9 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
 def _integrate(stepper, v: np.ndarray, n_steps: int,
                snapshot_every: int) -> WaveRun:
     """Snapshots every `snapshot_every` steps and after the last; raises
-    BlowUpError carrying the partial WaveRun on overflow or non-finite state."""
+    BlowUpError carrying the partial WaveRun on overflow or non-finite state,
+    and at a snapshot whose norm has underflowed to zero (no diagnostic or
+    inverse map is defined there)."""
     grid, dt = stepper.grid, stepper.dt
     energy_terms = (stepper.vg0, stepper.z, stepper.mass)
     run = WaveRun(snapshots=[_snapshot(0.0, v, grid, *energy_terms)])
@@ -335,7 +341,11 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
         amax = float(np.max(np.abs(v))) if np.all(np.isfinite(v)) else math.inf
         if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
             raise BlowUpError(f"blow-up at step {step}", step=step, partial=run)
-        run.snapshots.append(_snapshot(step * dt, v, grid, *energy_terms))
+        snap = _snapshot(step * dt, v, grid, *energy_terms)
+        if snap.norm == 0.0:
+            raise BlowUpError(f"norm underflowed to zero at step {step}",
+                              step=step, partial=run)
+        run.snapshots.append(snap)
     return run
 
 
@@ -360,7 +370,8 @@ def evolve(scenario: WaveScenario) -> WaveRun:
     """Integrate the scenario, returning snapshots at the configured cadence.
 
     Deterministic for identical inputs. Raises BlowUpError carrying the
-    partial WaveRun if the state overflows or goes non-finite mid-run.
+    partial WaveRun if the state overflows, goes non-finite or its norm
+    underflows to zero mid-run.
     """
     return _integrate(_GeneralizedStepper(scenario), scenario.psi0.values,
                       scenario.n_steps, scenario.snapshot_every)
@@ -389,11 +400,11 @@ class _ReferenceStepper:
 
 
 def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
-                          hbar_or_zeta: float, dt: float, n_steps: int,
+                          zeta: float, dt: float, n_steps: int,
                           snapshot_every: int = 1) -> WaveRun:
     """Independent split-step integration of the linear equation
 
-        i z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi,   z = hbar_or_zeta.
+        i z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi,   z = zeta.
 
     Same Strang/RK2 discretization as `evolve`, assembled directly from
     (Vg0, mass, z) and sharing only the loop driver and snapshot
@@ -404,7 +415,7 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
     grid = psi0.grid
     vg0_values = vg0.values if isinstance(vg0, RealField) else (
         np.zeros(grid.n_points) if vg0 is None else np.asarray(vg0, dtype=float))
-    stepper = _ReferenceStepper(grid, vg0_values, mass, hbar_or_zeta, dt)
+    stepper = _ReferenceStepper(grid, vg0_values, mass, zeta, dt)
     return _integrate(stepper, psi0.values, n_steps, snapshot_every)
 
 
@@ -418,11 +429,15 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     """Exploration mode: evolve (S0, S1) by the Hamilton-Jacobi equations and
     reconstruct psi = exp(i S0/z - S1/z) at each snapshot.
 
-    With the symmetric-closure coupling potentials this integrates the same
-    dynamics as `evolve` in Madelung variables (the closure terms are
-    exactly the quantum potential and the continuity equation), so the two
-    routes agree on nodeless states up to discretization error. Energies
-    use the kinetic mass 2 m_red, as `evolve` does.
+    With the symmetric-closure coupling potentials and m0 == m1 this
+    integrates the same dynamics as `evolve` in Madelung variables (the
+    closure terms are exactly the quantum potential and the continuity
+    equation), so the two routes agree on nodeless states up to
+    discretization error, about 1e-13. At m0 != m1 they do not: the
+    mass-asymmetry term of `evolve` has the opposite sign to the one this
+    Hamilton-Jacobi pair induces, and at masses (1, 1.5) the routes differ
+    by about 1.6e-3. Energies use the kinetic mass 2 m_red, as `evolve`
+    does.
 
     Two usage constraints: the channel fields must be periodic-smooth on
     the grid (a log-amplitude with a kink at the wrap point rings under the

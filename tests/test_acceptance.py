@@ -39,8 +39,8 @@ def test_every_registered_criterion_reported(results):
 
 def test_madelung_round_trip_holds_at_zeta_not_hbar(monkeypatch):
     # the map divides S0 by zeta, so the gauge period is 2*pi*zeta; a
-    # 2*pi*hbar shift would flip the sign of psi at hbar = 1, zeta = 2
+    # 2*pi*hbar shift (hbar = 1) would flip the sign of psi at zeta = 2
     monkeypatch.setattr(verify, "DualParams",
-                        functools.partial(DualParams, hbar=1.0, zeta=2.0))
+                        functools.partial(DualParams, zeta=2.0))
     results = verify.crit_madelung_round_trip(lambda bound: bound, {})
     assert [r.name for r in results if not r.passed] == []

@@ -59,6 +59,15 @@ OSC_INI = ("[scenario]\nkind = oscillator\nlabel = bad\nformalism = ck\n"
            "[integration]\ndt = -0.001\nn_steps = 10\n")
 
 
+# a decay rate of 2000 per unit time: by step 600 the norm has underflowed
+# to zero, although |psi| itself has not
+UNDERFLOW_INI = ("[scenario]\nkind = wave\nlabel = underflow\n"
+                 "initial_type = gaussian\ninitial_sigma = 0.5\n"
+                 "vg1_type = constant\nvg1_v0 = -1000\n"
+                 "[integration]\ndt = 1e-3\nn_steps = 1200\n"
+                 "snapshot_every = 100\n")
+
+
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -92,11 +101,16 @@ class TestRun:
         (None, ["--scenario", "hj_free_particle", "--snapshot-every", "0"]),
         (WAVE_INI + "[params]\nm3000000 = 1.0\n", []),
         ("[scenario]\nname = hj_free_particle\n[params]\nm2 = 1.0\n", []),
+        (WAVE_INI + "[params]\nhbar = 0\n", []),
+        (WAVE_INI + "[params]\nhbar = -1.0\nzeta = 1.0\n", []),
+        ("[scenario]\nname = hj_free_particle\n[params]\nhbar = 0\n"
+         "zeta = 2.0\n", []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
             "hj_snapshot_every_0", "wave_mass_key_beyond_channels",
-            "hj_mass_key_beyond_channels"])
+            "hj_mass_key_beyond_channels", "hbar_zero",
+            "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -117,6 +131,18 @@ class TestRun:
         assert "# caustic/blow-up detected at step 4978" in summary
         snaps = read_lines(tmp_path / "hj_caustic_snapshots.csv")
         assert snaps[0] == "t,x,S0,S1"
+
+    def test_norm_underflow_exits_3_with_partial_output(self, tmp_path, capsys):
+        cfg = tmp_path / "underflow.ini"
+        cfg.write_text(UNDERFLOW_INI)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        summary = read_lines(tmp_path / "underflow_summary.csv")
+        assert summary[-1] == "# norm underflowed to zero at step 600"
+        rows = parse_csv(tmp_path / "underflow_summary.csv")
+        assert rows[:, 0].tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        assert np.all(rows[:, 1] > 0.0)
+        assert np.all(np.isfinite(parse_csv(tmp_path / "underflow_snapshots.csv")))
 
     def test_oscillator_run(self, tmp_path):
         code = main(["run", "--scenario", "ck_damped", "--out", str(tmp_path)])
@@ -235,6 +261,15 @@ class TestSweep:
                   for line in lines[1:]}
         assert shifts[1.0] == 0.0
         assert shifts[1.5] > shifts[1.1] > 0.0
+
+    def test_norm_underflow_exits_3_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "underflow.ini"
+        cfg.write_text(UNDERFLOW_INI)
+        code = main(["sweep", "--config", str(cfg), "--param", "lambda_Vg1",
+                     "--values", "1000", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "sweep aborted: norm underflowed to zero at step 600\n")
 
     def test_zeta_sweep_doubles_phase_rate(self, tmp_path):
         code = main(["sweep", "--scenario", "plane_wave_dispersion",

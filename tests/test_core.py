@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from dualwave.core import (
     quaternion_exp,
     spectral_derivative,
 )
+from dualwave.scenarios import Integration, ScenarioSpec
 
 GRID_2PI = Grid1D(64, 0.0, 2.0 * math.pi)
 
@@ -160,18 +162,21 @@ class TestDualParams:
     def test_reduced_and_residual(self):
         p = DualParams(masses=(1.0, 2.0))
         assert p.reduced_mass == pytest.approx(2.0 / 3.0)
-        assert p.residual_mass == pytest.approx(2.0)
-        assert not p.is_mass_symmetric()
+        assert p.residual_inv_mass == pytest.approx(0.5)
 
     def test_symmetric_masses(self):
         p = DualParams(masses=(1.5, 1.5))
         assert p.residual_inv_mass == 0.0
-        assert p.residual_mass == math.inf
-        assert p.is_mass_symmetric()
 
     def test_zeta_defaults_to_hbar(self):
-        assert DualParams(masses=(1, 1), hbar=2.5).zeta == 2.5
+        # zeta is the only action scale of the solvers; hbar survives only
+        # as the scenario-level default of zeta
+        assert DualParams(masses=(1, 1)).zeta == 1.0
         assert DualParams(masses=(1, 1), zeta=0.7).zeta == 0.7
+        spec = ScenarioSpec(name="s", kind="wave",
+                            integration=Integration(1e-3, 1), hbar=2.5)
+        assert spec.dual_params().zeta == 2.5
+        assert dataclasses.replace(spec, zeta=0.7).dual_params().zeta == 0.7
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigurationError):
@@ -179,10 +184,18 @@ class TestDualParams:
         with pytest.raises(ConfigurationError):
             DualParams(masses=(1.0, -1.0))
         with pytest.raises(ConfigurationError):
-            DualParams(masses=(1.0, 1.0), hbar=0.0)
+            DualParams(masses=(1.0, 1.0), zeta=0.0)
         for bad in (math.inf, math.nan):
             for kwargs in ({"masses": (1.0, bad)}, {"masses": (bad, 1.0)},
-                           {"masses": (1.0, 1.0), "hbar": bad},
                            {"masses": (1.0, 1.0), "zeta": bad}):
                 with pytest.raises(ConfigurationError):
                     DualParams(**kwargs)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("zeta", [None, 1.0])
+    def test_scenario_rejects_bad_hbar_with_or_without_zeta(self, hbar, zeta):
+        spec = ScenarioSpec(name="s", kind="wave",
+                            integration=Integration(1e-3, 1),
+                            hbar=hbar, zeta=zeta)
+        with pytest.raises(ConfigurationError, match="hbar"):
+            spec.dual_params()

@@ -134,7 +134,7 @@ class TestStepSplitstep:
                                 dt=dt, n_steps=n, snapshot_every=n)
         run = evolve(scenario)
         t = dt * n
-        expected_phase = -(0.5 * k ** 2 / P_SYM.m0 + v0 / P_SYM.hbar) * t
+        expected_phase = -(0.5 * k ** 2 / P_SYM.m0 + v0 / P_SYM.zeta) * t
         measured = np.angle(run.final.psi.values / psi.values)
         dev = np.angle(np.exp(1j * (measured - expected_phase)))
         assert np.max(np.abs(dev)) < 1e-8
@@ -189,7 +189,7 @@ class TestEvolve:
         run = evolve(scenario)
         n0 = run.snapshots[0].norm
         for snap in run.snapshots:
-            expected = n0 * math.exp(-2 * lam * snap.t / P_SYM.hbar)
+            expected = n0 * math.exp(-2 * lam * snap.t / P_SYM.zeta)
             assert abs(snap.norm - expected) < 1e-6
 
     def test_norm_conserved_in_symmetric_mode(self):

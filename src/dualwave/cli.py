@@ -1,8 +1,10 @@
 """Command-line entry point: run scenarios, sweep parameters, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 mid-run blow-up (partial output is still written and the summary file
-records the blow-up step in a trailing '#' comment line).
+3 mid-run blow-up (partial output is still written: a run's summary file
+records the blow-up step in a trailing '#' comment line, and a sweep's CSV
+holds every finished point and one '#' line per failed point). An engaged
+amplitude floor prints one `warning: amplitude floor engaged` stderr line.
 
 Every run writes two CSV files, `<name>_snapshots.csv` and
 `<name>_summary.csv`. Floats are serialized with 17 significant digits so
@@ -18,6 +20,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate
 from dualwave.diagnostics import summarize_run
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
-from dualwave.madelung import from_wavefunction
+from dualwave.madelung import AmplitudeFloorWarning, from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import (
     DEFAULT_GRID,
@@ -38,7 +41,7 @@ from dualwave.scenarios import (
     builtin_by_name,
     expand,
 )
-from dualwave.wavesolver import NONLINEAR_OFF, WaveScenario, evolve
+from dualwave.wavesolver import NONLINEAR_OFF, WaveScenario, evolve, evolve_many
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -388,9 +391,9 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
         f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEP_PARAMS)}")
 
 
-def _sweep_point(scenario: WaveScenario):
-    """Run one sweep point; returns the per-value diagnostics row."""
-    run = evolve(scenario)
+def _sweep_point(scenario: WaveScenario, run, off):
+    """The diagnostics row of one sweep point from its run and, when the
+    mass-asymmetry term is active, its run with that term off."""
     psi0 = scenario.psi0.values
     t_end = run.final.t
     norm0, norm_end = run.snapshots[0].norm, run.final.norm
@@ -398,12 +401,8 @@ def _sweep_point(scenario: WaveScenario):
     phases = np.unwrap([float(np.angle(np.vdot(psi0, s.psi.values)))
                         for s in run.snapshots])
     phase_rate = (phases[-1] - phases[0]) / t_end if t_end > 0 else 0.0
-    if scenario.nonlinear_active:
-        off = evolve(dataclasses.replace(scenario, nonlinear_term=NONLINEAR_OFF))
-        shift = float(np.angle(np.vdot(off.final.psi.values,
-                                       run.final.psi.values)))
-    else:
-        shift = 0.0
+    shift = 0.0 if off is None else float(
+        np.angle(np.vdot(off.final.psi.values, run.final.psi.values)))
     return t_end, norm_end, drift, phase_rate, shift
 
 
@@ -429,23 +428,50 @@ def cmd_sweep(args) -> int:
             if not isinstance(expanded, ExpandedWave):
                 raise ConfigurationError("sweep supports wave scenarios only")
             scenarios.append(expanded.scenario)
-        rows = [_sweep_point(scenario) for scenario in scenarios]
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as err:
-        print(f"sweep aborted: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
 
-    order = np.argsort(values, kind="stable")
+    # every point and every asymmetry-off re-run in one call, so runs that
+    # share their stepping advance as one stack
+    offs = [dataclasses.replace(s, nonlinear_term=NONLINEAR_OFF)
+            for s in scenarios if s.nonlinear_active]
+    runs = evolve_many(scenarios + offs)
+    off_runs = iter(runs[len(scenarios):])
+    pairs = [(run, next(off_runs) if s.nonlinear_active else None)
+             for s, run in zip(scenarios, runs)]
+
+    rows, failures = [], []
+    for i in np.argsort(values, kind="stable"):
+        run, off = pairs[i]
+        failed = [r for r in (run, off) if isinstance(r, BlowUpError)]
+        if failed:
+            failures.append((values[i], failed[0]))
+        else:
+            rows.append((args.param, values[i], *_sweep_point(scenarios[i], run, off)))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{base.name}_sweep_{args.param}.csv"
     _write_csv(path,
                ("param", "value", "t_end", "norm_end", "drift_rate",
                 "phase_rate", "nonlinear_phase_shift"),
-               [np.array([(args.param, values[i], *rows[i]) for i in order],
-                         dtype=object)])
+               [np.array(rows, dtype=object)] if rows else [],
+               [f"{args.param}={value:.17g}: {err}" for value, err in failures])
+    if failures:
+        print(f"sweep aborted: {failures[0][1]}", file=sys.stderr)
+        return EXIT_BLOWUP
     return EXIT_OK
+
+
+def _floor_warning_on_one_line(show):
+    """A `warnings.showwarning` that prints AmplitudeFloorWarning as one
+    `warning: ...` stderr line, as every other diagnostic is, and passes
+    any other warning on to `show`."""
+    def showwarning(message, category, *args, **kwargs):
+        if issubclass(category, AmplitudeFloorWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *args, **kwargs)
+    return showwarning
 
 
 def main(argv=None) -> int:
@@ -483,7 +509,9 @@ def main(argv=None) -> int:
         print(f"{args.command}: need --scenario NAME or --config FILE",
               file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args)
+    with warnings.catch_warnings():
+        warnings.showwarning = _floor_warning_on_one_line(warnings.showwarning)
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -66,9 +66,9 @@ def to_wavefunction(s0: RealField, s1: RealField, p: DualParams) -> ComplexField
 
 
 def wrapped_phase_differences(theta: np.ndarray) -> np.ndarray:
-    """The N cyclic phase increments theta[i+1] - theta[i], the last one
-    across the periodic wrap, each wrapped into [-pi, pi)."""
-    return np.mod(np.roll(theta, -1) - theta + np.pi, 2.0 * np.pi) - np.pi
+    """The N cyclic phase increments theta[i+1] - theta[i] along the last
+    axis, the last one across the periodic wrap, each wrapped into [-pi, pi)."""
+    return np.mod(np.roll(theta, -1, axis=-1) - theta + np.pi, 2.0 * np.pi) - np.pi
 
 
 def unwrap_phase(theta: np.ndarray):

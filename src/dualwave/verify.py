@@ -45,7 +45,9 @@ from dualwave.wavesolver import (
     NONLINEAR_OFF,
     NONLINEAR_ON,
     _asymmetry_potential,
+    _runs_or_raise,
     evolve,
+    evolve_many,
     schrodinger_reference,
 )
 
@@ -85,11 +87,14 @@ def _reference_for(scenario):
 # --------------------------------------------------------------------------
 
 def crit_symmetric_limit(tol, cache):
+    names = ("free_gaussian_symmetric", "harmonic_ground_symmetric",
+             "double_well_symmetric")
+    scenarios = [expand(builtin_by_name(name), DEFAULT_GRID).scenario
+                 for name in names]
+    # one 3-row stack; each reference run is assembled and stepped alone
+    runs = _runs_or_raise(evolve_many(scenarios))
     out = []
-    for name in ("free_gaussian_symmetric", "harmonic_ground_symmetric",
-                 "double_well_symmetric"):
-        scenario = expand(builtin_by_name(name), DEFAULT_GRID).scenario
-        run = evolve(scenario)
+    for name, scenario, run in zip(names, scenarios, runs):
         ref = _reference_for(scenario)
         cache[f"run_{name}"] = run
         out.append(_lt(f"symmetric_limit[{name}]", _sup_diff(run, ref),
@@ -171,8 +176,8 @@ def crit_residual_mass_term(tol, cache):
     sym = dataclasses.replace(spec, masses=(1.0, 1.0),
                               nonlinear_term=NONLINEAR_ON)
     scen = expand(sym, grid).scenario
-    on = evolve(scen)
-    off = evolve(dataclasses.replace(scen, nonlinear_term=NONLINEAR_OFF))
+    on, off = _runs_or_raise(evolve_many(
+        [scen, dataclasses.replace(scen, nonlinear_term=NONLINEAR_OFF)]))
     shift = abs(float(np.angle(np.vdot(off.final.psi.values,
                                        on.final.psi.values))))
     out.append(_lt("residual_mass_term[symmetric_shift]", shift, 1e-14))

@@ -19,12 +19,26 @@ at substep start, then the second kinetic half-step. The pointwise step
 is the RK2 (midpoint) map when it is linear, and the exponential midpoint
 rule of du/dt = (a + i nu W(u)/z) u when the mass-asymmetry term is on,
 which keeps the norm up to the a part by construction. Between snapshots
-adjacent kinetic half-steps are merged into one full step, so a step costs
-2 FFTs (linear), 6 (mass asymmetry: two gradients) or 6 (explicit), and
-every snapshot holds the full Strang state. `evolve` and the reference
-solver share this loop driver and the snapshot diagnostics but assemble
-their multipliers separately. The equation's terms are written once, in
-the stepper; `generalized_rhs` evaluates the same terms at one state.
+adjacent kinetic half-steps are merged into one full step, and every
+snapshot holds the full Strang state.
+
+The loop driver steps a (P, N) stack of runs that share the grid, dt,
+step count and snapshot cadence (`evolve_many`; `evolve` is a one-row
+stack). Each row is bitwise equal to its run stepped alone: a batched FFT
+row equals the 1-D transform, each row's multipliers and scalars come
+from the single-run expressions, and the operand order of every
+multiplier product is kept (`K * fft(v)` and `u *= K`, not `fft(v) * K`),
+since on some machines the two orders differ in the last bit.
+
+FFT counts hold per stack, not per row. A step costs 2 FFT calls for the
+stack, plus 4 for its mass-asymmetric rows (two gradients) and 4 for its
+explicit-closure rows (two Laplacians), each group of rows of one kind
+batched (rows of both kinds form a group of their own, at 8): a linear
+stack takes 2 and a mass-asymmetric or an explicit one 6, whatever P is.
+`evolve` and the reference solver share this loop driver and the snapshot
+diagnostics but assemble their multipliers separately. The equation's
+terms are written once, in the stepper; `generalized_rhs` evaluates the
+same terms at one state.
 
 In `symmetric_closure` mode the bracketed coupling terms are cancelled
 analytically (they are identically zero when the coupling potentials equal
@@ -35,6 +49,7 @@ equation. `explicit` mode evaluates every term numerically.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -156,7 +171,18 @@ class WaveRun:
 # Field extraction and term evaluation
 # --------------------------------------------------------------------------
 
-def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
+def _stacked(values):
+    """Per-row values stacked along a leading row axis: arrays to (P, N),
+    scalars to a (P, 1) column. One row is kept as it is, so a single run
+    steps on (N,) arrays and Python scalars."""
+    if len(values) == 1:
+        return values[0]
+    if isinstance(values[0], np.ndarray):
+        return np.stack(values)
+    return np.reshape(values, (-1, 1))
+
+
+def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     """Laplacians of the slaved action fields S0, S1 extracted from psi.
 
     This is not `madelung.from_wavefunction`, and must not be: the one-shot
@@ -169,13 +195,17 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
     the support of psi and 0 where the amplitude has fallen to the floor:
     there the phase is rounding noise and the extracted fields are
     meaningless, so coupling terms built from them must be switched off.
-    Raises DegenerateWavefunctionError for psi identically zero.
+
+    `v` is one state or a (P, N) stack whose rows are treated apart, with
+    `scale` a scalar or a (P, 1) column; `engaged` is one flag for all rows.
+    Raises DegenerateWavefunctionError for a row identically zero.
     """
-    amax = float(np.max(np.abs(v)))
-    if amax == 0.0:
+    amax = np.atleast_1d(np.max(np.abs(v), axis=-1)).tolist()
+    if 0.0 in amax:
         raise DegenerateWavefunctionError("degenerate wavefunction")
     rho = v.real * v.real + v.imag * v.imag
-    floor2 = (SLAVED_AMPLITUDE_FLOOR * amax) ** 2
+    # each row's floor from its Python float, as for a single state
+    floor2 = _stacked([(SLAVED_AMPLITUDE_FLOOR * a) ** 2 for a in amax])
     engaged = bool(np.any(rho < floor2))
     trust = rho / (rho + floor2)
     s1 = -0.5 * scale * np.log(rho + floor2)
@@ -186,11 +216,11 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
     # increment strips both the integer winding ramp and any tapering bias
     # as a linear-in-x term, which the Laplacian cannot see anyway.
     d = wrapped_phase_differences(np.angle(v))
-    d *= trust * np.roll(trust, -1)
-    d -= np.mean(d)
+    d *= trust * np.roll(trust, -1, axis=-1)
+    d -= np.mean(d, axis=-1, keepdims=v.ndim > 1)
     s0_periodic = np.empty_like(d)
-    s0_periodic[0] = 0.0
-    np.cumsum(d[:-1], out=s0_periodic[1:])
+    s0_periodic[..., 0] = 0.0
+    np.cumsum(d[..., :-1], axis=-1, out=s0_periodic[..., 1:])
     s0_periodic *= scale
 
     lap_s0 = spectral_derivative_values(s0_periodic, grid, 2)
@@ -199,11 +229,12 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale: float):
 
 
 def _asymmetry_potential(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
-    """W = |grad psi|^2 / |psi|^2, the denominator floored at (eps max|psi|)^2."""
+    """W = |grad psi|^2 / |psi|^2, the denominator floored at (eps max|psi|)^2,
+    for one state or for each row of a (P, N) stack."""
     grad = spectral_derivative_values(v, grid, 1)
     rho = v.real * v.real + v.imag * v.imag
     return (grad.real * grad.real + grad.imag * grad.imag) / np.maximum(
-        rho, eps * eps * float(np.max(rho)))
+        rho, eps * eps * np.max(rho, axis=-1, keepdims=rho.ndim > 1))
 
 
 # --------------------------------------------------------------------------
@@ -223,36 +254,45 @@ def _rk2_multiplier(a: np.ndarray, dt: float) -> np.ndarray:
     return 1.0 + adt + 0.5 * adt * adt
 
 
+def _row_kind(scenario: WaveScenario) -> tuple:
+    """(explicit, nonlinear): which pointwise substep a scenario's row takes."""
+    return scenario.closure_mode == EXPLICIT, scenario.nonlinear_active
 
 
-class _GeneralizedStepper:
-    """The terms of the generalized equation for one WaveScenario, divided
-    by i z: the kinetic term i * kinetic_coeff * lap psi (stepped exactly
-    by the kinetic multipliers), the frozen rate a(v) and the mass-asymmetry
-    rate, and the pointwise substep built from those two rates."""
+def _kinetic_coeff(p: DualParams) -> float:
+    """z / (4 m_red): the stepped kinetic term divided by i z is
+    i * coeff * lap psi (kinetic mass 2 m_red)."""
+    return p.zeta / (4.0 * p.reduced_mass)
 
-    def __init__(self, scenario: WaveScenario):
-        self.scenario = scenario
-        grid = scenario.grid
-        p = scenario.params
-        z = p.zeta
-        self.z = z
-        # the stepped kinetic term is z^2 k^2 / (4 m_red): kinetic mass 2 m_red
-        self.mass = 2.0 * p.reduced_mass
-        self.grid = grid
-        self.dt = scenario.dt
-        self.kinetic_coeff = z / (4.0 * p.reduced_mass)
-        self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
-            grid, self.kinetic_coeff, scenario.dt)
-        vg0 = scenario.potentials.vg_values(0, grid)
-        vg1 = scenario.potentials.vg_values(1, grid)
-        self.vg0 = vg0
-        # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
-        self.base_a = (vg1 - 1j * vg0) / z
-        self.rk2_base = _rk2_multiplier(self.base_a, scenario.dt)
-        self.nu = 0.25 * z * z * p.residual_inv_mass if scenario.nonlinear_active else 0.0
-        self.nonlinear = scenario.nonlinear_active
-        self.explicit = scenario.closure_mode == EXPLICIT
+
+class _RowGroup:
+    """Adjacent rows of one `_row_kind` in a stack: the frozen rate a(v),
+    the mass-asymmetry rate and the pointwise substep built from them.
+
+    Each row's operands are built from its scenario alone, by the
+    expressions a single run uses, and then stacked (`_stacked`), so each
+    row steps bit for bit as it would alone.
+    """
+
+    def __init__(self, scenarios: list, rows: slice):
+        self.scenarios, self.rows = scenarios, rows
+        self.explicit, self.nonlinear = _row_kind(scenarios[0])
+        grid, dt = scenarios[0].grid, scenarios[0].dt
+        self.grid, self.dt = grid, dt
+        params = [s.params for s in scenarios]
+        zs = [p.zeta for p in params]
+        self.z = _stacked(zs)
+        self.kinetic_coeff = _stacked([_kinetic_coeff(p) for p in params])
+        # i nu / z with nu = (z^2/4)(1/m0 - 1/m1)
+        self.asymmetry_coeff = _stacked(
+            [1j * (0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
+        base_a = []
+        for s, z in zip(scenarios, zs):
+            vg0, vg1 = s.potentials.vg_values(0, grid), s.potentials.vg_values(1, grid)
+            # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
+            base_a.append((vg1 - 1j * vg0) / z)
+        self.base_a = _stacked(base_a)
+        self.rk2_base = _stacked([_rk2_multiplier(a, dt) for a in base_a])
         self.floor_engaged = False
 
     def frozen_rate(self, v: np.ndarray) -> np.ndarray:
@@ -265,20 +305,28 @@ class _GeneralizedStepper:
         if engaged and not self.floor_engaged:
             self.floor_engaged = True
             warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
-        pot = self.scenario.potentials
-        if pot.mode == SYMMETRIC_CLOSURE:
-            vc0, vc1 = closure_couplings(lap_s0, lap_s1, self.scenario.params)
+        if len(self.scenarios) == 1:
+            vc0, vc1 = self._couplings(self.scenarios[0], lap_s0, lap_s1)
         else:
-            vc0, vc1 = pot.vc_values(0, grid), pot.vc_values(1, grid)
+            vc0, vc1 = np.empty_like(lap_s0), np.empty_like(lap_s1)
+            for j, scenario in enumerate(self.scenarios):
+                vc0[j], vc1[j] = self._couplings(scenario, lap_s0[j], lap_s1[j])
         coeff = self.kinetic_coeff
         c0 = trust * (vc0 - coeff * lap_s1)
         c1 = trust * (vc1 + coeff * lap_s0)
         # (1/iz) * [c0 + i*c1] = (c1 - i*c0)/z
         return self.base_a + (c1 - 1j * c0) / self.z
 
+    def _couplings(self, scenario: WaveScenario, lap_s0, lap_s1):
+        """(Vc0, Vc1) of one row: the closure rule or the stored potentials."""
+        pot = scenario.potentials
+        if pot.mode == SYMMETRIC_CLOSURE:
+            return closure_couplings(lap_s0, lap_s1, scenario.params)
+        return pot.vc_values(0, self.grid), pot.vc_values(1, self.grid)
+
     def asymmetry_rate(self, v: np.ndarray) -> np.ndarray:
         """i nu W(v) / z, the mass-asymmetry term as a rate."""
-        return 1j * self.nu / self.z * _asymmetry_potential(
+        return self.asymmetry_coeff * _asymmetry_potential(
             v, self.grid, SLAVED_AMPLITUDE_FLOOR)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
@@ -294,6 +342,46 @@ class _GeneralizedStepper:
         return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
 
 
+class _GeneralizedStepper:
+    """The generalized equation for a (P, N) stack of WaveScenarios: the
+    kinetic multipliers, which step the term i * kinetic_coeff * lap psi
+    exactly, and the pointwise substep of each `_RowGroup`.
+
+    Row p belongs to scenarios[p]. The rows share the grid and dt and may
+    differ in masses, zeta, potentials, closure mode and nonlinear term.
+    A stepper of one row steps an (N,) state.
+    """
+
+    def __init__(self, scenarios):
+        self.scenarios = scenarios = list(scenarios)
+        grid, dt = scenarios[0].grid, scenarios[0].dt
+        self.grid, self.dt = grid, dt
+        half, full = zip(*(_kinetic_multipliers(grid, _kinetic_coeff(s.params), dt)
+                           for s in scenarios))
+        self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
+        # the stepped kinetic term is z^2 k^2 / (4 m_red): kinetic mass 2 m_red
+        self.energy_terms = [(s.potentials.vg_values(0, grid), s.params.zeta,
+                              2.0 * s.params.reduced_mass) for s in scenarios]
+        self.groups, start = [], 0
+        for _, members in itertools.groupby(scenarios, _row_kind):
+            members = list(members)
+            self.groups.append(_RowGroup(members, slice(start, start + len(members))))
+            start += len(members)
+
+    def select(self, keep) -> "_GeneralizedStepper":
+        """The stepper of the rows `keep` only."""
+        return _GeneralizedStepper([self.scenarios[i] for i in keep])
+
+    def pointwise(self, v: np.ndarray) -> np.ndarray:
+        """Pointwise substep of the stack, one call per group of rows."""
+        if len(self.groups) == 1:
+            return self.groups[0].pointwise(v)
+        out = np.empty_like(v)
+        for group in self.groups:
+            out[group.rows] = group.pointwise(v[group.rows])
+        return out
+
+
 def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     """Full right-hand side dpsi/dt of the scenario's generalized wave
     equation at psi, from the stepper's kinetic coefficient and rates.
@@ -304,21 +392,30 @@ def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     v = psi.values
     if not np.all(np.isfinite(v)):
         raise NonFiniteFieldError("non-finite field")
-    stepper = _GeneralizedStepper(scenario)
-    rate = stepper.frozen_rate(v)
-    if stepper.nonlinear:
-        rate = rate + stepper.asymmetry_rate(v)
+    (terms,) = _GeneralizedStepper([scenario]).groups
+    rate = terms.frozen_rate(v)
+    if terms.nonlinear:
+        rate = rate + terms.asymmetry_rate(v)
     lap = spectral_derivative_values(v, psi.grid, 2)
-    out = 1j * stepper.kinetic_coeff * lap + rate * v
+    out = 1j * terms.kinetic_coeff * lap + rate * v
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("non-finite right-hand side")
     return ComplexField(out, psi.grid)
 
 
 def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
-    """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) with adjacent
-    kinetic half-steps merged: 2 FFTs per step plus one pair per call.
-    The returned state is the full Strang state after the last step."""
+    """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
+    stack v (an (N,) state for a stepper of one row), with adjacent kinetic
+    half-steps merged: 2 FFT calls per step for the whole stack plus one
+    pair per call, whatever P is; a group of mass-asymmetric or
+    explicit-closure rows adds 4 calls per step. The returned state is the
+    full Strang state after the last step.
+
+    Each row is bitwise equal to that row stepped alone, because a batched
+    FFT row equals the 1-D transform of the row. The multipliers' operand
+    order is part of that byte contract: `K * fft(v)` and `u *= K` can
+    differ from `fft(v) * K` and `u = K * u` in the last bit.
+    """
     u = stepper.kinetic_half * np.fft.fft(v)
     for i in range(1, n_steps + 1):
         u = np.fft.fft(stepper.pointwise(np.fft.ifft(u)))
@@ -327,43 +424,113 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
 
 
 def _integrate(stepper, v: np.ndarray, n_steps: int,
-               snapshot_every: int) -> WaveRun:
-    """Snapshots every `snapshot_every` steps and after the last; raises
-    BlowUpError carrying the partial WaveRun on overflow or non-finite state,
-    and at a snapshot whose norm has underflowed to zero (no diagnostic or
-    inverse map is defined there)."""
+               snapshot_every: int) -> list:
+    """Step the (P, N) stack v with snapshots every `snapshot_every` steps
+    and after the last; returns for each row its WaveRun, or the
+    BlowUpError, carrying the partial WaveRun, that stopped it.
+
+    A row stops on overflow or a non-finite state, and at a snapshot whose
+    norm has underflowed to zero (no diagnostic or inverse map is defined
+    there); rows are checked at snapshot steps only. The other rows go on
+    with the stepper of the rows left (`stepper.select`, needed only for
+    P > 1), which is bitwise safe because every segment already starts
+    from the full Strang state.
+    """
     grid, dt = stepper.grid, stepper.dt
-    energy_terms = (stepper.vg0, stepper.z, stepper.mass)
-    run = WaveRun(snapshots=[_snapshot(0.0, v, grid, *energy_terms)])
+    runs = [WaveRun(snapshots=[snap])
+            for snap in _snapshots(0.0, v, grid, stepper.energy_terms)]
+    results = list(runs)
+    alive = list(range(len(runs)))
     for start in range(0, n_steps, snapshot_every):
         step = min(start + snapshot_every, n_steps)
-        v = _strang_steps(v, stepper, step - start)
-        amax = float(np.max(np.abs(v))) if np.all(np.isfinite(v)) else math.inf
-        if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
-            raise BlowUpError(f"blow-up at step {step}", step=step, partial=run)
-        snap = _snapshot(step * dt, v, grid, *energy_terms)
-        if snap.norm == 0.0:
-            raise BlowUpError(f"norm underflowed to zero at step {step}",
-                              step=step, partial=run)
-        run.snapshots.append(snap)
-    return run
+        # a stepper of one row steps an (N,) state
+        v = _strang_steps(v.reshape(stepper.kinetic_half.shape), stepper,
+                          step - start).reshape(v.shape)
+        bounded = []
+        for row, run_index in enumerate(alive):
+            amax = (float(np.max(np.abs(v[row]))) if np.all(np.isfinite(v[row]))
+                    else math.inf)
+            if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
+                results[run_index] = BlowUpError(
+                    f"blow-up at step {step}", step=step, partial=runs[run_index])
+            else:
+                bounded.append(row)
+        snaps = _snapshots(step * dt, v[bounded], grid,
+                           [stepper.energy_terms[row] for row in bounded])
+        keep = []
+        for row, snap in zip(bounded, snaps):
+            run_index = alive[row]
+            if snap.norm == 0.0:
+                results[run_index] = BlowUpError(
+                    f"norm underflowed to zero at step {step}", step=step,
+                    partial=runs[run_index])
+            else:
+                runs[run_index].snapshots.append(snap)
+                keep.append(row)
+        if len(keep) < len(alive):
+            if not keep:
+                break
+            alive = [alive[row] for row in keep]
+            v = v[keep]
+            stepper = stepper.select(keep)
+    return results
+
+
+def _runs_or_raise(results: list) -> list:
+    """The WaveRuns of `results`; raises the first BlowUpError among them."""
+    for result in results:
+        if isinstance(result, BlowUpError):
+            raise result
+    return results
 
 
 def step_splitstep(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     """One Strang step of the generalized equation (kinetic/pointwise/kinetic)."""
-    stepper = _GeneralizedStepper(scenario)
+    stepper = _GeneralizedStepper([scenario])
     return ComplexField(_strang_steps(psi.values, stepper, 1), psi.grid)
 
 
-def _snapshot(t: float, v: np.ndarray, grid: Grid1D, vg0: np.ndarray,
-              z: float, mass: float) -> Snapshot:
-    """Snapshot of v with its norm and its energy, the integral of
-    (z^2/2 mass) |grad psi|^2 + Vg0 |psi|^2 for the kinetic mass `mass`."""
-    psi = ComplexField(v.copy(), grid)
-    norm = float(np.sum(v.real * v.real + v.imag * v.imag) * grid.dx)
-    grad = spectral_derivative_values(v, grid, 1)
-    dens = (z ** 2 / (2.0 * mass)) * np.abs(grad) ** 2 + vg0 * np.abs(v) ** 2
-    return Snapshot(t=t, psi=psi, norm=norm, energy=float(np.sum(dens) * grid.dx))
+def _snapshots(t: float, v: np.ndarray, grid: Grid1D, energy_terms) -> list:
+    """Snapshots of the rows of the (P, N) stack v with each norm and energy.
+
+    The energy is the integral of (z^2/2 mass) |grad psi|^2 + Vg0 |psi|^2,
+    with each row's (vg0, z, mass) from `energy_terms` and `mass` the
+    kinetic mass.
+    """
+    grads = spectral_derivative_values(v, grid, 1)
+    snaps = []
+    for row, grad, (vg0, z, mass) in zip(v, grads, energy_terms):
+        norm = float(np.sum(row.real * row.real + row.imag * row.imag) * grid.dx)
+        dens = (z ** 2 / (2.0 * mass)) * np.abs(grad) ** 2 + vg0 * np.abs(row) ** 2
+        snaps.append(Snapshot(t=t, psi=ComplexField(row.copy(), grid), norm=norm,
+                              energy=float(np.sum(dens) * grid.dx)))
+    return snaps
+
+
+def evolve_many(scenarios) -> list:
+    """Integrate many scenarios; those that share the grid, dt, n_steps and
+    snapshot cadence step together as one (P, N) stack.
+
+    Returns, in input order, each scenario's WaveRun or the BlowUpError,
+    carrying its partial WaveRun, that stopped it (see `evolve`); a row that
+    stops leaves its stack and the others go on. Every run is bitwise equal
+    to `evolve` of its scenario alone.
+    """
+    results = [None] * len(scenarios)
+    stacks = {}
+    for index, s in enumerate(scenarios):
+        key = (s.grid, s.dt, s.n_steps, s.snapshot_every)
+        stacks.setdefault(key, []).append(index)
+    for (_, _, n_steps, snapshot_every), indices in stacks.items():
+        # rows of one kind side by side share their pointwise substep
+        indices.sort(key=lambda index: _row_kind(scenarios[index]))
+        stack = [scenarios[index] for index in indices]
+        runs = _integrate(_GeneralizedStepper(stack),
+                          np.stack([s.psi0.values for s in stack]),
+                          n_steps, snapshot_every)
+        for index, run in zip(indices, runs):
+            results[index] = run
+    return results
 
 
 def evolve(scenario: WaveScenario) -> WaveRun:
@@ -373,8 +540,7 @@ def evolve(scenario: WaveScenario) -> WaveRun:
     partial WaveRun if the state overflows, goes non-finite or its norm
     underflows to zero mid-run.
     """
-    return _integrate(_GeneralizedStepper(scenario), scenario.psi0.values,
-                      scenario.n_steps, scenario.snapshot_every)
+    return _runs_or_raise(evolve_many([scenario]))[0]
 
 
 # --------------------------------------------------------------------------
@@ -382,15 +548,14 @@ def evolve(scenario: WaveScenario) -> WaveRun:
 # --------------------------------------------------------------------------
 
 class _ReferenceStepper:
-    """Kinetic multipliers and linear substep of i*z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi."""
+    """Kinetic multipliers and linear substep of i*z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi,
+    a stepper of one row."""
 
     def __init__(self, grid: Grid1D, vg0: np.ndarray, mass: float, z: float,
                  dt: float):
         self.grid = grid
-        self.z = z
-        self.mass = mass
-        self.vg0 = vg0
         self.dt = dt
+        self.energy_terms = [(vg0, z, mass)]
         self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
             grid, z / (2.0 * mass), dt)
         self.rk2 = _rk2_multiplier(-1j * vg0 / z, dt)
@@ -416,7 +581,8 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
     vg0_values = vg0.values if isinstance(vg0, RealField) else (
         np.zeros(grid.n_points) if vg0 is None else np.asarray(vg0, dtype=float))
     stepper = _ReferenceStepper(grid, vg0_values, mass, zeta, dt)
-    return _integrate(stepper, psi0.values, n_steps, snapshot_every)
+    return _runs_or_raise(
+        _integrate(stepper, psi0.values[None], n_steps, snapshot_every))[0]
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +614,8 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
     grid = channels.grid
     vg0 = pot.vg_values(0, grid)
+    energy_terms = [(vg0, p.zeta, 2.0 * p.reduced_mass)]
     return WaveRun(snapshots=[
-        _snapshot(t, to_wavefunction(state.channels[0], state.channels[1], p).values,
-                  grid, vg0, p.zeta, 2.0 * p.reduced_mass)
+        _snapshots(t, to_wavefunction(state.channels[0], state.channels[1],
+                                      p).values[None], grid, energy_terms)[0]
         for t, state in zip(traj.times, traj.states)])

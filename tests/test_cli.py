@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,14 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualwave.cli import load_config, main
+from dualwave.cli import _sweep_point, _sweep_value_spec, load_config, main
 from dualwave.core import BlowUpError
 from dualwave.diagnostics import summarize_run
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import integrate_rk4
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
-from dualwave.wavesolver import evolve
+from dualwave.wavesolver import NONLINEAR_OFF, evolve
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -144,6 +146,26 @@ class TestRun:
         assert np.all(rows[:, 1] > 0.0)
         assert np.all(np.isfinite(parse_csv(tmp_path / "underflow_snapshots.csv")))
 
+    @pytest.mark.parametrize("command, last", [
+        (["run"], "blow-up: partial output written to "),
+        (["sweep", "--param", "lambda_Vg1", "--values", "1000"],
+         "sweep aborted: blow-up at step 100"),
+    ])
+    def test_amplitude_floor_warning_is_one_line(self, tmp_path, capsys,
+                                                 command, last):
+        cfg = tmp_path / "explicit.ini"
+        cfg.write_text(UNDERFLOW_INI.replace(
+            "label = underflow\n", "label = underflow\nclosure_mode = explicit\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # as outside the test suite
+            code = main([command[0], "--config", str(cfg), *command[1:],
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0] == "warning: amplitude floor engaged"
+        assert err[1].startswith(last)
+
     def test_oscillator_run(self, tmp_path):
         code = main(["run", "--scenario", "ck_damped", "--out", str(tmp_path)])
         assert code == 0
@@ -270,6 +292,44 @@ class TestSweep:
         assert code == 3
         assert capsys.readouterr().err == (
             "sweep aborted: norm underflowed to zero at step 600\n")
+
+    def test_blow_up_keeps_finished_points(self, tmp_path, capsys):
+        cfg = tmp_path / "underflow.ini"
+        cfg.write_text(UNDERFLOW_INI)
+        code = main(["sweep", "--config", str(cfg), "--param", "lambda_Vg1",
+                     "--values", "1000,0.5", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "sweep aborted: norm underflowed to zero at step 600\n")
+        path = tmp_path / "out" / "underflow_sweep_lambda_Vg1.csv"
+        lines = read_lines(path)
+        assert lines[-1] == ("# lambda_Vg1=1000: "
+                             "norm underflowed to zero at step 600")
+        cells = data_cells(path)
+        assert [row[:2] for row in cells] == [["lambda_Vg1", "0.5"]]
+        assert_canonical(row[1:] for row in cells)
+
+    @pytest.mark.parametrize("name, param, values", [
+        ("residual_mass_plane_wave", "m1", (1.5, 1.0, 1.1)),
+        ("plane_wave_dispersion", "zeta", (1.0, 2.0)),
+        ("norm_drift_constant_Vg1", "lambda_Vg1", (0.25, 0.5)),
+        ("plane_wave_dispersion", "dt", (1e-3, 5e-4)),
+    ])
+    def test_rows_equal_single_runs(self, tmp_path, name, param, values):
+        """The stacked sweep writes the cells that one-row runs give."""
+        code = main(["sweep", "--scenario", name, "--param", param,
+                     "--values", ",".join(map(repr, values)),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        expected = []
+        for value in sorted(values):
+            spec = _sweep_value_spec(builtin_by_name(name), param, value)
+            scenario = expand(spec, DEFAULT_GRID).scenario
+            off = (evolve(dataclasses.replace(scenario, nonlinear_term=NONLINEAR_OFF))
+                   if scenario.nonlinear_active else None)
+            row = _sweep_point(scenario, evolve(scenario), off)
+            expected.append([param] + ["%.17g" % c for c in (value, *row)])
+        assert data_cells(tmp_path / f"{name}_sweep_{param}.csv") == expected
 
     def test_zeta_sweep_doubles_phase_rate(self, tmp_path):
         code = main(["sweep", "--scenario", "plane_wave_dispersion",

@@ -23,10 +23,12 @@ from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
 from dualwave.wavesolver import (
     NONLINEAR_OFF,
     NONLINEAR_ON,
+    WaveRun,
     WaveScenario,
     _asymmetry_potential,
     coevolved_wavefunction_run,
     evolve,
+    evolve_many,
     generalized_rhs,
     schrodinger_reference,
     step_splitstep,
@@ -267,6 +269,31 @@ class TestEvolve:
         assert np.max(np.abs(rhob - np.roll(rho0, cells))) < 1e-6
 
 
+def fft_calls_per_step(monkeypatch, scenarios) -> int:
+    """FFT calls per time step of `evolve_many(scenarios)`, counted exactly
+    from two runs that differ only in their step count."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fft_name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, fft_name, counting(getattr(np.fft, fft_name)))
+
+    def count(n):
+        calls[0] = 0
+        runs = evolve_many([dataclasses.replace(s, n_steps=n, snapshot_every=n)
+                            for s in scenarios])
+        assert all(isinstance(run, WaveRun) for run in runs)
+        return calls[0]
+
+    # set-up and snapshot work cancel in the difference
+    return (count(6) - count(3)) // 3
+
+
 class TestLoopDriver:
     """`evolve` merges the kinetic half-steps of consecutive Strang steps
     between snapshots; a loop of single steps is the unmerged reference."""
@@ -320,25 +347,104 @@ class TestLoopDriver:
                                    mode=SYMMETRIC_CLOSURE)
             scenario = dataclasses.replace(scenario, potentials=closure,
                                            **changes)
-        calls = [0]
+        assert fft_calls_per_step(monkeypatch, [scenario]) == per_step
 
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls[0] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
+    @pytest.mark.parametrize("kinds, per_step", [
+        (("linear",), 2),
+        (("linear",) * 4, 2),
+        (("nonlinear",), 6),
+        (("nonlinear", "linear"), 6),
+        (("nonlinear", "linear") * 4, 6),  # a sweep of m1 over four values
+        (("explicit",) * 3, 6),
+        (("linear", "nonlinear", "explicit"), 10),
+        (("explicit", "nonlinear", "linear") * 2, 10),
+    ])
+    def test_fft_calls_per_step_of_a_stack(self, monkeypatch, kinds, per_step):
+        """The counts hold per stack, whatever its number of rows: 2 for
+        the stack, plus 4 for each row kind whose substep needs gradients."""
+        base = expand(builtin_by_name("residual_mass_plane_wave"), GRID).scenario
+        closure = PotentialSet(vg=base.potentials.vg, mode=SYMMETRIC_CLOSURE)
+        changes = {"linear": {"nonlinear_term": NONLINEAR_OFF},
+                   "nonlinear": {},
+                   "explicit": {"nonlinear_term": NONLINEAR_OFF,
+                                "closure_mode": EXPLICIT, "potentials": closure}}
+        stack = [dataclasses.replace(
+            base, params=DualParams(masses=(1.0, 1.1 + 0.1 * i)), **changes[kind])
+            for i, kind in enumerate(kinds)]
+        assert fft_calls_per_step(monkeypatch, stack) == per_step
 
-        for fft_name in ("fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(np.fft, fft_name,
-                                counting(getattr(np.fft, fft_name)))
 
-        def count(n):
-            calls[0] = 0
-            evolve(dataclasses.replace(scenario, n_steps=n, snapshot_every=n))
-            return calls[0]
+def assert_same_run(got: WaveRun, want: WaveRun):
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a.t == b.t and a.norm == b.norm and a.energy == b.energy
+        assert np.array_equal(a.psi.values, b.psi.values)
 
-        # set-up and snapshot work cancel in the difference
-        assert count(6) - count(3) == 3 * per_step
+
+class TestStackedRows:
+    """`evolve_many` steps the runs that share their stepping as one (P, N)
+    stack; each row must come out bitwise equal to its scenario alone."""
+
+    @staticmethod
+    def mixed_stack():
+        """Linear, mass-asymmetric, explicit-closure and explicit
+        mass-asymmetric rows at masses (1, 1) and (1, 1.5) and zeta 1 and 2,
+        listed out of kind order, plus a row that overflows at step 50."""
+        x = GRID.x
+        zeros = PotentialSet.zeros(GRID, 2)
+        closure = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
+        harmonic = PotentialSet((RealField(0.5 * x ** 2, GRID), RealField.zeros(GRID)),
+                                None, SYMMETRIC_CLOSURE)
+        growing = PotentialSet((RealField.zeros(GRID),
+                                RealField(np.full(GRID.n_points, 1e5), GRID)), None)
+        _, wave = plane_wave()
+        packet = unit_gaussian(k=2.0)
+        sym2 = DualParams(masses=(1.0, 1.0), zeta=2.0)
+        asym1 = DualParams(masses=(1.0, 1.5))
+        asym2 = DualParams(masses=(1.0, 1.5), zeta=2.0)
+        rows = [
+            (wave, asym1, zeros, {}),
+            (packet, P_SYM, harmonic, {}),
+            (packet, P_SYM, closure, {"closure_mode": EXPLICIT}),
+            (packet, P_SYM, growing, {}),
+            (packet, asym2, zeros, {}),
+            (wave, asym2, zeros, {"nonlinear_term": NONLINEAR_OFF}),
+            (wave, sym2, zeros, {"closure_mode": EXPLICIT}),
+            (packet, asym1, closure, {"closure_mode": EXPLICIT}),
+            (wave, sym2, harmonic, {}),
+        ]
+        return [WaveScenario(psi0=psi, params=p, potentials=pot, dt=1e-5,
+                             n_steps=60, snapshot_every=25, **changes)
+                for psi, p, pot, changes in rows]
+
+    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
+    def test_rows_bitwise_equal_single_runs(self):
+        stack = self.mixed_stack()
+        results = evolve_many(stack)
+        assert len(results) == len(stack)
+        for scenario, got in zip(stack, results):
+            try:
+                want = evolve(scenario)
+            except BlowUpError as err:
+                want = err
+            assert type(got) is type(want)
+            if isinstance(want, BlowUpError):
+                assert (got.step, str(got)) == (want.step, str(want))
+                got, want = got.partial, want.partial
+            assert_same_run(got, want)
+        failed = [r for r in results if isinstance(r, BlowUpError)]
+        assert [(err.step, len(err.partial.snapshots)) for err in failed] == [(50, 2)]
+        assert all(len(r.snapshots) == 4 for r in results if r not in failed)
+
+    def test_rows_of_other_stepping_form_their_own_stack(self):
+        base = expand(builtin_by_name("plane_wave_dispersion"), GRID).scenario
+        short = dataclasses.replace(base, n_steps=40, snapshot_every=20)
+        fine = dataclasses.replace(short, dt=5e-4, n_steps=80)
+        results = evolve_many([short, fine, short])
+        for scenario, got in zip((short, fine, short), results):
+            assert_same_run(got, evolve(scenario))
+        assert results[1].final.t == results[0].final.t == 0.04
 
 
 class TestSymmetricLimit:

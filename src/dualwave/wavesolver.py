@@ -173,10 +173,7 @@ class WaveRun:
 
 def _stacked(values):
     """Per-row values stacked along a leading row axis: arrays to (P, N),
-    scalars to a (P, 1) column. One row is kept as it is, so a single run
-    steps on (N,) arrays and Python scalars."""
-    if len(values) == 1:
-        return values[0]
+    scalars to a (P, 1) column."""
     if isinstance(values[0], np.ndarray):
         return np.stack(values)
     return np.reshape(values, (-1, 1))
@@ -196,16 +193,17 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     there the phase is rounding noise and the extracted fields are
     meaningless, so coupling terms built from them must be switched off.
 
-    `v` is one state or a (P, N) stack whose rows are treated apart, with
-    `scale` a scalar or a (P, 1) column; `engaged` is one flag for all rows.
-    Raises DegenerateWavefunctionError for a row identically zero.
+    The rows of `v` along its last axis are treated apart, with `scale` a
+    scalar or a column per row; `engaged` is one flag for all rows. Raises
+    DegenerateWavefunctionError for a row identically zero.
     """
-    amax = np.atleast_1d(np.max(np.abs(v), axis=-1)).tolist()
-    if 0.0 in amax:
+    amax = np.max(np.abs(v), axis=-1, keepdims=True)
+    if not amax.all():
         raise DegenerateWavefunctionError("degenerate wavefunction")
     rho = v.real * v.real + v.imag * v.imag
-    # each row's floor from its Python float, as for a single state
-    floor2 = _stacked([(SLAVED_AMPLITUDE_FLOOR * a) ** 2 for a in amax])
+    # each row's floor from its Python float
+    floor2 = np.reshape([(SLAVED_AMPLITUDE_FLOOR * a) ** 2
+                         for a in amax.ravel().tolist()], amax.shape)
     engaged = bool(np.any(rho < floor2))
     trust = rho / (rho + floor2)
     s1 = -0.5 * scale * np.log(rho + floor2)
@@ -217,7 +215,7 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     # as a linear-in-x term, which the Laplacian cannot see anyway.
     d = wrapped_phase_differences(np.angle(v))
     d *= trust * np.roll(trust, -1, axis=-1)
-    d -= np.mean(d, axis=-1, keepdims=v.ndim > 1)
+    d -= np.mean(d, axis=-1, keepdims=True)
     s0_periodic = np.empty_like(d)
     s0_periodic[..., 0] = 0.0
     np.cumsum(d[..., :-1], axis=-1, out=s0_periodic[..., 1:])
@@ -230,11 +228,11 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
 
 def _asymmetry_potential(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
     """W = |grad psi|^2 / |psi|^2, the denominator floored at (eps max|psi|)^2,
-    for one state or for each row of a (P, N) stack."""
+    for each row of v along its last axis."""
     grad = spectral_derivative_values(v, grid, 1)
     rho = v.real * v.real + v.imag * v.imag
     return (grad.real * grad.real + grad.imag * grad.imag) / np.maximum(
-        rho, eps * eps * np.max(rho, axis=-1, keepdims=rho.ndim > 1))
+        rho, eps * eps * np.max(rho, axis=-1, keepdims=True))
 
 
 # --------------------------------------------------------------------------
@@ -305,12 +303,9 @@ class _RowGroup:
         if engaged and not self.floor_engaged:
             self.floor_engaged = True
             warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
-        if len(self.scenarios) == 1:
-            vc0, vc1 = self._couplings(self.scenarios[0], lap_s0, lap_s1)
-        else:
-            vc0, vc1 = np.empty_like(lap_s0), np.empty_like(lap_s1)
-            for j, scenario in enumerate(self.scenarios):
-                vc0[j], vc1[j] = self._couplings(scenario, lap_s0[j], lap_s1[j])
+        vc0, vc1 = np.empty_like(lap_s0), np.empty_like(lap_s1)
+        for j, scenario in enumerate(self.scenarios):
+            vc0[j], vc1[j] = self._couplings(scenario, lap_s0[j], lap_s1[j])
         coeff = self.kinetic_coeff
         c0 = trust * (vc0 - coeff * lap_s1)
         c1 = trust * (vc1 + coeff * lap_s0)
@@ -349,7 +344,6 @@ class _GeneralizedStepper:
 
     Row p belongs to scenarios[p]. The rows share the grid and dt and may
     differ in masses, zeta, potentials, closure mode and nonlinear term.
-    A stepper of one row steps an (N,) state.
     """
 
     def __init__(self, scenarios):
@@ -389,7 +383,7 @@ def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     In explicit mode the S fields are extracted from psi; in
     symmetric_closure mode the coupling terms are cancelled analytically.
     """
-    v = psi.values
+    v = psi.values[None]
     if not np.all(np.isfinite(v)):
         raise NonFiniteFieldError("non-finite field")
     (terms,) = _GeneralizedStepper([scenario]).groups
@@ -400,16 +394,16 @@ def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     out = 1j * terms.kinetic_coeff * lap + rate * v
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("non-finite right-hand side")
-    return ComplexField(out, psi.grid)
+    return ComplexField(out[0], psi.grid)
 
 
 def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
     """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
-    stack v (an (N,) state for a stepper of one row), with adjacent kinetic
-    half-steps merged: 2 FFT calls per step for the whole stack plus one
-    pair per call, whatever P is; a group of mass-asymmetric or
-    explicit-closure rows adds 4 calls per step. The returned state is the
-    full Strang state after the last step.
+    stack v, with adjacent kinetic half-steps merged: 2 FFT calls per step
+    for the whole stack plus one pair per call, whatever P is; a group of
+    mass-asymmetric or explicit-closure rows adds 4 calls per step. A single
+    run is a (1, N) stack. The returned state is the full Strang state after
+    the last step.
 
     Each row is bitwise equal to that row stepped alone, because a batched
     FFT row equals the 1-D transform of the row. The multipliers' operand
@@ -443,9 +437,7 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
     alive = list(range(len(runs)))
     for start in range(0, n_steps, snapshot_every):
         step = min(start + snapshot_every, n_steps)
-        # a stepper of one row steps an (N,) state
-        v = _strang_steps(v.reshape(stepper.kinetic_half.shape), stepper,
-                          step - start).reshape(v.shape)
+        v = _strang_steps(v, stepper, step - start)
         bounded = []
         for row, run_index in enumerate(alive):
             amax = (float(np.max(np.abs(v[row]))) if np.all(np.isfinite(v[row]))
@@ -487,7 +479,7 @@ def _runs_or_raise(results: list) -> list:
 def step_splitstep(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     """One Strang step of the generalized equation (kinetic/pointwise/kinetic)."""
     stepper = _GeneralizedStepper([scenario])
-    return ComplexField(_strang_steps(psi.values, stepper, 1), psi.grid)
+    return ComplexField(_strang_steps(psi.values[None], stepper, 1)[0], psi.grid)
 
 
 def _snapshots(t: float, v: np.ndarray, grid: Grid1D, energy_terms) -> list:

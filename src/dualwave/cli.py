@@ -96,9 +96,7 @@ def _wave_tables(expanded: ExpandedWave):
                 v.real * v.real + v.imag * v.imag,
                 inv.s0.values, inv.s1.values))
 
-    # the stepped kinetic term is zeta^2 k^2 / (4 m_red), so the
-    # probability flux carries the mass 2 m_red (m0 only when m0 == m1)
-    reports = summarize_run(run, 2.0 * scenario.params.reduced_mass,
+    reports = summarize_run(run, scenario.params.kinetic_mass,
                             scenario.params.zeta)
     summary = np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
                          r.continuity_residual_l2) for r in reports])

@@ -344,6 +344,13 @@ class DualParams:
         return 1.0 / (1.0 / self.m0 + 1.0 / self.m1)
 
     @property
+    def kinetic_mass(self) -> float:
+        """2 m_red: the wave equation's kinetic term is zeta^2 k^2 / (4 m_red),
+        so its energy and probability flux carry this mass (m0 only when
+        m0 == m1)."""
+        return 2.0 * self.reduced_mass
+
+    @property
     def residual_inv_mass(self) -> float:
         """1/m0 - 1/m1; exactly zero iff m0 == m1."""
         if self.m0 == self.m1:

@@ -149,7 +149,7 @@ class PotentialSet:
 def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
     """The closure rule (Vc0, Vc1) = ((zeta/4m) lap S1, -(zeta/4m) lap S0):
     the coupling potentials that cancel the wave equation's Laplacian terms."""
-    coeff = p.zeta / (4.0 * p.reduced_mass)
+    coeff = p.zeta / (2.0 * p.kinetic_mass)
     return coeff * lap_s1, -coeff * lap_s0
 
 

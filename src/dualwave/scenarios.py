@@ -79,7 +79,6 @@ class ScenarioSpec:
 @dataclass(frozen=True)
 class ExpandedWave:
     scenario: WaveScenario
-    spec: ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class ExpandedHJ:
     potentials: PotentialSet
     params: DualParams
     integration: Integration
-    spec: ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class ExpandedOscillator:
     state0: np.ndarray
     params: OscParams
     integration: Integration
-    spec: ScenarioSpec
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +251,7 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
             closure_mode=spec.closure_mode,
             nonlinear_term=spec.nonlinear_term,
         )
-        return ExpandedWave(scenario=scenario, spec=spec)
+        return ExpandedWave(scenario=scenario)
 
     if spec.kind == KIND_HJ:
         descs = spec.initial.get("channels")
@@ -274,7 +271,7 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
         pot = _expand_potentials(spec, grid, len(fields))
         return ExpandedHJ(channels=channels, potentials=pot,
                           params=spec.dual_params(),
-                          integration=spec.integration, spec=spec)
+                          integration=spec.integration)
 
     if spec.kind == KIND_OSCILLATOR:
         osc = spec.osc
@@ -291,7 +288,7 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
         return ExpandedOscillator(
             formalism=formalism, rhs=lambda s: table.rhs(s, params),
             state0=state0[:len(table.columns)],
-            params=params, integration=spec.integration, spec=spec)
+            params=params, integration=spec.integration)
 
     raise ConfigurationError(f"unknown scenario kind {spec.kind!r}")
 

@@ -23,18 +23,17 @@ adjacent kinetic half-steps are merged into one full step, and every
 snapshot holds the full Strang state.
 
 The loop driver steps a (P, N) stack of runs that share the grid, dt,
-step count and snapshot cadence (`evolve_many`; `evolve` is a one-row
-stack). Each row is bitwise equal to its run stepped alone: a batched FFT
-row equals the 1-D transform, each row's multipliers and scalars come
-from the single-run expressions, and the operand order of every
-multiplier product is kept (`K * fft(v)` and `u *= K`, not `fft(v) * K`),
-since on some machines the two orders differ in the last bit.
+step count, snapshot cadence and row kind, that is closure mode and
+nonlinear term (`evolve_many`; `evolve` is a one-row stack). Each row is
+bitwise equal to its run stepped alone: a batched FFT row equals the 1-D
+transform, each row's multipliers and scalars come from the single-run
+expressions, and the operand order of every multiplier product is kept
+(`K * fft(v)` and `u *= K`, not `fft(v) * K`), since on some machines the
+two orders differ in the last bit.
 
-FFT counts hold per stack, not per row. A step costs 2 FFT calls for the
-stack, plus 4 for its mass-asymmetric rows (two gradients) and 4 for its
-explicit-closure rows (two Laplacians), each group of rows of one kind
-batched (rows of both kinds form a group of their own, at 8): a linear
-stack takes 2 and a mass-asymmetric or an explicit one 6, whatever P is.
+FFT counts hold per stack, not per row: a step costs 2 FFT calls, plus 4
+in a mass-asymmetric stack (two gradients) and 4 in an explicit-closure
+stack (two Laplacians), so 2, 6, 6 or 10, whatever P is.
 `evolve` and the reference solver share this loop driver and the snapshot
 diagnostics but assemble their multipliers separately. The equation's
 terms are written once, in the stepper; `generalized_rhs` evaluates the
@@ -44,12 +43,15 @@ In `symmetric_closure` mode the bracketed coupling terms are cancelled
 analytically (they are identically zero when the coupling potentials equal
 the closure Laplacians), so no extraction runs and, with m0 == m1 and
 Vg1 == 0, the stepped equation is algebraically the linear Schrodinger
-equation. `explicit` mode evaluates every term numerically.
+equation. `explicit` mode evaluates every term numerically. With the
+closure-rule potentials its coupling terms are exactly zero (the stepper
+subtracts the very products `closure_couplings` returns), so that route is
+bitwise the analytic one: a wiring check, not an independent
+discretization.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,6 +120,15 @@ class WaveScenario:
         if self.nonlinear_term not in (NONLINEAR_ON, NONLINEAR_OFF, NONLINEAR_AUTO):
             raise ConfigurationError(
                 f"unknown nonlinear_term {self.nonlinear_term!r}")
+        # the stepper divides the guiding potentials by zeta, as complex
+        # numbers, which gives NaN once 1/zeta overflows even where Vg = 0
+        z = self.params.zeta
+        rate = max(float(np.max(np.abs(self.potentials.vg_values(i, self.grid))))
+                   for i in (0, 1)) / z
+        if not (math.isfinite(rate) and math.isfinite(1.0 / z)):
+            raise ConfigurationError(
+                f"potential rate max|Vg| / zeta = {rate:g} at zeta = {z:g} leaves "
+                f"the float range; raise zeta or lower the guiding potentials")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
@@ -201,8 +212,10 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     if not amax.all():
         raise DegenerateWavefunctionError("degenerate wavefunction")
     rho = v.real * v.real + v.imag * v.imag
-    # each row's floor from its Python float
-    floor2 = np.reshape([(SLAVED_AMPLITUDE_FLOOR * a) ** 2
+    # each row's floor from its Python float; the smallest normal float
+    # keeps it from underflowing to zero (0/0 in trust, log(0) in s1)
+    tiny = np.finfo(float).tiny
+    floor2 = np.reshape([max((SLAVED_AMPLITUDE_FLOOR * a) ** 2, tiny)
                          for a in amax.ravel().tolist()], amax.shape)
     engaged = bool(np.any(rho < floor2))
     trust = rho / (rho + floor2)
@@ -257,41 +270,47 @@ def _row_kind(scenario: WaveScenario) -> tuple:
     return scenario.closure_mode == EXPLICIT, scenario.nonlinear_active
 
 
-def _kinetic_coeff(p: DualParams) -> float:
-    """z / (4 m_red): the stepped kinetic term divided by i z is
-    i * coeff * lap psi (kinetic mass 2 m_red)."""
-    return p.zeta / (4.0 * p.reduced_mass)
+class _GeneralizedStepper:
+    """The generalized equation for a (P, N) stack of WaveScenarios of one
+    `_row_kind`: the kinetic multipliers, which step the term
+    i * kinetic_coeff * lap psi exactly, the frozen rate a(v), the
+    mass-asymmetry rate and the pointwise substep built from them.
 
-
-class _RowGroup:
-    """Adjacent rows of one `_row_kind` in a stack: the frozen rate a(v),
-    the mass-asymmetry rate and the pointwise substep built from them.
-
+    Row p belongs to scenarios[p]. The rows share the grid, dt, closure
+    mode and nonlinear term and may differ in masses, zeta and potentials.
     Each row's operands are built from its scenario alone, by the
     expressions a single run uses, and then stacked (`_stacked`), so each
     row steps bit for bit as it would alone.
     """
 
-    def __init__(self, scenarios: list, rows: slice):
-        self.scenarios, self.rows = scenarios, rows
+    def __init__(self, scenarios):
+        self.scenarios = scenarios = list(scenarios)
         self.explicit, self.nonlinear = _row_kind(scenarios[0])
         grid, dt = scenarios[0].grid, scenarios[0].dt
         self.grid, self.dt = grid, dt
         params = [s.params for s in scenarios]
         zs = [p.zeta for p in params]
+        coeffs = [p.zeta / (2.0 * p.kinetic_mass) for p in params]
+        half, full = zip(*(_kinetic_multipliers(grid, c, dt) for c in coeffs))
+        self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
         self.z = _stacked(zs)
-        self.kinetic_coeff = _stacked([_kinetic_coeff(p) for p in params])
+        self.kinetic_coeff = _stacked(coeffs)
         # i nu / z with nu = (z^2/4)(1/m0 - 1/m1)
         self.asymmetry_coeff = _stacked(
             [1j * (0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
-        base_a = []
+        base_a, self.energy_terms = [], []
         for s, z in zip(scenarios, zs):
             vg0, vg1 = s.potentials.vg_values(0, grid), s.potentials.vg_values(1, grid)
             # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
             base_a.append((vg1 - 1j * vg0) / z)
+            self.energy_terms.append((vg0, z, s.params.kinetic_mass))
         self.base_a = _stacked(base_a)
         self.rk2_base = _stacked([_rk2_multiplier(a, dt) for a in base_a])
         self.floor_engaged = False
+
+    def select(self, keep) -> "_GeneralizedStepper":
+        """The stepper of the rows `keep` only."""
+        return _GeneralizedStepper([self.scenarios[i] for i in keep])
 
     def frozen_rate(self, v: np.ndarray) -> np.ndarray:
         """a(v): the guiding potentials plus, in explicit mode, the coupling
@@ -337,45 +356,6 @@ class _RowGroup:
         return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
 
 
-class _GeneralizedStepper:
-    """The generalized equation for a (P, N) stack of WaveScenarios: the
-    kinetic multipliers, which step the term i * kinetic_coeff * lap psi
-    exactly, and the pointwise substep of each `_RowGroup`.
-
-    Row p belongs to scenarios[p]. The rows share the grid and dt and may
-    differ in masses, zeta, potentials, closure mode and nonlinear term.
-    """
-
-    def __init__(self, scenarios):
-        self.scenarios = scenarios = list(scenarios)
-        grid, dt = scenarios[0].grid, scenarios[0].dt
-        self.grid, self.dt = grid, dt
-        half, full = zip(*(_kinetic_multipliers(grid, _kinetic_coeff(s.params), dt)
-                           for s in scenarios))
-        self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
-        # the stepped kinetic term is z^2 k^2 / (4 m_red): kinetic mass 2 m_red
-        self.energy_terms = [(s.potentials.vg_values(0, grid), s.params.zeta,
-                              2.0 * s.params.reduced_mass) for s in scenarios]
-        self.groups, start = [], 0
-        for _, members in itertools.groupby(scenarios, _row_kind):
-            members = list(members)
-            self.groups.append(_RowGroup(members, slice(start, start + len(members))))
-            start += len(members)
-
-    def select(self, keep) -> "_GeneralizedStepper":
-        """The stepper of the rows `keep` only."""
-        return _GeneralizedStepper([self.scenarios[i] for i in keep])
-
-    def pointwise(self, v: np.ndarray) -> np.ndarray:
-        """Pointwise substep of the stack, one call per group of rows."""
-        if len(self.groups) == 1:
-            return self.groups[0].pointwise(v)
-        out = np.empty_like(v)
-        for group in self.groups:
-            out[group.rows] = group.pointwise(v[group.rows])
-        return out
-
-
 def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     """Full right-hand side dpsi/dt of the scenario's generalized wave
     equation at psi, from the stepper's kinetic coefficient and rates.
@@ -386,12 +366,12 @@ def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
     v = psi.values[None]
     if not np.all(np.isfinite(v)):
         raise NonFiniteFieldError("non-finite field")
-    (terms,) = _GeneralizedStepper([scenario]).groups
-    rate = terms.frozen_rate(v)
-    if terms.nonlinear:
-        rate = rate + terms.asymmetry_rate(v)
+    stepper = _GeneralizedStepper([scenario])
+    rate = stepper.frozen_rate(v)
+    if stepper.nonlinear:
+        rate = rate + stepper.asymmetry_rate(v)
     lap = spectral_derivative_values(v, psi.grid, 2)
-    out = 1j * terms.kinetic_coeff * lap + rate * v
+    out = 1j * stepper.kinetic_coeff * lap + rate * v
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("non-finite right-hand side")
     return ComplexField(out[0], psi.grid)
@@ -399,11 +379,12 @@ def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
 
 def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
     """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
-    stack v, with adjacent kinetic half-steps merged: 2 FFT calls per step
-    for the whole stack plus one pair per call, whatever P is; a group of
-    mass-asymmetric or explicit-closure rows adds 4 calls per step. A single
-    run is a (1, N) stack. The returned state is the full Strang state after
-    the last step.
+    stack v, with adjacent kinetic half-steps merged. A stack holds rows of
+    one kind, and its FFT calls per step do not grow with P: 2 for a linear
+    stack, 6 for a mass-asymmetric one (two gradients), 6 for an
+    explicit-closure one (two Laplacians) and 10 for an explicit
+    mass-asymmetric one, plus one pair per call. A single run is a (1, N)
+    stack. The returned state is the full Strang state after the last step.
 
     Each row is bitwise equal to that row stepped alone, because a batched
     FFT row equals the 1-D transform of the row. The multipliers' operand
@@ -438,24 +419,17 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
     for start in range(0, n_steps, snapshot_every):
         step = min(start + snapshot_every, n_steps)
         v = _strang_steps(v, stepper, step - start)
-        bounded = []
-        for row, run_index in enumerate(alive):
-            amax = (float(np.max(np.abs(v[row]))) if np.all(np.isfinite(v[row]))
-                    else math.inf)
-            if not math.isfinite(amax) or amax > PSI_OVERFLOW_THRESHOLD:
-                results[run_index] = BlowUpError(
-                    f"blow-up at step {step}", step=step, partial=runs[run_index])
-            else:
-                bounded.append(row)
-        snaps = _snapshots(step * dt, v[bounded], grid,
-                           [stepper.energy_terms[row] for row in bounded])
+        # False for a NaN or infinite maximum too
+        bounded = np.max(np.abs(v), axis=-1) <= PSI_OVERFLOW_THRESHOLD
+        terms = [t for t, ok in zip(stepper.energy_terms, bounded) if ok]
+        snaps = iter(_snapshots(step * dt, v[bounded], grid, terms))
         keep = []
-        for row, snap in zip(bounded, snaps):
-            run_index = alive[row]
-            if snap.norm == 0.0:
+        for row, run_index in enumerate(alive):
+            snap = next(snaps) if bounded[row] else None
+            if snap is None or snap.norm == 0.0:
+                cause = "blow-up" if snap is None else "norm underflowed to zero"
                 results[run_index] = BlowUpError(
-                    f"norm underflowed to zero at step {step}", step=step,
-                    partial=runs[run_index])
+                    f"{cause} at step {step}", step=step, partial=runs[run_index])
             else:
                 runs[run_index].snapshots.append(snap)
                 keep.append(row)
@@ -500,8 +474,9 @@ def _snapshots(t: float, v: np.ndarray, grid: Grid1D, energy_terms) -> list:
 
 
 def evolve_many(scenarios) -> list:
-    """Integrate many scenarios; those that share the grid, dt, n_steps and
-    snapshot cadence step together as one (P, N) stack.
+    """Integrate many scenarios; those that share the grid, dt, n_steps,
+    snapshot cadence and row kind (closure mode and nonlinear term) step
+    together as one (P, N) stack.
 
     Returns, in input order, each scenario's WaveRun or the BlowUpError,
     carrying its partial WaveRun, that stopped it (see `evolve`); a row that
@@ -511,11 +486,9 @@ def evolve_many(scenarios) -> list:
     results = [None] * len(scenarios)
     stacks = {}
     for index, s in enumerate(scenarios):
-        key = (s.grid, s.dt, s.n_steps, s.snapshot_every)
+        key = (s.grid, s.dt, s.n_steps, s.snapshot_every, _row_kind(s))
         stacks.setdefault(key, []).append(index)
-    for (_, _, n_steps, snapshot_every), indices in stacks.items():
-        # rows of one kind side by side share their pointwise substep
-        indices.sort(key=lambda index: _row_kind(scenarios[index]))
+    for (_, _, n_steps, snapshot_every, _), indices in stacks.items():
         stack = [scenarios[index] for index in indices]
         runs = _integrate(_GeneralizedStepper(stack),
                           np.stack([s.psi0.values for s in stack]),
@@ -606,7 +579,7 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
     grid = channels.grid
     vg0 = pot.vg_values(0, grid)
-    energy_terms = [(vg0, p.zeta, 2.0 * p.reduced_mass)]
+    energy_terms = [(vg0, p.zeta, p.kinetic_mass)]
     return WaveRun(snapshots=[
         _snapshots(t, to_wavefunction(state.channels[0], state.channels[1],
                                       p).values[None], grid, energy_terms)[0]

@@ -166,6 +166,48 @@ class TestRun:
         assert err[0] == "warning: amplitude floor engaged"
         assert err[1].startswith(last)
 
+    def test_explicit_closure_norm_underflow_warns_once(self, tmp_path, capsys):
+        # the extraction floor of a decayed state must not underflow to
+        # zero (0/0 in the trust window, log(0) in S1)
+        cfg = tmp_path / "explicit.ini"
+        cfg.write_text(UNDERFLOW_INI.replace(
+            "label = underflow\n", "label = underflow\nclosure_mode = explicit\n"
+            "potential_mode = symmetric_closure\n"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # as outside the test suite
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0] == "warning: amplitude floor engaged"
+        assert err[1].startswith("blow-up: partial output written to ")
+        summary = read_lines(tmp_path / "underflow_summary.csv")
+        assert summary[-1] == "# norm underflowed to zero at step 600"
+
+    @pytest.mark.parametrize("vg0", ["vg0_type = harmonic\nvg0_omega = 1.0\n", ""],
+                             ids=["harmonic_vg0", "zero_vg"])
+    def test_non_finite_potential_rate_exits_2(self, tmp_path, capsys, vg0):
+        # at a subnormal hbar max|Vg| / zeta overflows, and with Vg = 0 the
+        # complex division by zeta still gives NaN
+        cfg = tmp_path / "tiny_hbar.ini"
+        cfg.write_text("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+                       "[params]\nm0 = 1.0\nm1 = 1.2\nhbar = 5e-324\n"
+                       "[scenario]\nkind = wave\nlabel = fz\n"
+                       "initial_type = gaussian\ninitial_sigma = 1.0\n"
+                       f"initial_k = 0.5\n{vg0}"
+                       "[integration]\ndt = 1e-4\nn_steps = 12\nsnapshot_every = 4\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # as outside the test suite
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: potential rate")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_oscillator_run(self, tmp_path):
         code = main(["run", "--scenario", "ck_damped", "--out", str(tmp_path)])
         assert code == 0

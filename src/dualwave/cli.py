@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 mid-run blow-up (partial output is still written: a run's summary file
 records the blow-up step in a trailing '#' comment line, and a sweep's CSV
-holds every finished point and one '#' line per failed point). An engaged
-amplitude floor prints one `warning: amplitude floor engaged` stderr line.
+holds every finished point and one '#' line per failed point). A wave run,
+or a sweep, with `WaveRun.floor_engaged` set on a run (on a blow-up, on
+its partial run) prints one `warning: amplitude floor engaged` stderr line.
 
 Every run writes two CSV files, `<name>_snapshots.csv` and
 `<name>_summary.csv`. Floats are serialized with 17 significant digits so
 the files round-trip 64-bit values exactly; identical configurations
-produce byte-identical output.
+produce byte-identical output. A wave run's summary rows and a sweep
+point's norm and phase rates come from `diagnostics`.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ import dataclasses
 import math
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate
-from dualwave.diagnostics import summarize_run
+from dualwave.diagnostics import norm_rate, phase_rate, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
-from dualwave.madelung import AmplitudeFloorWarning, from_wavefunction
+from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import (
     DEFAULT_GRID,
@@ -49,6 +50,8 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 SWEEP_PARAMS = ("m1", "lambda_Vg1", "zeta", "dt")
+
+FLOOR_WARNING = "warning: amplitude floor engaged"
 
 
 def _write_csv(path: Path, header, blocks, trailer_comments=()):
@@ -85,6 +88,8 @@ def _solve(solver, *args):
 def _wave_tables(expanded: ExpandedWave):
     scenario = expanded.scenario
     run, comments, code = _solve(evolve, scenario)
+    if run.floor_engaged:
+        print(FLOOR_WARNING, file=sys.stderr)
     x = scenario.grid.x
 
     def snapshots():
@@ -96,10 +101,7 @@ def _wave_tables(expanded: ExpandedWave):
                 v.real * v.real + v.imag * v.imag,
                 inv.s0.values, inv.s1.values))
 
-    reports = summarize_run(run, scenario.params.kinetic_mass,
-                            scenario.params.zeta)
-    summary = np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
-                         r.continuity_residual_l2) for r in reports])
+    summary = summarize_run(run, scenario.params.kinetic_mass, scenario.params.zeta)
     return (code, comments,
             (("t", "x", "re_psi", "im_psi", "rho", "S0", "S1"), snapshots()),
             (("t", "norm", "energy", "drift_rate", "continuity_residual"), summary))
@@ -322,15 +324,19 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
 # Commands
 # --------------------------------------------------------------------------
 
+def _source(args):
+    """(spec, grid, out_dir) from `--config` or `--scenario`; `--out`
+    overrides the output directory."""
+    if args.config:
+        spec, grid, out_dir = load_config(args.config)
+    else:
+        spec, grid, out_dir = builtin_by_name(args.scenario), DEFAULT_GRID, Path("runs")
+    return spec, grid, Path(args.out) if args.out else out_dir
+
+
 def cmd_run(args) -> int:
     try:
-        if args.config:
-            spec, grid, cfg_out = load_config(args.config)
-            out_dir = Path(args.out) if args.out else cfg_out
-        else:
-            spec = builtin_by_name(args.scenario)
-            grid = DEFAULT_GRID
-            out_dir = Path(args.out) if args.out else Path("runs")
+        spec, grid, out_dir = _source(args)
         if args.snapshot_every is not None:
             spec = dataclasses.replace(
                 spec, integration=Integration(
@@ -392,16 +398,14 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
 def _sweep_point(scenario: WaveScenario, run, off):
     """The diagnostics row of one sweep point from its run and, when the
     mass-asymmetry term is active, its run with that term off."""
-    psi0 = scenario.psi0.values
     t_end = run.final.t
-    norm0, norm_end = run.snapshots[0].norm, run.final.norm
-    drift = (math.log(norm_end) - math.log(norm0)) / t_end if t_end > 0 else 0.0
-    phases = np.unwrap([float(np.angle(np.vdot(psi0, s.psi.values)))
-                        for s in run.snapshots])
-    phase_rate = (phases[-1] - phases[0]) / t_end if t_end > 0 else 0.0
+    drift = phase = 0.0
+    if t_end > 0:
+        drift = norm_rate(run.snapshots[0], run.final)
+        phase = phase_rate(run, scenario.psi0)
     shift = 0.0 if off is None else float(
         np.angle(np.vdot(off.final.psi.values, run.final.psi.values)))
-    return t_end, norm_end, drift, phase_rate, shift
+    return t_end, run.final.norm, drift, phase, shift
 
 
 def cmd_sweep(args) -> int:
@@ -412,13 +416,7 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"bad sweep value list: {err}") from None
         if not values:
             raise ConfigurationError("empty sweep value list")
-        if args.config:
-            base, grid, cfg_out = load_config(args.config)
-            out_dir = Path(args.out) if args.out else cfg_out
-        else:
-            base = builtin_by_name(args.scenario)
-            grid = DEFAULT_GRID
-            out_dir = Path(args.out) if args.out else Path("runs")
+        base, grid, out_dir = _source(args)
         # validate every point before burning cycles on any of them
         scenarios = []
         for value in values:
@@ -435,6 +433,9 @@ def cmd_sweep(args) -> int:
     offs = [dataclasses.replace(s, nonlinear_term=NONLINEAR_OFF)
             for s in scenarios if s.nonlinear_active]
     runs = evolve_many(scenarios + offs)
+    if any((r.partial if isinstance(r, BlowUpError) else r).floor_engaged
+           for r in runs):
+        print(FLOOR_WARNING, file=sys.stderr)
     off_runs = iter(runs[len(scenarios):])
     pairs = [(run, next(off_runs) if s.nonlinear_active else None)
              for s, run in zip(scenarios, runs)]
@@ -458,18 +459,6 @@ def cmd_sweep(args) -> int:
         print(f"sweep aborted: {failures[0][1]}", file=sys.stderr)
         return EXIT_BLOWUP
     return EXIT_OK
-
-
-def _floor_warning_on_one_line(show):
-    """A `warnings.showwarning` that prints AmplitudeFloorWarning as one
-    `warning: ...` stderr line, as every other diagnostic is, and passes
-    any other warning on to `show`."""
-    def showwarning(message, category, *args, **kwargs):
-        if issubclass(category, AmplitudeFloorWarning):
-            print(f"warning: {message}", file=sys.stderr)
-        else:
-            show(message, category, *args, **kwargs)
-    return showwarning
 
 
 def main(argv=None) -> int:
@@ -507,9 +496,7 @@ def main(argv=None) -> int:
         print(f"{args.command}: need --scenario NAME or --config FILE",
               file=sys.stderr)
         return EXIT_CONFIG
-    with warnings.catch_warnings():
-        warnings.showwarning = _floor_warning_on_one_line(warnings.showwarning)
-        return args.func(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -2,25 +2,25 @@
 
 The quantum potential and the continuity residual quantify how far a run
 sits from ideal Schrodinger behavior, at the action scale zeta; the rms
-width is the natural length scale of a density.
+width is the natural length scale of a density. A wave run's summary rows
+and its norm and phase rates are written here once, for `cli` and `verify`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from dualwave.core import Grid1D, RealField, spectral_derivative_values
+from dualwave.madelung import AMPLITUDE_FLOOR
 
 
-def quantum_potential(rho: RealField, mass: float, zeta: float,
-                      floor_eps: float = 1e-12) -> RealField:
+def quantum_potential(rho: RealField, mass: float, zeta: float) -> RealField:
     """Q = -(zeta^2/2m) lap(sqrt(rho)) / sqrt(rho) with a spectral Laplacian.
 
-    rho is floored at (floor_eps^2 * max rho), applied additively so the
-    regularized density stays smooth through nodes. Q is invariant under
+    rho is floored at (AMPLITUDE_FLOOR^2 * max rho), applied additively so
+    the regularized density stays smooth through nodes. Q is invariant under
     rho -> c*rho for c > 0 (the floor scales with max rho).
     """
     vals = rho.values
@@ -29,7 +29,7 @@ def quantum_potential(rho: RealField, mass: float, zeta: float,
     rmax = float(np.max(vals))
     if rmax == 0.0:
         raise ValueError("rho is identically zero")
-    amp = np.sqrt(vals + (floor_eps ** 2) * rmax)
+    amp = np.sqrt(vals + (AMPLITUDE_FLOOR ** 2) * rmax)
     lap = spectral_derivative_values(amp, rho.grid, 2)
     return RealField(-(zeta ** 2 / (2.0 * mass)) * lap / amp, rho.grid)
 
@@ -71,41 +71,27 @@ def continuity_residual_l2(psi_prev: np.ndarray, psi_next: np.ndarray,
     return math.sqrt(float(np.sum(resid ** 2) * grid.dx))
 
 
-@dataclass(frozen=True)
-class SnapshotReport:
-    """Scalar diagnostics for one snapshot of a wave run."""
-
-    t: float
-    norm: float
-    energy: float
-    norm_drift_rate: float
-    continuity_residual_l2: float
+def norm_rate(a, b) -> float:
+    """(ln b.norm - ln a.norm) / (b.t - a.t): the norm's exponential rate
+    between two snapshots."""
+    return (math.log(b.norm) - math.log(a.norm)) / (b.t - a.t)
 
 
-def report(prev, snap, mass: float, zeta: float) -> SnapshotReport:
-    """Diagnostics for `snap`, differenced against the previous snapshot.
-
-    Pass prev=None for the first snapshot; backward-difference quantities
-    are then reported as 0.
-    """
-    if prev is None:
-        drift = 0.0
-        resid = 0.0
-    else:
-        delta_t = snap.t - prev.t
-        drift = (math.log(snap.norm) - math.log(prev.norm)) / delta_t
-        resid = continuity_residual_l2(
-            prev.psi.values, snap.psi.values, snap.psi.grid, delta_t, mass, zeta)
-    return SnapshotReport(
-        t=snap.t, norm=snap.norm, energy=snap.energy, norm_drift_rate=drift,
-        continuity_residual_l2=resid)
+def phase_rate(run, psi0) -> float:
+    """Rate of the unwrapped phase of <psi0|psi(t)> over a whole WaveRun."""
+    phases = np.unwrap([float(np.angle(np.vdot(psi0.values, s.psi.values)))
+                        for s in run.snapshots])
+    return (phases[-1] - phases[0]) / (run.final.t - run.snapshots[0].t)
 
 
-def summarize_run(run, mass: float, zeta: float) -> list:
-    """Per-snapshot reports for a whole WaveRun."""
-    out = []
-    prev = None
-    for snap in run.snapshots:
-        out.append(report(prev, snap, mass, zeta))
-        prev = snap
-    return out
+def summarize_run(run, mass: float, zeta: float) -> np.ndarray:
+    """The (n, 5) summary rows of a WaveRun's n snapshots: t, norm, energy,
+    norm drift rate and continuity residual, the last two differenced
+    against the previous snapshot (0 for the first)."""
+    snaps = run.snapshots
+    rows = [(snaps[0].t, snaps[0].norm, snaps[0].energy, 0.0, 0.0)]
+    for prev, snap in zip(snaps, snaps[1:]):
+        rows.append((snap.t, snap.norm, snap.energy, norm_rate(prev, snap),
+                     continuity_residual_l2(prev.psi.values, snap.psi.values,
+                                            snap.psi.grid, snap.t - prev.t, mass, zeta)))
+    return np.array(rows)

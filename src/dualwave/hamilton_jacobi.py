@@ -213,8 +213,7 @@ class HJTrajectory:
 
 
 def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
-              dt: float, n_steps: int, snapshot_every: int = 1,
-              grad_threshold: float = GRADIENT_BLOWUP_THRESHOLD) -> HJTrajectory:
+              dt: float, n_steps: int, snapshot_every: int = 1) -> HJTrajectory:
     """RK4 time integration of the coupled channel equations.
 
     Each RK4 stage is one batched rfft/irfft pair (`_hj_rhs_values`); the
@@ -222,8 +221,8 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     next step's k1, so a step makes 8 FFT calls in either potential mode.
 
     Aborts with BlowUpError("caustic/blow-up detected at step s") when any
-    channel gradient exceeds `grad_threshold` or fields go non-finite; the
-    exception carries the partial HJTrajectory collected so far.
+    channel gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go
+    non-finite; the exception carries the partial HJTrajectory so far.
     """
     check_stepping(dt, n_steps, snapshot_every)
     grid = S0.grid
@@ -243,7 +242,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
         bad = not np.all(np.isfinite(v))
         if not bad:
             k1, grads = rhs(v)
-            bad = float(np.max(np.abs(grads))) > grad_threshold
+            bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
         if bad:
             raise BlowUpError(f"caustic/blow-up detected at step {step}",
                               step=step, partial=traj)

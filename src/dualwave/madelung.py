@@ -41,11 +41,16 @@ class ChannelCountError(ValueError):
 
 
 class AmplitudeFloorWarning(UserWarning):
-    """The amplitude floor was engaged near a node of psi."""
+    """The amplitude floor was engaged near a node of psi.
+
+    The solver no longer issues it (a run reports `WaveRun.floor_engaged`);
+    the class stays because the benchmark harness imports it in its fixed
+    warnings filter."""
 
 
 # Relative floor on |psi| (w.r.t. max|psi|) below which the one-shot
-# inverse map clamps the log-amplitude.
+# inverse map clamps the log-amplitude; the quantum potential floors its
+# amplitude additively at the same level.
 AMPLITUDE_FLOOR = 1e-12
 
 

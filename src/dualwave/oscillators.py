@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from dualwave.core import BlowUpError
+from dualwave.core import BlowUpError, check_stepping
 
 OVERFLOW_THRESHOLD = 1e12
 
@@ -200,12 +200,12 @@ def integrate_rk4(rhs, state0, dt: float, n_steps: int) -> np.ndarray:
     same bits, since the operation order is the array formula's.
 
     Returns an (n_steps + 1, dim) trajectory including the initial state.
-    Raises BlowUpError (carrying the partial trajectory) as soon as any
+    Raises ConfigurationError for a dt or n_steps no run can use, and
+    BlowUpError (carrying the partial trajectory) as soon as any
     state component exceeds the 1e12 overflow threshold or goes non-finite;
     anti-damped growth below the threshold is legitimate output.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_stepping(dt, n_steps, 1)
     state = np.asarray(state0, dtype=float).tolist()
     traj = np.empty((n_steps + 1, len(state)))
     traj[0] = state

@@ -53,7 +53,6 @@ discretization.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +77,6 @@ from dualwave.hamilton_jacobi import (
     evolve_hj,
 )
 from dualwave.madelung import (
-    AmplitudeFloorWarning,
     DegenerateWavefunctionError,
     to_wavefunction,
     wrapped_phase_differences,
@@ -120,15 +118,21 @@ class WaveScenario:
         if self.nonlinear_term not in (NONLINEAR_ON, NONLINEAR_OFF, NONLINEAR_AUTO):
             raise ConfigurationError(
                 f"unknown nonlinear_term {self.nonlinear_term!r}")
-        # the stepper divides the guiding potentials by zeta, as complex
-        # numbers, which gives NaN once 1/zeta overflows even where Vg = 0
+        pot = self.potentials
+        if pot.vc is not None and SYMMETRIC_CLOSURE in (self.closure_mode, pot.mode):
+            raise ConfigurationError(
+                "stored coupling potentials vc0/vc1 are used only with "
+                "closure_mode = explicit and potential_mode = explicit")
+        # the stepper divides the guiding and stored coupling potentials by
+        # zeta, as complex numbers, which gives NaN once 1/zeta overflows
+        # even where they are 0
         z = self.params.zeta
-        rate = max(float(np.max(np.abs(self.potentials.vg_values(i, self.grid))))
-                   for i in (0, 1)) / z
+        rate = max(float(np.max(np.abs(values(i, self.grid))))
+                   for values in (pot.vg_values, pot.vc_values) for i in (0, 1)) / z
         if not (math.isfinite(rate) and math.isfinite(1.0 / z)):
             raise ConfigurationError(
-                f"potential rate max|Vg| / zeta = {rate:g} at zeta = {z:g} leaves "
-                f"the float range; raise zeta or lower the guiding potentials")
+                f"potential rate max(|Vg|, |Vc|) / zeta = {rate:g} at zeta = {z:g} "
+                f"leaves the float range; raise zeta or lower the potentials")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
@@ -165,9 +169,11 @@ class Snapshot:
 
 @dataclass
 class WaveRun:
-    """Snapshots of one trajectory at the configured cadence."""
+    """Snapshots of one trajectory at the configured cadence, and whether
+    its explicit-closure extraction ever hit the amplitude floor."""
 
     snapshots: list
+    floor_engaged: bool = False
 
     @property
     def final(self) -> Snapshot:
@@ -205,7 +211,7 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     meaningless, so coupling terms built from them must be switched off.
 
     The rows of `v` along its last axis are treated apart, with `scale` a
-    scalar or a column per row; `engaged` is one flag for all rows. Raises
+    scalar or a column per row; `engaged` holds one flag per row. Raises
     DegenerateWavefunctionError for a row identically zero.
     """
     amax = np.max(np.abs(v), axis=-1, keepdims=True)
@@ -217,7 +223,7 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     tiny = np.finfo(float).tiny
     floor2 = np.reshape([max((SLAVED_AMPLITUDE_FLOOR * a) ** 2, tiny)
                          for a in amax.ravel().tolist()], amax.shape)
-    engaged = bool(np.any(rho < floor2))
+    engaged = np.any(rho < floor2, axis=-1)
     trust = rho / (rho + floor2)
     s1 = -0.5 * scale * np.log(rho + floor2)
 
@@ -239,9 +245,10 @@ def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
     return lap_s0, lap_s1, trust, engaged
 
 
-def _asymmetry_potential(v: np.ndarray, grid: Grid1D, eps: float) -> np.ndarray:
-    """W = |grad psi|^2 / |psi|^2, the denominator floored at (eps max|psi|)^2,
-    for each row of v along its last axis."""
+def _asymmetry_potential(v: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """W = |grad psi|^2 / |psi|^2, the denominator floored at
+    (SLAVED_AMPLITUDE_FLOOR max|psi|)^2, for each row of v along its last axis."""
+    eps = SLAVED_AMPLITUDE_FLOOR
     grad = spectral_derivative_values(v, grid, 1)
     rho = v.real * v.real + v.imag * v.imag
     return (grad.real * grad.real + grad.imag * grad.imag) / np.maximum(
@@ -306,7 +313,7 @@ class _GeneralizedStepper:
             self.energy_terms.append((vg0, z, s.params.kinetic_mass))
         self.base_a = _stacked(base_a)
         self.rk2_base = _stacked([_rk2_multiplier(a, dt) for a in base_a])
-        self.floor_engaged = False
+        self.floor_engaged = np.zeros(len(scenarios), dtype=bool)
 
     def select(self, keep) -> "_GeneralizedStepper":
         """The stepper of the rows `keep` only."""
@@ -314,14 +321,13 @@ class _GeneralizedStepper:
 
     def frozen_rate(self, v: np.ndarray) -> np.ndarray:
         """a(v): the guiding potentials plus, in explicit mode, the coupling
-        terms with S extracted from v."""
+        terms with S extracted from v; marks in `floor_engaged` each row
+        whose extraction hit the amplitude floor."""
         if not self.explicit:
             return self.base_a
         grid = self.grid
         lap_s0, lap_s1, trust, engaged = _extract_action_terms(v, grid, self.z)
-        if engaged and not self.floor_engaged:
-            self.floor_engaged = True
-            warnings.warn("amplitude floor engaged", AmplitudeFloorWarning)
+        self.floor_engaged |= engaged
         vc0, vc1 = np.empty_like(lap_s0), np.empty_like(lap_s1)
         for j, scenario in enumerate(self.scenarios):
             vc0[j], vc1[j] = self._couplings(scenario, lap_s0[j], lap_s1[j])
@@ -340,8 +346,7 @@ class _GeneralizedStepper:
 
     def asymmetry_rate(self, v: np.ndarray) -> np.ndarray:
         """i nu W(v) / z, the mass-asymmetry term as a rate."""
-        return self.asymmetry_coeff * _asymmetry_potential(
-            v, self.grid, SLAVED_AMPLITUDE_FLOOR)
+        return self.asymmetry_coeff * _asymmetry_potential(v, self.grid)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
         """Pointwise substep, S frozen at substep start: the RK2 (midpoint)
@@ -406,7 +411,8 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
 
     A row stops on overflow or a non-finite state, and at a snapshot whose
     norm has underflowed to zero (no diagnostic or inverse map is defined
-    there); rows are checked at snapshot steps only. The other rows go on
+    there); rows are checked at snapshot steps only, after each row's
+    `floor_engaged` flag has passed to its run. The other rows go on
     with the stepper of the rows left (`stepper.select`, needed only for
     P > 1), which is bitwise safe because every segment already starts
     from the full Strang state.
@@ -425,6 +431,7 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
         snaps = iter(_snapshots(step * dt, v[bounded], grid, terms))
         keep = []
         for row, run_index in enumerate(alive):
+            runs[run_index].floor_engaged |= bool(stepper.floor_engaged[row])
             snap = next(snaps) if bounded[row] else None
             if snap is None or snap.norm == 0.0:
                 cause = "blow-up" if snap is None else "norm underflowed to zero"
@@ -524,6 +531,7 @@ class _ReferenceStepper:
         self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
             grid, z / (2.0 * mass), dt)
         self.rk2 = _rk2_multiplier(-1j * vg0 / z, dt)
+        self.floor_engaged = np.zeros(1, dtype=bool)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
         return self.rk2 * v

@@ -70,6 +70,15 @@ UNDERFLOW_INI = ("[scenario]\nkind = wave\nlabel = underflow\n"
                  "snapshot_every = 100\n")
 
 
+# stored coupling potentials, which only explicit closure with explicit
+# potentials reads
+STORED_VC_INI = ("[grid]\nn = 256\nx_min = -10\nx_max = 10\n"
+                 "[scenario]\nkind = wave\nlabel = vc\n"
+                 "initial_type = gaussian\ninitial_sigma = 0.5\n"
+                 "vc0_type = constant\nvc0_v0 = 5\nvc1_type = constant\nvc1_v0 = -3\n"
+                 "[integration]\ndt = 1e-3\nn_steps = 100\nsnapshot_every = 50\n")
+
+
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -107,12 +116,16 @@ class TestRun:
         (WAVE_INI + "[params]\nhbar = -1.0\nzeta = 1.0\n", []),
         ("[scenario]\nname = hj_free_particle\n[params]\nhbar = 0\n"
          "zeta = 2.0\n", []),
+        (STORED_VC_INI, []),
+        (STORED_VC_INI.replace("label = vc\n", "label = vc\nclosure_mode = explicit\n"
+                               "potential_mode = symmetric_closure\n"), []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
             "hj_snapshot_every_0", "wave_mass_key_beyond_channels",
             "hj_mass_key_beyond_channels", "hbar_zero",
-            "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta"])
+            "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta",
+            "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -185,17 +198,21 @@ class TestRun:
         summary = read_lines(tmp_path / "underflow_summary.csv")
         assert summary[-1] == "# norm underflowed to zero at step 600"
 
-    @pytest.mark.parametrize("vg0", ["vg0_type = harmonic\nvg0_omega = 1.0\n", ""],
-                             ids=["harmonic_vg0", "zero_vg"])
-    def test_non_finite_potential_rate_exits_2(self, tmp_path, capsys, vg0):
+    @pytest.mark.parametrize("hbar, keys", [
+        ("5e-324", "vg0_type = harmonic\nvg0_omega = 1.0\n"),
+        ("5e-324", ""),
+        ("1e-300", "closure_mode = explicit\nvc0_type = harmonic\nvc0_omega = 1e10\n"),
+    ], ids=["harmonic_vg0", "zero_vg", "stored_vc0"])
+    def test_non_finite_potential_rate_exits_2(self, tmp_path, capsys, hbar, keys):
         # at a subnormal hbar max|Vg| / zeta overflows, and with Vg = 0 the
-        # complex division by zeta still gives NaN
+        # complex division by zeta still gives NaN; explicit closure divides
+        # the stored couplings by zeta too
         cfg = tmp_path / "tiny_hbar.ini"
         cfg.write_text("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
-                       "[params]\nm0 = 1.0\nm1 = 1.2\nhbar = 5e-324\n"
+                       f"[params]\nm0 = 1.0\nm1 = 1.2\nhbar = {hbar}\n"
                        "[scenario]\nkind = wave\nlabel = fz\n"
                        "initial_type = gaussian\ninitial_sigma = 1.0\n"
-                       f"initial_k = 0.5\n{vg0}"
+                       f"initial_k = 0.5\n{keys}"
                        "[integration]\ndt = 1e-4\nn_steps = 12\nsnapshot_every = 4\n")
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -468,11 +485,9 @@ class TestByteContract:
                 inv.s0.values, inv.s1.values)))
         assert_bitwise(parse_csv(tmp_path / f"{name}_snapshots.csv"),
                        np.vstack(blocks))
-        reports = summarize_run(run, 2.0 * scenario.params.reduced_mass,
+        summary = summarize_run(run, 2.0 * scenario.params.reduced_mass,
                                 scenario.params.zeta)
-        assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"),
-                       np.array([(r.t, r.norm, r.energy, r.norm_drift_rate,
-                                  r.continuity_residual_l2) for r in reports]))
+        assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"), summary)
 
     @pytest.mark.parametrize("caustic", [False, True], ids=["free", "caustic"])
     def test_hj_run(self, tmp_path, caustic):

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualwave.core import RealField
+from dualwave.core import ComplexField, RealField
 from dualwave.diagnostics import (
     continuity_residual_l2,
+    norm_rate,
+    phase_rate,
     quantum_potential,
-    report,
     rms_width,
     summarize_run,
 )
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
-from dualwave.wavesolver import evolve
+from dualwave.wavesolver import evolve, schrodinger_reference
 
 GRID = DEFAULT_GRID
 
@@ -71,30 +72,44 @@ class TestReports:
     def test_symmetric_free_run_has_tiny_drift(self):
         run = evolve(expand(builtin_by_name("free_gaussian_symmetric"),
                             GRID).scenario)
-        reports = summarize_run(run, 1.0, 1.0)
-        assert max(abs(r.norm_drift_rate) for r in reports[1:]) < 1e-9
+        summary = summarize_run(run, 1.0, 1.0)
+        assert np.max(np.abs(summary[1:, 3])) < 1e-9
 
     def test_drift_rate_matches_imaginary_potential(self):
         lam = 0.5
         run = evolve(expand(builtin_by_name("norm_drift_constant_Vg1"),
                             GRID).scenario)
-        reports = summarize_run(run, 1.0, 1.0)
-        for r in reports[1:]:
-            assert abs(r.norm_drift_rate + 2 * lam) / (2 * lam) < 1e-4
+        summary = summarize_run(run, 1.0, 1.0)
+        for drift in summary[1:, 3]:
+            assert abs(drift + 2 * lam) / (2 * lam) < 1e-4
+        rate = norm_rate(run.snapshots[0], run.final)
+        assert abs(rate + 2 * lam) / (2 * lam) < 1e-4
 
     def test_harmonic_ground_energy_reported(self):
         run = evolve(expand(builtin_by_name("harmonic_ground_symmetric"),
                             GRID).scenario)
-        reports = summarize_run(run, 1.0, 1.0)
-        for r in reports:
-            assert abs(r.energy - 0.5) < 1e-7
+        summary = summarize_run(run, 1.0, 1.0)
+        assert summary.shape == (len(run.snapshots), 5)
+        assert np.array_equal(summary[:, 0], run.times)
+        for energy in summary[:, 2]:
+            assert abs(energy - 0.5) < 1e-7
 
     def test_first_snapshot_report_is_finite(self):
         run = evolve(expand(builtin_by_name("free_gaussian_symmetric"),
                             GRID).scenario)
-        first = report(None, run.snapshots[0], 1.0, 1.0)
-        assert first.norm_drift_rate == 0.0
-        assert first.continuity_residual_l2 == 0.0
+        first = summarize_run(run, 1.0, 1.0)[0]
+        assert first[1] == run.snapshots[0].norm
+        assert first[3] == 0.0
+        assert first[4] == 0.0
+
+    @pytest.mark.parametrize("zeta", [1.0, 2.0])
+    def test_phase_rate_of_plane_wave(self, zeta):
+        # <psi0|psi(t)> of a plane wave turns at -zeta k^2 / 2m
+        k = 2.0 * np.pi * 8 / GRID.length
+        psi0 = ComplexField(np.exp(1j * k * GRID.x), GRID)
+        run = schrodinger_reference(psi0, None, 1.0, zeta, 1e-3, 500, 25)
+        expected = -zeta * k ** 2 / 2.0
+        assert abs(phase_rate(run, psi0) - expected) / abs(expected) < 1e-8
 
     def test_interference_run_visibility_pinned(self):
         # equal-amplitude two-path collision: near-unit fringe contrast in

@@ -277,7 +277,7 @@ class TestInverseMapsMatchReferenceFormulas:
         ref = reference_extract_action_terms(v, GRID, zeta)
         for a, b in zip(got[:3], ref[:3]):
             assert bits(a) == bits(b)
-        assert got[3] is ref[3] is True
+        assert bool(got[3]) is ref[3] is True
 
     def test_zero_state_raises_one_error_on_both_paths(self):
         zero = ComplexField.zeros(GRID)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualwave.core import BlowUpError
+from dualwave.core import BlowUpError, ConfigurationError
 from dualwave.oscillators import (
     OscParams,
     bateman_rhs,
@@ -190,6 +190,12 @@ class TestIntegrateRK4:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             integrate_rk4(lambda s: s, np.array([1.0]), 0.0, 10)
+
+    @pytest.mark.parametrize("dt, n_steps", [(math.nan, 10), (math.inf, 10), (0.1, -1)],
+                             ids=["dt_nan", "dt_inf", "n_steps_negative"])
+    def test_rejects_stepping_no_run_can_use(self, dt, n_steps):
+        with pytest.raises(ConfigurationError):
+            integrate_rk4(lambda s: s, np.array([1.0]), dt, n_steps)
 
 
 def array_rk4(rhs, state0, dt, n_steps):

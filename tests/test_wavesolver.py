@@ -57,7 +57,7 @@ def rhs_scenario(psi, params, pot, **changes):
 
 def bracket(v):
     """psi* div(grad psi / psi*) - lap psi, which is exactly -W psi."""
-    return -_asymmetry_potential(v, GRID, 1e-8) * v
+    return -_asymmetry_potential(v, GRID) * v
 
 
 class TestGeneralizedRhs:
@@ -347,7 +347,6 @@ class TestLoopDriver:
         assert np.array_equal(run.snapshots[0].psi.values,
                               scenario.psi0.values)
 
-    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
     @pytest.mark.parametrize("name, changes, per_step", [
         ("harmonic_ground_symmetric", {}, 2),
         ("residual_mass_plane_wave", {}, 6),
@@ -362,7 +361,6 @@ class TestLoopDriver:
                                            **changes)
         assert fft_calls_of_three_steps(monkeypatch, [scenario]) == 3 * per_step
 
-    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
     @pytest.mark.parametrize("kinds, per_step", [
         (("linear",), 2),
         (("linear",) * 4, 2),
@@ -432,7 +430,6 @@ class TestStackedRows:
                              n_steps=60, snapshot_every=25, **changes)
                 for psi, p, pot, changes in rows]
 
-    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
     def test_rows_bitwise_equal_single_runs(self):
         stack = self.mixed_stack()
         results = evolve_many(stack)
@@ -450,6 +447,25 @@ class TestStackedRows:
         failed = [r for r in results if isinstance(r, BlowUpError)]
         assert [(err.step, len(err.partial.snapshots)) for err in failed] == [(50, 2)]
         assert all(len(r.snapshots) == 4 for r in results if isinstance(r, WaveRun))
+
+    def test_floor_flag_is_set_per_row(self):
+        """In one explicit-closure stack only the rows whose extraction hits
+        the amplitude floor report it, a blown-up row on its partial run."""
+        closure = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
+        growing = PotentialSet((RealField.zeros(GRID),
+                                RealField(np.full(GRID.n_points, 1e5), GRID)),
+                               None, SYMMETRIC_CLOSURE)
+        _, wave = plane_wave()
+        rows = [(unit_gaussian(), closure), (wave, closure), (unit_gaussian(), growing)]
+        stack = [WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=1e-5,
+                              n_steps=60, snapshot_every=25, closure_mode=EXPLICIT)
+                 for psi, pot in rows]
+        gaussian, plane, blown = evolve_many(stack)
+        assert isinstance(blown, BlowUpError)
+        assert [gaussian.floor_engaged, plane.floor_engaged,
+                blown.partial.floor_engaged] == [True, False, True]
+        assert not evolve(dataclasses.replace(
+            stack[0], closure_mode=SYMMETRIC_CLOSURE)).floor_engaged
 
     def test_rows_of_other_stepping_form_their_own_stack(self):
         base = expand(builtin_by_name("plane_wave_dispersion"), GRID).scenario
@@ -473,7 +489,6 @@ class TestSymmetricLimit:
             for a, b in zip(run.snapshots, ref.snapshots):
                 assert np.max(np.abs(a.psi.values - b.psi.values)) < 1e-8
 
-    @pytest.mark.filterwarnings("ignore:amplitude floor engaged")
     def test_explicit_closure_cross_check(self):
         # with the closure-rule potentials the numerically computed coupling
         # terms are exactly zero (the stepper subtracts the very products

@@ -14,15 +14,11 @@ from dualwave.core import (
     DualParams,
     Grid1D,
     NonFiniteFieldError,
-    Quaternion,
-    QuaternionField,
     RealField,
     field_norm,
-    quaternion_exp,
-    spectral_derivative,
 )
 from dualwave.hamilton_jacobi import ActionChannels, PotentialSet, evolve_hj
-from dualwave.madelung import compose_channels, from_wavefunction, to_wavefunction
+from dualwave.madelung import from_wavefunction, to_wavefunction
 from dualwave.scenarios import ScenarioSpec, builtin_suite, expand
 from dualwave.wavesolver import WaveScenario, evolve, schrodinger_reference
 
@@ -35,21 +31,16 @@ __all__ = [
     "Grid1D",
     "NonFiniteFieldError",
     "PotentialSet",
-    "Quaternion",
-    "QuaternionField",
     "RealField",
     "ScenarioSpec",
     "WaveScenario",
     "builtin_suite",
-    "compose_channels",
     "evolve",
     "evolve_hj",
     "expand",
     "field_norm",
     "from_wavefunction",
-    "quaternion_exp",
     "schrodinger_reference",
-    "spectral_derivative",
     "to_wavefunction",
 ]
 

@@ -294,30 +294,27 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
         if len(channels) < 2:
             raise ConfigurationError(
                 "hj scenario needs channel0_type and channel1_type keys")
-        potentials = {}
-        for i in range(len(channels)):
-            desc = _parse_descriptor(scen, f"vg{i}")
-            if desc is not None:
-                potentials[f"vg{i}"] = desc
-        return ScenarioSpec(name=name, kind=kind, integration=integ,
-                            initial={"channels": channels}, potentials=potentials)
-    if kind == "wave":
+        initial, n_channels, modes = {"channels": channels}, len(channels), {}
+    elif kind == "wave":
         initial = _parse_descriptor(scen, "initial")
         if initial is None:
             raise ConfigurationError("wave scenario needs initial_type keys")
-        potentials = {}
-        for prefix in ("vg0", "vg1", "vc0", "vc1"):
-            desc = _parse_descriptor(scen, prefix)
+        n_channels = 2
+        modes = {"closure_mode": scen.get("closure_mode", "symmetric_closure"),
+                 "nonlinear_term": scen.get("nonlinear", "auto")}
+    else:
+        raise ConfigurationError(f"unknown scenario kind {kind!r}")
+    # one guiding and one coupling potential per channel, for both kinds
+    potentials = {}
+    for prefix in ("vg", "vc"):
+        for i in range(n_channels):
+            desc = _parse_descriptor(scen, f"{prefix}{i}")
             if desc is not None:
-                potentials[prefix] = desc
-        if "potential_mode" in scen:
-            potentials["mode"] = scen["potential_mode"]
-        return ScenarioSpec(
-            name=name, kind=kind, integration=integ, initial=initial,
-            potentials=potentials,
-            closure_mode=scen.get("closure_mode", "symmetric_closure"),
-            nonlinear_term=scen.get("nonlinear", "auto"))
-    raise ConfigurationError(f"unknown scenario kind {kind!r}")
+                potentials[f"{prefix}{i}"] = desc
+    if "potential_mode" in scen:
+        potentials["mode"] = scen["potential_mode"]
+    return ScenarioSpec(name=name, kind=kind, integration=integ, initial=initial,
+                        potentials=potentials, **modes)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared numerical substrate: periodic grid, field containers, spectral
-calculus, and quaternion arithmetic.
+calculus and the dual-sector parameters.
 
 Everything downstream (oscillators, Hamilton-Jacobi fields, wave solvers)
 works on a uniform periodic 1D grid. Derivatives are computed in Fourier
@@ -145,22 +145,15 @@ class ComplexField:
         return cls(np.zeros(grid.n_points, dtype=np.complex128), grid)
 
 
-def spectral_derivative(f, order: int):
-    """Order-1 or order-2 derivative of a field via the discrete Fourier transform.
+def spectral_derivative_values(values: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
+    """Order-1 or order-2 derivative of samples along their last axis via the
+    discrete Fourier transform: rfft for real values, fft for complex ones.
 
     The Nyquist mode is zeroed for odd orders, the standard convention that
     keeps first derivatives of real fields real. Band-limited fields are
-    differentiated to spectral (near machine) accuracy.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteFieldError("non-finite field")
-    return type(f)(spectral_derivative_values(f.values, f.grid, order), f.grid)
-
-
-def spectral_derivative_values(values: np.ndarray, grid: Grid1D, order: int) -> np.ndarray:
-    """Array-level spectral derivative (hot path used by the time steppers)."""
+    differentiated to spectral (near machine) accuracy. This is the hot
+    path of the time steppers, so neither the order nor finiteness is
+    checked here."""
     if np.iscomplexobj(values):
         return np.fft.ifft(grid.derivative_multipliers[order, False]
                            * np.fft.fft(values))
@@ -177,127 +170,6 @@ def field_norm(f) -> float:
 def integrate(values: np.ndarray, grid: Grid1D) -> float:
     """Rectangle-rule integral of samples over the periodic domain."""
     return float(np.sum(values) * grid.dx)
-
-
-# --------------------------------------------------------------------------
-# Quaternions
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Quaternion w + x*i + y*j + z*k with the Hamilton product.
-
-    The units satisfy i^2 = j^2 = k^2 = ijk = -1, so ij = k, jk = i, ki = j
-    and distinct units anticommute.
-    """
-
-    w: float
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, other):
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
-    def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-
-def quaternion_exp(q: Quaternion) -> Quaternion:
-    """exp(w + v) = e^w (cos|v| + (v/|v|) sin|v|) for pure-imaginary part v."""
-    vnorm = math.sqrt(q.x ** 2 + q.y ** 2 + q.z ** 2)
-    scale = math.exp(q.w)
-    if vnorm == 0.0:
-        return Quaternion(scale, 0.0, 0.0, 0.0)
-    s = scale * math.sin(vnorm) / vnorm
-    return Quaternion(scale * math.cos(vnorm), s * q.x, s * q.y, s * q.z)
-
-
-def quaternion_multiply_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of (..., 4) component arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
-
-@dataclass(frozen=True)
-class QuaternionField:
-    """Quaternion-valued samples on a Grid1D, stored as an (n, 4) array."""
-
-    values: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (self.grid.n_points, 4):
-            raise ValueError(
-                f"quaternion field shape {arr.shape} does not match "
-                f"({self.grid.n_points}, 4)")
-        object.__setattr__(self, "values", arr)
-
-    def __mul__(self, other):
-        if isinstance(other, QuaternionField):
-            return QuaternionField(
-                quaternion_multiply_arrays(self.values, other.values), self.grid)
-        return NotImplemented
-
-    def norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values ** 2, axis=1))
-
-    def inverse(self) -> "QuaternionField":
-        n2 = np.sum(self.values ** 2, axis=1)
-        if np.any(n2 == 0.0):
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        out = self.values.copy()
-        out[:, 1:] *= -1.0
-        return QuaternionField(out / n2[:, None], self.grid)
-
-    def at(self, index: int) -> Quaternion:
-        w, x, y, z = self.values[index]
-        return Quaternion(w, x, y, z)
-
-    @classmethod
-    def one(cls, grid) -> "QuaternionField":
-        vals = np.zeros((grid.n_points, 4))
-        vals[:, 0] = 1.0
-        return cls(vals, grid)
 
 
 # --------------------------------------------------------------------------

@@ -5,13 +5,18 @@ The system action S0 and N >= 1 environment actions S1..SN evolve under
     dS0/dt = -[ (grad S0)^2/2m0 - sum_n (grad Sn)^2/2m_n + Vg0 + Vc0 ]
     dSn/dt = -[ grad S0 . grad Sn/2m0 + grad S0 . grad Sn/2m_n + Vgn + Vcn ]
 
+The coupling potentials Vc are the stored ones in `explicit` potential
+mode and the closure rule in `symmetric_closure` mode (`PotentialSet`).
+The right-hand side is written once, in `_hj_rhs_values`, which evaluates
+it on the (N + 1, n_points) channel stack that `evolve_hj` steps by RK4.
+
 Each channel is stored as a periodic sample array plus an optional linear
 slope, S_i(x) = slope_i * x + periodic_i(x). Only the periodic part is
 differentiated spectrally (a bare linear ramp is not representable on a
 periodic grid), and since every right-hand side above is periodic in x the
 slopes are constants of the motion. Smooth flow only: when characteristics
-cross, gradients blow up and evolve_hj aborts with the partial trajectory
-instead of switching to a viscosity solution.
+cross, gradients blow up and evolve_hj raises BlowUpError with the partial
+trajectory instead of switching to a viscosity solution.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from dualwave.core import (
     BlowUpError,
+    ConfigurationError,
     DualParams,
     Grid1D,
     RealField,
@@ -33,14 +39,6 @@ EXPLICIT = "explicit"
 SYMMETRIC_CLOSURE = "symmetric_closure"
 
 GRADIENT_BLOWUP_THRESHOLD = 1e6
-
-
-class FieldBlowUpError(RuntimeError):
-    """A right-hand-side evaluation produced a non-finite field value."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,9 @@ class PotentialSet:
 
     In `symmetric_closure` mode the coupling potentials are recomputed from
     the current action fields on every evaluation (Vc0 = (zeta/4m) lap S1,
-    Vc1 = -(zeta/4m) lap S0, zero for higher channels); any stored vc arrays
-    are ignored. In `explicit` mode the stored vc arrays are used as given
-    (missing vc means zero coupling).
+    Vc1 = -(zeta/4m) lap S0, zero for higher channels), so stored vc arrays
+    are rejected: the rule would ignore them. In `explicit` mode the stored
+    vc arrays are used as given (missing vc means zero coupling).
     """
 
     vg: tuple
@@ -126,6 +124,10 @@ class PotentialSet:
     def __post_init__(self):
         if self.mode not in (EXPLICIT, SYMMETRIC_CLOSURE):
             raise ValueError(f"unknown potential mode {self.mode!r}")
+        if self.vc is not None and self.mode == SYMMETRIC_CLOSURE:
+            raise ConfigurationError(
+                "stored coupling potentials vc<i> are used only with "
+                "potential_mode = explicit")
         object.__setattr__(self, "vg", tuple(self.vg))
         if self.vc is not None:
             object.__setattr__(self, "vc", tuple(self.vc))
@@ -186,22 +188,6 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
     for row, vc_row in zip(out, vc):
         row += vc_row
     return -out, grads
-
-
-def _check_finite(values_2d: np.ndarray):
-    if not np.all(np.isfinite(values_2d)):
-        bad = np.argwhere(~np.isfinite(values_2d))
-        ch, idx = int(bad[0][0]), int(bad[0][1])
-        raise FieldBlowUpError(
-            f"field blow-up in channel {ch} at index {idx}", index=idx)
-
-
-def hj_rhs_multi(S: ActionChannels, pot: PotentialSet, p: DualParams):
-    """Time derivatives of all channels; list of RealField."""
-    out, _ = _hj_rhs_values(S.values_stack(), S.slopes, S.masses, pot, p,
-                            S.grid)
-    _check_finite(out)
-    return [RealField(out[i], S.grid) for i in range(S.n_channels)]
 
 
 @dataclass

@@ -4,16 +4,8 @@ Forward map: psi = exp(i*S0/zeta - S1/zeta), so the phase carries the
 conservative action and the amplitude carries the dissipative channel.
 The inverse needs a 1D phase unwrap (cumulative wrapped differences,
 anchored to the principal value at the first grid point) and an amplitude
-floor at near-zeros of psi.
-
-Multi-channel composition: environment channels S2, S3 map to the j and k
-quaternion units. The composed factor is DEFINED as the ordered product of
-per-unit exponentials (quaternion exponentials of sums do not factor, so
-the ordered factorization is the definition, not a theorem):
-
-    phi_inv = exp(j*S2/zeta) * exp(-k*S3/zeta),   Psi = exp(i*S0/zeta - S1/zeta)
-
-and psi is fixed by psi * phi = Psi.
+floor at near-zeros of psi. Only S0 and S1 enter psi; further environment
+channels of a Hamilton-Jacobi run have no wavefunction counterpart here.
 """
 
 from __future__ import annotations
@@ -22,22 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualwave.core import (
-    ComplexField,
-    DualParams,
-    QuaternionField,
-    RealField,
-    quaternion_multiply_arrays,
-)
-from dualwave.hamilton_jacobi import ActionChannels
+from dualwave.core import ComplexField, DualParams, RealField
 
 
 class DegenerateWavefunctionError(ValueError):
     """psi vanishes identically; the inverse map is undefined."""
-
-
-class ChannelCountError(ValueError):
-    """More environment channels than available quaternion units."""
 
 
 class AmplitudeFloorWarning(UserWarning):
@@ -128,66 +109,3 @@ def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
 
     return UnwrapResult(RealField(s0, psi.grid), RealField(s1, psi.grid),
                         tuple(warnings))
-
-
-@dataclass(frozen=True)
-class ComposedWave:
-    """Output of the multi-channel composition psi * phi = Psi.
-
-    psi is the complex (1, i) projection of psi_quaternion; the two agree
-    whenever S2 = S3 = 0 and differ only through the non-commuting
-    environment factor otherwise.
-    """
-
-    psi: ComplexField
-    Psi: ComplexField
-    phi: QuaternionField
-    psi_quaternion: QuaternionField
-
-
-def _unit_exponential_factor(unit_axis: int, angle: np.ndarray, n: int) -> np.ndarray:
-    """exp(u * angle) for a single quaternion unit u, as an (n, 4) array."""
-    out = np.zeros((n, 4))
-    out[:, 0] = np.cos(angle)
-    out[:, unit_axis] = np.sin(angle)
-    return out
-
-
-def compose_channels(S: ActionChannels, p: DualParams) -> ComposedWave:
-    """Compose system + environment channels into (psi, Psi, phi).
-
-    Psi = exp(i*S0/zeta - S1/zeta) is the complex reduction that the wave
-    solver consumes; phi_inv is the ordered product of the j and k unit
-    exponentials exp(+j*S2/zeta) * exp(-k*S3/zeta) (index order, literal
-    sign pattern); phi is its pointwise quaternion inverse and
-    psi = Psi * phi_inv.
-    """
-    if S.n_environment > 3:
-        raise ChannelCountError("channel count exceeds quaternion units")
-    grid = S.grid
-    n = grid.n_points
-    scale = p.zeta
-
-    psi_c = to_wavefunction(S.channels[0], S.channels[1], p)
-
-    phi_inv_vals = None
-    if S.n_channels >= 3:
-        phi_inv_vals = _unit_exponential_factor(2, S.channels[2].values / scale, n)
-    if S.n_channels >= 4:
-        k_factor = _unit_exponential_factor(3, -S.channels[3].values / scale, n)
-        phi_inv_vals = quaternion_multiply_arrays(phi_inv_vals, k_factor)
-    if phi_inv_vals is None:
-        phi_inv = QuaternionField.one(grid)
-    else:
-        phi_inv = QuaternionField(phi_inv_vals, grid)
-    phi = phi_inv.inverse()
-
-    big_psi = psi_c.values
-    embed = np.zeros((n, 4))
-    embed[:, 0] = big_psi.real
-    embed[:, 1] = big_psi.imag
-    psi_q = QuaternionField(
-        quaternion_multiply_arrays(embed, phi_inv.values), grid)
-    psi_proj = ComplexField(psi_q.values[:, 0] + 1j * psi_q.values[:, 1], grid)
-
-    return ComposedWave(psi=psi_proj, Psi=psi_c, phi=phi, psi_quaternion=psi_q)

@@ -119,20 +119,25 @@ class WaveScenario:
             raise ConfigurationError(
                 f"unknown nonlinear_term {self.nonlinear_term!r}")
         pot = self.potentials
-        if pot.vc is not None and SYMMETRIC_CLOSURE in (self.closure_mode, pot.mode):
+        # PotentialSet itself rejects them under potential_mode = symmetric_closure
+        if pot.vc is not None and self.closure_mode == SYMMETRIC_CLOSURE:
             raise ConfigurationError(
                 "stored coupling potentials vc0/vc1 are used only with "
-                "closure_mode = explicit and potential_mode = explicit")
+                "closure_mode = explicit")
         # the stepper divides the guiding and stored coupling potentials by
         # zeta, as complex numbers, which gives NaN once 1/zeta overflows
-        # even where they are 0
+        # even where they are 0; its RK2 multiplier squares a dt, whose
+        # imaginary part 2 Re(a dt) Im(a dt) reaches twice (dt * rate)^2
+        # (x * x: x ** 2 raises OverflowError on a Python float)
         z = self.params.zeta
         rate = max(float(np.max(np.abs(values(i, self.grid))))
                    for values in (pot.vg_values, pot.vc_values) for i in (0, 1)) / z
-        if not (math.isfinite(rate) and math.isfinite(1.0 / z)):
+        step = self.dt * rate
+        if not (math.isfinite(2.0 * step * step) and math.isfinite(1.0 / z)):
             raise ConfigurationError(
                 f"potential rate max(|Vg|, |Vc|) / zeta = {rate:g} at zeta = {z:g} "
-                f"leaves the float range; raise zeta or lower the potentials")
+                f"and dt = {self.dt:g} leaves the float range; raise zeta or "
+                f"lower dt or the potentials")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
@@ -424,7 +429,9 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
     alive = list(range(len(runs)))
     for start in range(0, n_steps, snapshot_every):
         step = min(start + snapshot_every, n_steps)
-        v = _strang_steps(v, stepper, step - start)
+        # the snapshot check below reports any overflow or NaN as a blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _strang_steps(v, stepper, step - start)
         # False for a NaN or infinite maximum too
         bounded = np.max(np.abs(v), axis=-1) <= PSI_OVERFLOW_THRESHOLD
         terms = [t for t, ok in zip(stepper.energy_terms, bounded) if ok]
@@ -455,12 +462,6 @@ def _runs_or_raise(results: list) -> list:
         if isinstance(result, BlowUpError):
             raise result
     return results
-
-
-def step_splitstep(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
-    """One Strang step of the generalized equation (kinetic/pointwise/kinetic)."""
-    stepper = _GeneralizedStepper([scenario])
-    return ComplexField(_strang_steps(psi.values[None], stepper, 1)[0], psi.grid)
 
 
 def _snapshots(t: float, v: np.ndarray, grid: Grid1D, energy_terms) -> list:

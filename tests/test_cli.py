@@ -79,6 +79,23 @@ STORED_VC_INI = ("[grid]\nn = 256\nx_min = -10\nx_max = 10\n"
                  "[integration]\ndt = 1e-3\nn_steps = 100\nsnapshot_every = 50\n")
 
 
+# an hj config with a stored coupling potential: S0 = 0.5 x - (0.125 + 5) t
+HJ_VC_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+             "[scenario]\nkind = hj\nlabel = hjvc\n"
+             "channel0_type = linear\nchannel0_slope = 0.5\nchannel1_type = zero\n"
+             "vc0_type = constant\nvc0_v0 = 5\npotential_mode = explicit\n"
+             "[integration]\ndt = 1e-3\nn_steps = 20\n")
+
+
+# a guiding potential of 1e150: (dt V)^2 = 1e294 passes validation, and
+# the state overflows between snapshots
+OVERFLOW_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+                "[scenario]\nkind = wave\nlabel = ov\n"
+                "initial_type = gaussian\ninitial_sigma = 1.0\n"
+                "vg0_type = constant\nvg0_v0 = 1e150\n"
+                "[integration]\ndt = 1e-3\nn_steps = 20\nsnapshot_every = 10\n")
+
+
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -119,13 +136,15 @@ class TestRun:
         (STORED_VC_INI, []),
         (STORED_VC_INI.replace("label = vc\n", "label = vc\nclosure_mode = explicit\n"
                                "potential_mode = symmetric_closure\n"), []),
+        (HJ_VC_INI.replace("= explicit", "= symmetric_closure"), []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
             "hj_snapshot_every_0", "wave_mass_key_beyond_channels",
             "hj_mass_key_beyond_channels", "hbar_zero",
             "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta",
-            "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials"])
+            "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials",
+            "hj_stored_vc_with_closure_potentials"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -202,11 +221,17 @@ class TestRun:
         ("5e-324", "vg0_type = harmonic\nvg0_omega = 1.0\n"),
         ("5e-324", ""),
         ("1e-300", "closure_mode = explicit\nvc0_type = harmonic\nvc0_omega = 1e10\n"),
-    ], ids=["harmonic_vg0", "zero_vg", "stored_vc0"])
+        ("1.0", "vg0_type = constant\nvg0_v0 = 1e200\n"),
+        ("1.0", "vg0_type = constant\nvg0_v0 = 1.2e158\n"
+                "vg1_type = constant\nvg1_v0 = 1.2e158\n"),
+    ], ids=["harmonic_vg0", "zero_vg", "stored_vc0", "rk2_multiplier_overflow",
+            "rk2_multiplier_cross_term"])
     def test_non_finite_potential_rate_exits_2(self, tmp_path, capsys, hbar, keys):
         # at a subnormal hbar max|Vg| / zeta overflows, and with Vg = 0 the
         # complex division by zeta still gives NaN; explicit closure divides
-        # the stored couplings by zeta too
+        # the stored couplings by zeta too; a finite rate of 1e200 still
+        # overflows the RK2 multiplier 1 + a dt + (a dt)^2 / 2, and so does
+        # (dt * rate)^2 = 1.4e308 through the cross term of (a dt)^2
         cfg = tmp_path / "tiny_hbar.ini"
         cfg.write_text("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                        f"[params]\nm0 = 1.0\nm1 = 1.2\nhbar = {hbar}\n"
@@ -224,6 +249,19 @@ class TestRun:
         assert err.startswith("configuration error: potential rate")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_genuine_blow_up_exits_3_without_warnings(self, tmp_path, capsys):
+        # only the snapshot check may report the overflow
+        cfg = tmp_path / "ov.ini"
+        cfg.write_text(OVERFLOW_INI)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up: partial output")
+        assert read_lines(tmp_path / "ov_summary.csv")[-1] == "# blow-up at step 10"
 
     def test_oscillator_run(self, tmp_path):
         code = main(["run", "--scenario", "ck_damped", "--out", str(tmp_path)])
@@ -282,6 +320,17 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == 0
         snaps = read_lines(tmp_path / "out" / "hj_three_snapshots.csv")
         assert snaps[0] == "t,x,S0,S1,S2"
+
+    def test_hj_stored_coupling_potential(self, tmp_path):
+        # the hj kind reads vc<i> and potential_mode as the wave kind does
+        cfg = tmp_path / "hjvc.ini"
+        cfg.write_text(HJ_VC_INI)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = parse_csv(tmp_path / "hjvc_snapshots.csv")
+        final = rows[rows[:, 0] == rows[-1, 0]]
+        assert final[0, 0] == pytest.approx(0.02, abs=1e-15)
+        exact = 0.5 * final[:, 1] - (0.125 + 5.0) * final[:, 0]
+        assert np.max(np.abs(final[:, 2] - exact)) < 1e-12
 
     def test_channel_mass_mismatch_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "hj3bad.ini"

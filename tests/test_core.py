@@ -11,12 +11,8 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     Grid1D,
-    NonFiniteFieldError,
-    Quaternion,
-    RealField,
     field_norm,
-    quaternion_exp,
-    spectral_derivative,
+    spectral_derivative_values,
 )
 from dualwave.scenarios import Integration, ScenarioSpec
 
@@ -39,55 +35,56 @@ class TestGrid:
             Grid1D(8, 1.0, 1.0)
 
 
+def derivative(values, order):
+    """spectral_derivative_values on GRID_2PI."""
+    return spectral_derivative_values(values, GRID_2PI, order)
+
+
 class TestSpectralDerivative:
+    """Real samples take the rfft path and complex samples the fft path;
+    each value check runs on both."""
+
     def test_sin_to_cos(self):
-        f = RealField(np.sin(GRID_2PI.x), GRID_2PI)
-        d = spectral_derivative(f, 1)
-        assert np.max(np.abs(d.values - np.cos(GRID_2PI.x))) < 1e-10
+        f = np.sin(GRID_2PI.x)
+        for values in (f, f.astype(complex)):
+            d = derivative(values, 1)
+            assert np.max(np.abs(d - np.cos(GRID_2PI.x))) < 1e-10
+        assert not np.iscomplexobj(derivative(f, 1))
 
     def test_constant_derivative_is_zero(self):
         for order in (1, 2):
-            f = RealField(np.full(64, 2.7), GRID_2PI)
-            assert np.max(np.abs(spectral_derivative(f, order).values)) < 1e-13
+            f = np.full(64, 2.7)
+            for values in (f, f.astype(complex)):
+                assert np.max(np.abs(derivative(values, order))) < 1e-13
 
     def test_second_derivative_of_mode(self):
-        f = ComplexField(np.exp(3j * GRID_2PI.x), GRID_2PI)
-        d2 = spectral_derivative(f, 2)
-        err = np.max(np.abs(d2.values + 9.0 * f.values)) / 9.0
+        f = np.exp(3j * GRID_2PI.x)
+        err = np.max(np.abs(derivative(f, 2) + 9.0 * f)) / 9.0
         assert err < 1e-10
-
-    def test_rejects_bad_order(self):
-        f = RealField.zeros(GRID_2PI)
-        with pytest.raises(ValueError):
-            spectral_derivative(f, 3)
-
-    def test_rejects_non_finite(self):
-        vals = np.zeros(64)
-        vals[5] = np.nan
-        with pytest.raises(NonFiniteFieldError):
-            spectral_derivative(RealField(vals, GRID_2PI), 1)
+        # the real and imaginary parts on the real path
+        for part in (f.real, f.imag):
+            assert np.max(np.abs(derivative(part, 2) + 9.0 * part)) / 9.0 < 1e-10
 
     @given(st.lists(st.floats(-3, 3), min_size=6, max_size=6),
            st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, coeffs, alpha, beta):
         x = GRID_2PI.x
-        f = RealField(coeffs[0] * np.sin(x) + coeffs[1] * np.cos(2 * x)
-                      + coeffs[2] * np.sin(3 * x), GRID_2PI)
-        g = RealField(coeffs[3] * np.cos(x) + coeffs[4] * np.sin(4 * x)
-                      + coeffs[5], GRID_2PI)
-        combo = RealField(alpha * f.values + beta * g.values, GRID_2PI)
-        lhs = spectral_derivative(combo, 1).values
-        rhs = (alpha * spectral_derivative(f, 1).values
-               + beta * spectral_derivative(g, 1).values)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(rhs)))
+        f = (coeffs[0] * np.sin(x) + coeffs[1] * np.cos(2 * x)
+             + coeffs[2] * np.sin(3 * x))
+        g = coeffs[3] * np.cos(x) + coeffs[4] * np.sin(4 * x) + coeffs[5]
+        for u, w in ((f, g), (f.astype(complex), 1j * g)):
+            lhs = derivative(alpha * u + beta * w, 1)
+            rhs = alpha * derivative(u, 1) + beta * derivative(w, 1)
+            assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(rhs)))
 
     def test_second_equals_first_twice_on_band_limited(self):
         x = GRID_2PI.x
-        f = RealField(np.sin(2 * x) + 0.3 * np.cos(5 * x), GRID_2PI)
-        once_twice = spectral_derivative(spectral_derivative(f, 1), 1)
-        direct = spectral_derivative(f, 2)
-        assert np.max(np.abs(once_twice.values - direct.values)) < 1e-10
+        f = np.sin(2 * x) + 0.3 * np.cos(5 * x)
+        for values in (f, f + 0.5j * np.cos(3 * x)):
+            once_twice = derivative(derivative(values, 1), 1)
+            direct = derivative(values, 2)
+            assert np.max(np.abs(once_twice - direct)) < 1e-10
 
 
 class TestFieldNorm:
@@ -104,58 +101,6 @@ class TestFieldNorm:
         amp = (2.0 * math.pi * sigma ** 2) ** -0.25
         psi = ComplexField(amp * np.exp(-g.x ** 2 / (4 * sigma ** 2)), g)
         assert abs(field_norm(psi) - 1.0) < 1e-10
-
-
-class TestQuaternion:
-    def test_unit_table(self):
-        i = Quaternion(0, 1, 0, 0)
-        j = Quaternion(0, 0, 1, 0)
-        k = Quaternion(0, 0, 0, 1)
-        minus_one = Quaternion(-1, 0, 0, 0)
-        assert i * i == minus_one
-        assert j * j == minus_one
-        assert k * k == minus_one
-        assert i * j == k
-        assert j * k == i
-        assert k * i == j
-        assert i * j * k == minus_one
-        assert j * i == -k
-        assert k * j == -i
-        assert i * k == -j
-
-    @given(*(st.floats(-5, 5) for _ in range(8)))
-    @settings(max_examples=50, deadline=None)
-    def test_norm_multiplicative(self, a, b, c, d, e, f, g, h):
-        q1 = Quaternion(a, b, c, d)
-        q2 = Quaternion(e, f, g, h)
-        lhs = (q1 * q2).norm()
-        rhs = q1.norm() * q2.norm()
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
-
-    def test_exp_of_zero(self):
-        assert quaternion_exp(Quaternion(0, 0, 0, 0)) == Quaternion(1, 0, 0, 0)
-
-    def test_exp_euler_identity(self):
-        q = quaternion_exp(Quaternion(0, math.pi, 0, 0))
-        assert (q - Quaternion(-1, 0, 0, 0)).norm() < 1e-12
-
-    def test_exp_ln2_j_halfpi(self):
-        q = quaternion_exp(Quaternion(math.log(2), 0, math.pi / 2, 0))
-        assert (q - Quaternion(0, 0, 2, 0)).norm() < 1e-12
-
-    @given(st.floats(-3, 3), st.floats(-10, 10))
-    @settings(max_examples=50, deadline=None)
-    def test_exp_matches_complex_in_wx_plane(self, w, theta):
-        q = quaternion_exp(Quaternion(w, theta, 0, 0))
-        z = np.exp(w + 1j * theta)
-        assert abs(q.w - z.real) < 1e-12 * max(1.0, abs(z))
-        assert abs(q.x - z.imag) < 1e-12 * max(1.0, abs(z))
-        assert q.y == 0.0 and q.z == 0.0
-
-    def test_inverse(self):
-        q = Quaternion(1.0, -2.0, 0.5, 3.0)
-        r = q * q.inverse()
-        assert (r - Quaternion(1, 0, 0, 0)).norm() < 1e-14
 
 
 class TestDualParams:

@@ -9,16 +9,11 @@ from dualwave.core import (
     ComplexField,
     DualParams,
     Grid1D,
-    Quaternion,
     RealField,
-    quaternion_exp,
     spectral_derivative_values,
 )
-from dualwave.hamilton_jacobi import ActionChannels
 from dualwave.madelung import (
-    ChannelCountError,
     DegenerateWavefunctionError,
-    compose_channels,
     from_wavefunction,
     to_wavefunction,
 )
@@ -130,75 +125,6 @@ class TestInverseMap:
         assert res.s0.values[0] == P.zeta * principal
 
 
-class TestCompose:
-    def test_two_channels_reduce_to_complex_case(self):
-        s0 = RealField(0.3 * np.sin(GRID.x), GRID)
-        s1 = RealField(0.1 * np.cos(GRID.x), GRID)
-        ch = ActionChannels((s0, s1), (1.0, 1.0))
-        out = compose_channels(ch, P)
-        assert np.max(np.abs(out.phi.values
-                             - np.array([1.0, 0, 0, 0]))) == 0.0
-        assert np.array_equal(out.psi.values, out.Psi.values)
-
-    def test_zero_jk_channels_give_unit_phi(self):
-        s0 = RealField(0.3 * np.sin(GRID.x), GRID)
-        s1 = RealField(0.1 * np.cos(GRID.x), GRID)
-        zero = RealField.zeros(GRID)
-        ch = ActionChannels((s0, s1, zero, zero), (1.0, 1.0, 1.0, 1.0))
-        out = compose_channels(ch, P)
-        assert np.max(np.abs(out.phi.norm() - 1.0)) < 1e-15
-        assert np.max(np.abs(out.psi.values - out.Psi.values)) < 1e-15
-
-    def test_extraction_from_Psi_ignores_environment_channels(self):
-        s0 = RealField(0.3 * np.sin(GRID.x), GRID)
-        s1 = RealField(0.1 * np.cos(GRID.x) + 0.5, GRID)
-        s2 = RealField(0.9 * np.sin(2 * GRID.x), GRID)
-        s3 = RealField(-0.4 * np.cos(3 * GRID.x), GRID)
-        ch = ActionChannels((s0, s1, s2, s3), (1.0, 1.0, 1.0, 1.0))
-        out = compose_channels(ch, P)
-        res = from_wavefunction(out.Psi, P)
-        assert np.max(np.abs(res.s0.values - s0.values)) < 1e-10
-        assert np.max(np.abs(res.s1.values - s1.values)) < 1e-10
-
-    def test_constant_s2_pinned_against_quaternion_exp(self):
-        c = 0.8
-        s0 = RealField(0.3 * np.sin(GRID.x), GRID)
-        s1 = RealField(0.1 * np.cos(GRID.x), GRID)
-        s2 = RealField(np.full(256, c), GRID)
-        ch = ActionChannels((s0, s1, s2), (1.0, 1.0, 1.0))
-        out = compose_channels(ch, P)
-        # phi is the pointwise inverse of exp(+j c/zeta)
-        expected = quaternion_exp(Quaternion(0.0, 0.0, -c / P.zeta, 0.0))
-        sample = out.phi.at(31)
-        assert (sample - expected).norm() < 1e-12
-        assert np.max(np.abs(out.phi.norm() - 1.0)) < 1e-12
-
-    def test_ordered_factorization_and_psi_phi_product(self):
-        s0 = RealField(0.3 * np.sin(GRID.x), GRID)
-        s1 = RealField(0.1 * np.cos(GRID.x), GRID)
-        s2 = RealField(0.6 * np.sin(2 * GRID.x), GRID)
-        s3 = RealField(0.2 * np.cos(GRID.x), GRID)
-        ch = ActionChannels((s0, s1, s2, s3), (1.0, 1.0, 1.0, 1.0))
-        out = compose_channels(ch, P)
-        # psi * phi must reproduce Psi pointwise (quaternion product)
-        prod = out.psi_quaternion * out.phi
-        assert np.max(np.abs(prod.values[:, 0] - out.Psi.values.real)) < 1e-12
-        assert np.max(np.abs(prod.values[:, 1] - out.Psi.values.imag)) < 1e-12
-        assert np.max(np.abs(prod.values[:, 2:])) < 1e-12
-        # the j-then-k ordered factorization, pinned at one sample point
-        i = 77
-        fj = quaternion_exp(Quaternion(0, 0, s2.values[i] / P.zeta, 0))
-        fk = quaternion_exp(Quaternion(0, 0, 0, -s3.values[i] / P.zeta))
-        phi_inv = fj * fk
-        assert (out.phi.at(i) - phi_inv.inverse()).norm() < 1e-12
-
-    def test_too_many_channels_rejected(self):
-        fields = tuple(RealField.zeros(GRID) for _ in range(5))
-        ch = ActionChannels(fields, (1.0,) * 5)
-        with pytest.raises(ChannelCountError):
-            compose_channels(ch, P)
-
-
 def reference_from_wavefunction(v, zeta):
     """The one-shot inverse map as a standalone formula (np.diff increments,
     anchor at index 0, clamped floor 1e-12)."""
@@ -303,27 +229,3 @@ def test_round_trip_on_random_band_limited_actions(c0, c1):
     shift = 2 * math.pi * P.zeta * round(float(offset[0]) / (2 * math.pi * P.zeta))
     assert np.max(np.abs(offset - shift)) < 1e-10
     assert np.max(np.abs(res.s1.values - s1.values)) < 1e-10
-
-
-def test_precomposed_Psi_feeds_the_wave_solver():
-    # multi-channel runs hand the solver a pre-composed Psi; with the j/k
-    # channels nonzero Psi still depends only on (S0, S1) and evolves like
-    # any complex wavefunction
-    from dualwave.core import field_norm
-    from dualwave.hamilton_jacobi import PotentialSet
-    from dualwave.wavesolver import WaveScenario, evolve, schrodinger_reference
-
-    s0 = RealField(0.2 * np.sin(GRID.x), GRID)
-    s1 = RealField(0.5 - 0.3 * np.cos(GRID.x), GRID)
-    s2 = RealField(0.7 * np.sin(2 * GRID.x), GRID)
-    s3 = RealField(-0.2 * np.cos(GRID.x), GRID)
-    ch = ActionChannels((s0, s1, s2, s3), (1.0, 1.0, 1.0, 1.0))
-    composed = compose_channels(ch, P)
-    psi0 = ComplexField(
-        composed.Psi.values / math.sqrt(field_norm(composed.Psi)), GRID)
-    scenario = WaveScenario(psi0=psi0, params=P,
-                            potentials=PotentialSet.zeros(GRID, 2),
-                            dt=1e-3, n_steps=100, snapshot_every=100)
-    run = evolve(scenario)
-    ref = schrodinger_reference(psi0, None, 1.0, 1.0, 1e-3, 100, 100)
-    assert np.max(np.abs(run.final.psi.values - ref.final.psi.values)) < 1e-10

@@ -13,7 +13,6 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     Grid1D,
-    NonFiniteFieldError,
     RealField,
     field_norm,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "ConfigurationError",
     "DualParams",
     "Grid1D",
-    "NonFiniteFieldError",
     "PotentialSet",
     "RealField",
     "ScenarioSpec",

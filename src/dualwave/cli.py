@@ -354,7 +354,7 @@ def cmd_verify(args) -> int:
     from dualwave.verify import run_criteria
 
     try:
-        results = run_criteria(profile=args.profile, only=args.only)
+        results = run_criteria(only=args.only)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -473,8 +473,6 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")
-    p_verify.add_argument("--profile", choices=("default", "strict"),
-                          default="default")
     p_verify.add_argument("--only", help="run a single named criterion")
     p_verify.set_defaults(func=cmd_verify)
 

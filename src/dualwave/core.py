@@ -17,10 +17,6 @@ from functools import cached_property
 import numpy as np
 
 
-class NonFiniteFieldError(ValueError):
-    """A field contains NaN/Inf where a finite field is required."""
-
-
 class BlowUpError(RuntimeError):
     """An integration blew up; carries the step index and partial output.
 

@@ -9,6 +9,7 @@ The coupling potentials Vc are the stored ones in `explicit` potential
 mode and the closure rule in `symmetric_closure` mode (`PotentialSet`).
 The right-hand side is written once, in `_hj_rhs_values`, which evaluates
 it on the (N + 1, n_points) channel stack that `evolve_hj` steps by RK4.
+The masses m0..mN are those of the run's DualParams, one per channel.
 
 Each channel is stored as a periodic sample array plus an optional linear
 slope, S_i(x) = slope_i * x + periodic_i(x). Only the periodic part is
@@ -21,6 +22,7 @@ trajectory instead of switching to a viscosity solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,27 +45,21 @@ GRADIENT_BLOWUP_THRESHOLD = 1e6
 
 @dataclass(frozen=True)
 class ActionChannels:
-    """Action fields S0..SN with per-channel masses and optional linear slopes.
+    """Action fields S0..SN with optional linear slopes.
 
     channels[0] is the system action, channels[1:] the environment
     participation fields. All fields live on one grid; slopes default to
     zero and carry the non-periodic (mean-gradient) part of each channel.
+    The channel masses are those of the run's DualParams.
     """
 
     channels: tuple
-    masses: tuple
     slopes: tuple = ()
 
     def __post_init__(self):
         channels = tuple(self.channels)
-        masses = tuple(float(m) for m in self.masses)
         if len(channels) < 2:
             raise ValueError("need at least two channels (system + environment)")
-        if len(channels) != len(masses):
-            raise ValueError(
-                f"channel count {len(channels)} != mass count {len(masses)}")
-        if any(m <= 0 for m in masses):
-            raise ValueError(f"masses must be positive, got {masses}")
         grid = channels[0].grid
         if any(ch.grid != grid for ch in channels):
             raise ValueError("all channels must share one grid")
@@ -73,7 +69,6 @@ class ActionChannels:
             raise ValueError(
                 f"slope count {len(slopes)} != channel count {len(channels)}")
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "slopes", slopes)
 
     @property
@@ -83,10 +78,6 @@ class ActionChannels:
     @property
     def n_channels(self) -> int:
         return len(self.channels)
-
-    @property
-    def n_environment(self) -> int:
-        return len(self.channels) - 1
 
     def values_stack(self) -> np.ndarray:
         return np.stack([ch.values for ch in self.channels])
@@ -103,7 +94,7 @@ class ActionChannels:
     def with_values(self, values_2d: np.ndarray) -> "ActionChannels":
         return ActionChannels(
             tuple(RealField(values_2d[i], self.grid) for i in range(self.n_channels)),
-            self.masses, self.slopes)
+            self.slopes)
 
 
 @dataclass(frozen=True)
@@ -147,6 +138,12 @@ class PotentialSet:
             return self.vc[i].values
         return np.zeros(grid.n_points)
 
+    def max_abs(self, grid, n_channels: int) -> float:
+        """max(|Vg_i|, |Vc_i|) over the first n_channels channels."""
+        return max(float(np.max(np.abs(values(i, grid))))
+                   for values in (self.vg_values, self.vc_values)
+                   for i in range(n_channels))
+
 
 def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
     """The closure rule (Vc0, Vc1) = ((zeta/4m) lap S1, -(zeta/4m) lap S0):
@@ -155,7 +152,7 @@ def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
     return coeff * lap_s1, -coeff * lap_s0
 
 
-def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
+def _hj_rhs_values(values_2d: np.ndarray, slopes, pot: PotentialSet,
                    p: DualParams, grid: Grid1D) -> tuple:
     """Time derivatives of the channel stack and the gradients they use.
 
@@ -164,7 +161,7 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, masses, pot: PotentialSet,
     the closure rule, lap S0 and lap S1; each row equals the 1-D transform
     of that channel bit for bit.
     """
-    n_ch = values_2d.shape[0]
+    n_ch, masses = values_2d.shape[0], p.masses
     closure = pot.mode == SYMMETRIC_CLOSURE
     spectra = np.fft.rfft(values_2d)
     mult = grid.derivative_multipliers
@@ -206,35 +203,47 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     stage at a new state gives the caustic check its gradients and is the
     next step's k1, so a step makes 8 FFT calls in either potential mode.
 
-    Aborts with BlowUpError("caustic/blow-up detected at step s") when any
-    channel gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go
-    non-finite; the exception carries the partial HJTrajectory so far.
+    Raises ConfigurationError when p.masses does not hold one mass per
+    channel or when the potentials alone overflow the RK4 stage sum. Aborts
+    with BlowUpError("caustic/blow-up detected at step s") when any channel
+    gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go non-finite; the
+    exception carries the partial HJTrajectory so far.
     """
     check_stepping(dt, n_steps, snapshot_every)
-    grid = S0.grid
-    slopes, masses = np.reshape(S0.slopes, (-1, 1)), S0.masses
+    grid, n_ch = S0.grid, S0.n_channels
+    if len(p.masses) != n_ch:
+        raise ConfigurationError(
+            f"{n_ch} action channels need {n_ch} masses, got {len(p.masses)}")
+    # the stage sum k1 + 2 k2 + 2 k3 + k4 adds Vg + Vc six times per channel
+    vmax = pot.max_abs(grid, n_ch)
+    if not math.isfinite(6.0 * vmax * (1.0 if pot.vc is None else 2.0)):
+        raise ConfigurationError(f"potential max(|Vg|, |Vc|) = {vmax:g} overflows "
+                                 "the RK4 stage sum 6 max|Vg + Vc|")
+    slopes = np.reshape(S0.slopes, (-1, 1))
 
     def rhs(v):
-        return _hj_rhs_values(v, slopes, masses, pot, p, grid)
+        return _hj_rhs_values(v, slopes, pot, p, grid)
 
-    v = S0.values_stack()
-    k1, _ = rhs(v)
     traj = HJTrajectory(times=[0.0], states=[S0])
-    for step in range(1, n_steps + 1):
-        k2, _ = rhs(v + 0.5 * dt * k1)
-        k3, _ = rhs(v + 0.5 * dt * k2)
-        k4, _ = rhs(v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = not np.all(np.isfinite(v))
-        if not bad:
-            k1, grads = rhs(v)
-            bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
-        if bad:
-            raise BlowUpError(f"caustic/blow-up detected at step {step}",
-                              step=step, partial=traj)
-        if step % snapshot_every == 0 or step == n_steps:
-            traj.times.append(step * dt)
-            traj.states.append(S0.with_values(v))
+    # the finiteness and gradient check below reports any overflow as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = S0.values_stack()
+        k1, _ = rhs(v)
+        for step in range(1, n_steps + 1):
+            k2, _ = rhs(v + 0.5 * dt * k1)
+            k3, _ = rhs(v + 0.5 * dt * k2)
+            k4, _ = rhs(v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            bad = not np.all(np.isfinite(v))
+            if not bad:
+                k1, grads = rhs(v)
+                bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
+            if bad:
+                raise BlowUpError(f"caustic/blow-up detected at step {step}",
+                                  step=step, partial=traj)
+            if step % snapshot_every == 0 or step == n_steps:
+                traj.times.append(step * dt)
+                traj.states.append(S0.with_values(v))
     return traj
 
 
@@ -244,8 +253,6 @@ def participation_metric(S: ActionChannels) -> RealField:
     In 1D the metric is a single non-negative scalar field; the system
     channel (index 0) is excluded from the sum.
     """
-    if S.n_environment < 1:
-        raise ValueError("need at least one environment channel")
     w = np.zeros(S.grid.n_points)
     for mu in range(1, S.n_channels):
         g = S.gradient(mu)

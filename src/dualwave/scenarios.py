@@ -266,8 +266,7 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
             raise ConfigurationError(
                 f"scenario defines {len(fields)} channels but only "
                 f"{len(spec.masses)} masses (set m2, m3, ... in [params])")
-        channels = ActionChannels(tuple(fields), spec.masses[: len(fields)],
-                                  tuple(slopes))
+        channels = ActionChannels(tuple(fields), tuple(slopes))
         pot = _expand_potentials(spec, grid, len(fields))
         return ExpandedHJ(channels=channels, potentials=pot,
                           params=spec.dual_params(),

@@ -36,8 +36,7 @@ in a mass-asymmetric stack (two gradients) and 4 in an explicit-closure
 stack (two Laplacians), so 2, 6, 6 or 10, whatever P is.
 `evolve` and the reference solver share this loop driver and the snapshot
 diagnostics but assemble their multipliers separately. The equation's
-terms are written once, in the stepper; `generalized_rhs` evaluates the
-same terms at one state.
+terms are written once, in the stepper that steps them.
 
 In `symmetric_closure` mode the bracketed coupling terms are cancelled
 analytically (they are identically zero when the coupling potentials equal
@@ -63,7 +62,6 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     Grid1D,
-    NonFiniteFieldError,
     RealField,
     check_stepping,
     spectral_derivative_values,
@@ -130,8 +128,7 @@ class WaveScenario:
         # imaginary part 2 Re(a dt) Im(a dt) reaches twice (dt * rate)^2
         # (x * x: x ** 2 raises OverflowError on a Python float)
         z = self.params.zeta
-        rate = max(float(np.max(np.abs(values(i, self.grid))))
-                   for values in (pot.vg_values, pot.vc_values) for i in (0, 1)) / z
+        rate = pot.max_abs(self.grid, 2) / z
         step = self.dt * rate
         if not (math.isfinite(2.0 * step * step) and math.isfinite(1.0 / z)):
             raise ConfigurationError(
@@ -366,27 +363,6 @@ class _GeneralizedStepper:
         return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
 
 
-def generalized_rhs(psi: ComplexField, scenario: WaveScenario) -> ComplexField:
-    """Full right-hand side dpsi/dt of the scenario's generalized wave
-    equation at psi, from the stepper's kinetic coefficient and rates.
-
-    In explicit mode the S fields are extracted from psi; in
-    symmetric_closure mode the coupling terms are cancelled analytically.
-    """
-    v = psi.values[None]
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteFieldError("non-finite field")
-    stepper = _GeneralizedStepper([scenario])
-    rate = stepper.frozen_rate(v)
-    if stepper.nonlinear:
-        rate = rate + stepper.asymmetry_rate(v)
-    lap = spectral_derivative_values(v, psi.grid, 2)
-    out = 1j * stepper.kinetic_coeff * lap + rate * v
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError("non-finite right-hand side")
-    return ComplexField(out[0], psi.grid)
-
-
 def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
     """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
     stack v, with adjacent kinetic half-steps merged. A stack holds rows of
@@ -548,12 +524,11 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
     Same Strang/RK2 discretization as `evolve`, assembled directly from
     (Vg0, mass, z) and sharing only the loop driver and snapshot
     diagnostics; serves as the oracle for the symmetric-limit equivalence
-    and for the deformed-dispersion checks.
+    and for the deformed-dispersion checks. `vg0` is a RealField or None.
     """
     check_stepping(dt, n_steps, snapshot_every)
     grid = psi0.grid
-    vg0_values = vg0.values if isinstance(vg0, RealField) else (
-        np.zeros(grid.n_points) if vg0 is None else np.asarray(vg0, dtype=float))
+    vg0_values = np.zeros(grid.n_points) if vg0 is None else vg0.values
     stepper = _ReferenceStepper(grid, vg0_values, mass, zeta, dt)
     return _runs_or_raise(
         _integrate(stepper, psi0.values[None], n_steps, snapshot_every))[0]
@@ -567,7 +542,9 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
                                p: DualParams, dt: float, n_steps: int,
                                snapshot_every: int = 1) -> WaveRun:
     """Exploration mode: evolve (S0, S1) by the Hamilton-Jacobi equations and
-    reconstruct psi = exp(i S0/z - S1/z) at each snapshot.
+    reconstruct psi = exp(i S0/z - S1/z) from their total samples at each
+    snapshot. psi is periodic only if S1 has no slope and the slope of S0 is
+    a multiple of 2 pi z / L; other slopes raise ConfigurationError.
 
     With the symmetric-closure coupling potentials and m0 == m1 this
     integrates the same dynamics as `evolve` in Madelung variables (the
@@ -585,11 +562,17 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     Laplacians is stable only for dt * (z * k_max^2 / 2 m0) below RK4's
     imaginary-axis bound of ~2.8.
     """
-    traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
     grid = channels.grid
-    vg0 = pot.vg_values(0, grid)
-    energy_terms = [(vg0, p.zeta, p.kinetic_mass)]
+    slope0, slope1 = channels.slopes[:2]
+    windings = slope0 * grid.length / (2.0 * math.pi * p.zeta)
+    if slope1 != 0.0 or abs(windings - round(windings)) > 1e-9:
+        raise ConfigurationError(
+            f"channel slopes ({slope0:g}, {slope1:g}) make psi non-periodic: "
+            f"S1 needs slope 0 and S0 a multiple of 2 pi zeta / L")
+    traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
+    energy_terms = [(pot.vg_values(0, grid), p.zeta, p.kinetic_mass)]
     return WaveRun(snapshots=[
-        _snapshots(t, to_wavefunction(state.channels[0], state.channels[1],
-                                      p).values[None], grid, energy_terms)[0]
+        _snapshots(t, to_wavefunction(RealField(state.total_samples(0), grid),
+                                      state.channels[1], p).values[None],
+                   grid, energy_terms)[0]
         for t, state in zip(traj.times, traj.states)])

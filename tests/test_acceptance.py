@@ -1,7 +1,7 @@
 """Acceptance suite: every release criterion at its pinned tolerance.
 
-Runs the same checks as `dualwave verify` (default profile) and prints one
-pass/fail line per criterion.
+Runs the same checks as `dualwave verify` and prints one pass/fail line
+per criterion.
 """
 
 import functools
@@ -12,12 +12,10 @@ from dualwave import verify
 from dualwave.core import DualParams
 from dualwave.verify import CRITERIA, run_criteria
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 @pytest.fixture(scope="module")
 def results():
-    return run_criteria(profile="default")
+    return run_criteria()
 
 
 def test_all_criteria_pass(results):
@@ -42,5 +40,5 @@ def test_madelung_round_trip_holds_at_zeta_not_hbar(monkeypatch):
     # 2*pi*hbar shift (hbar = 1) would flip the sign of psi at zeta = 2
     monkeypatch.setattr(verify, "DualParams",
                         functools.partial(DualParams, zeta=2.0))
-    results = verify.crit_madelung_round_trip(lambda bound: bound, {})
+    results = verify.crit_madelung_round_trip({})
     assert [r.name for r in results if not r.passed] == []

@@ -18,9 +18,6 @@ from dualwave.oscillators import integrate_rk4
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
 from dualwave.wavesolver import NONLINEAR_OFF, evolve
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
-
 def read_lines(path):
     return Path(path).read_text().splitlines()
 
@@ -94,6 +91,14 @@ OVERFLOW_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                 "initial_type = gaussian\ninitial_sigma = 1.0\n"
                 "vg0_type = constant\nvg0_v0 = 1e150\n"
                 "[integration]\ndt = 1e-3\nn_steps = 20\nsnapshot_every = 10\n")
+
+
+# a linear S0 on a small grid; {keys} adds the potentials
+HJ_LINEAR_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+                 "[scenario]\nkind = hj\nlabel = hjv\n"
+                 "channel0_type = linear\nchannel0_slope = 0.5\n"
+                 "channel1_type = zero\n{keys}"
+                 "[integration]\ndt = 1e-3\nn_steps = 20\n")
 
 
 class TestRun:
@@ -262,6 +267,44 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("blow-up: partial output")
         assert read_lines(tmp_path / "ov_summary.csv")[-1] == "# blow-up at step 10"
+
+    @pytest.mark.parametrize("v0, code", [("1e308", 2), ("5e307", 2), ("1e306", 0)])
+    def test_hj_potential_must_keep_the_stage_sum_finite(self, tmp_path, capsys,
+                                                         v0, code):
+        # each RK4 stage adds Vg0 to the rate of S0, so the stage sum
+        # k1 + 2 k2 + 2 k3 + k4 reaches 6 max|Vg0|: 6e306 is finite, 3e308 not
+        cfg = tmp_path / "hjv.ini"
+        cfg.write_text(HJ_LINEAR_INI.format(
+            keys=f"vg0_type = constant\nvg0_v0 = {v0}\n"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("configuration error: potential ")
+            assert err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
+
+    def test_hj_blow_up_exits_3_without_warnings(self, tmp_path, capsys):
+        # a potential of 1e200 x^2 makes grad S0 ~ 1e199 in one step, whose
+        # square overflows; only the finiteness and gradient check may
+        # report it
+        cfg = tmp_path / "hjv.ini"
+        cfg.write_text(HJ_LINEAR_INI.format(
+            keys="vg0_type = harmonic\nvg0_omega = 1e100\n"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up: partial output")
+        assert (read_lines(tmp_path / "hjv_summary.csv")[-1]
+                == "# caustic/blow-up detected at step 1")
 
     def test_oscillator_run(self, tmp_path):
         code = main(["run", "--scenario", "ck_damped", "--out", str(tmp_path)])
@@ -647,8 +690,3 @@ class TestVerifyCommand:
 
     def test_unknown_criterion_exits_2(self, capsys):
         assert main(["verify", "--only", "bogus"]) == 2
-
-    def test_strict_profile_runs(self, capsys):
-        code = main(["verify", "--only", "zeta_dispersion",
-                     "--profile", "strict"])
-        assert code == 0

@@ -11,6 +11,7 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     RealField,
+    spectral_derivative_values,
 )
 from dualwave.hamilton_jacobi import (
     EXPLICIT,
@@ -32,7 +33,6 @@ from dualwave.wavesolver import (
     coevolved_wavefunction_run,
     evolve,
     evolve_many,
-    generalized_rhs,
     schrodinger_reference,
 )
 
@@ -51,10 +51,12 @@ def plane_wave(mode=8, grid=GRID):
     return k, ComplexField(np.exp(1j * k * grid.x), grid)
 
 
-def rhs_scenario(psi, params, pot, **changes):
-    """A zero-step scenario that fixes the physics generalized_rhs evaluates."""
-    return WaveScenario(psi0=psi, params=params, potentials=pot, dt=1e-6,
-                        n_steps=0, **changes)
+def rhs_stepper(psi, params, pot, **changes):
+    """The one-row stepper of a zero-step scenario: its kinetic coefficient
+    and rates are the terms of the generalized equation's right-hand side,
+    dpsi/dt = i kinetic_coeff lap psi + (a + i nu W / z) psi."""
+    return _GeneralizedStepper([WaveScenario(
+        psi0=psi, params=params, potentials=pot, dt=1e-6, n_steps=0, **changes)])
 
 
 def bracket(v):
@@ -63,15 +65,19 @@ def bracket(v):
 
 
 class TestGeneralizedRhs:
+    """The right-hand side's terms, read from the stepper that steps them."""
+
     def test_symmetric_closure_reduces_to_schrodinger_rhs(self):
+        # i dpsi/dt = -(1/2) lap psi + Vg0 psi at m0 = m1 = 1, zeta = 1
         vg0 = RealField(0.5 * GRID.x ** 2, GRID)
         pot = PotentialSet((vg0, RealField.zeros(GRID)), None)
         psi = unit_gaussian(sigma=math.sqrt(0.5))
-        rhs = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot))
-        from dualwave.core import spectral_derivative_values
-        lap = spectral_derivative_values(psi.values, GRID, 2)
-        expected = (-0.5 * lap + vg0.values * psi.values) / 1j
-        assert np.max(np.abs(rhs.values - expected)) < 1e-12
+        stepper = rhs_stepper(psi, P_SYM, pot)
+        assert not stepper.nonlinear
+        assert stepper.kinetic_coeff[0, 0] == 0.5
+        potential_term = stepper.frozen_rate(psi.values[None])[0] * psi.values
+        expected = vg0.values * psi.values / 1j
+        assert np.max(np.abs(potential_term - expected)) < 1e-12
 
     def test_plane_wave_bracket(self):
         k, psi = plane_wave()
@@ -89,33 +95,36 @@ class TestGeneralizedRhs:
 
     def test_residual_mass_term_on_plane_wave(self):
         k, psi = plane_wave()
+        v = psi.values[None]
         p = DualParams(masses=(1.0, 1.5))
         pot = PotentialSet.zeros(GRID, 2)
-        on = generalized_rhs(psi, rhs_scenario(psi, p, pot, closure_mode=EXPLICIT,
-                                               nonlinear_term=NONLINEAR_ON))
-        off = generalized_rhs(psi, rhs_scenario(psi, p, pot, closure_mode=EXPLICIT,
-                                                nonlinear_term=NONLINEAR_OFF))
+        on = rhs_stepper(psi, p, pot, closure_mode=EXPLICIT,
+                         nonlinear_term=NONLINEAR_ON)
+        off = rhs_stepper(psi, p, pot, closure_mode=EXPLICIT,
+                          nonlinear_term=NONLINEAR_OFF)
+        # switching the term on adds the asymmetry rate and nothing else
+        assert on.nonlinear and not off.nonlinear
+        assert np.array_equal(on.frozen_rate(v), off.frozen_rate(v))
+        assert on.kinetic_coeff[0, 0] == off.kinetic_coeff[0, 0]
         nu = 0.25 * p.residual_inv_mass
         expected = nu * (-(k ** 2) * psi.values) / 1j
-        assert np.max(np.abs((on.values - off.values) - expected)) < 1e-10
+        assert np.max(np.abs(on.asymmetry_rate(v)[0] * psi.values
+                             - expected)) < 1e-10
 
     def test_mass_symmetric_kills_nonlinear_term(self):
         _, psi = plane_wave()
-        pot = PotentialSet.zeros(GRID, 2)
-        on = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot, closure_mode=EXPLICIT,
-                                               nonlinear_term=NONLINEAR_ON))
-        off = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot, closure_mode=EXPLICIT,
-                                                nonlinear_term=NONLINEAR_OFF))
-        assert np.array_equal(on.values, off.values)
+        on = rhs_stepper(psi, P_SYM, PotentialSet.zeros(GRID, 2),
+                         closure_mode=EXPLICIT, nonlinear_term=NONLINEAR_ON)
+        assert not np.any(on.asymmetry_rate(psi.values[None]))
 
     def test_real_gaussian_symmetric_mode_pure_kinetic(self):
         psi = unit_gaussian()
-        pot = PotentialSet.zeros(GRID, 2)
-        rhs = generalized_rhs(psi, rhs_scenario(psi, P_SYM, pot))
-        from dualwave.core import spectral_derivative_values
+        stepper = rhs_stepper(psi, P_SYM, PotentialSet.zeros(GRID, 2))
+        assert not np.any(stepper.frozen_rate(psi.values[None]))
         lap = spectral_derivative_values(psi.values, GRID, 2)
         expected = (-(1.0 / (4 * P_SYM.reduced_mass)) * lap) / 1j
-        assert np.max(np.abs(rhs.values - expected)) < 1e-10
+        kinetic_term = 1j * stepper.kinetic_coeff[0, 0] * lap
+        assert np.max(np.abs(kinetic_term - expected)) < 1e-10
 
 
 class TestStepSplitstep:
@@ -511,25 +520,44 @@ class TestSymmetricLimit:
             for sa, sb in zip(a.snapshots, b.snapshots):
                 assert np.array_equal(sa.psi.values, sb.psi.values)
 
-    @pytest.mark.parametrize("zeta", [1.0, 2.0])
-    def test_coevolved_hj_route_agrees(self, zeta):
+    @pytest.mark.parametrize("zeta, windings", [
+        pytest.param(1.0, 0, id="1.0"),
+        pytest.param(2.0, 0, id="2.0"),
+        pytest.param(1.0, 3, id="sloped-1.0"),
+        pytest.param(2.0, 3, id="sloped-2.0"),
+    ])
+    def test_coevolved_hj_route_agrees(self, zeta, windings):
         # independent route: RK4 on the closure Hamilton-Jacobi system in
         # Madelung variables vs the split-step wavefunction solver; the
-        # closure couplings must carry zeta, not hbar
+        # closure couplings must carry zeta, not hbar. A slope of S0 that
+        # winds the phase a whole number of times keeps psi periodic, and
+        # psi must carry it.
         p = DualParams(masses=(1.0, 1.0), zeta=zeta)
         two_pi = 2 * np.pi
+        slope0 = zeta * two_pi * windings / GRID.length
         s0 = RealField(0.3 * np.sin(two_pi * GRID.x / GRID.length), GRID)
         s1 = RealField(1.0 - np.cos(two_pi * GRID.x / GRID.length), GRID)
-        channels = ActionChannels((s0, s1), (1.0, 1.0))
+        channels = ActionChannels((s0, s1), (slope0, 0.0))
         pot = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
-        psi0 = to_wavefunction(s0, s1, p)
+        psi0 = to_wavefunction(RealField(slope0 * GRID.x + s0.values, GRID),
+                               s1, p)
         dt, n = 1e-4, 2000
         co = coevolved_wavefunction_run(channels, pot, p, dt, n,
                                         snapshot_every=n)
         wave = evolve(WaveScenario(psi0=psi0, params=p, potentials=pot,
                                    dt=dt, n_steps=n, snapshot_every=n))
+        assert np.max(np.abs(co.snapshots[0].psi.values - psi0.values)) < 1e-12
         assert np.max(np.abs(co.final.psi.values
                              - wave.final.psi.values)) < 1e-6
+
+    @pytest.mark.parametrize("slopes", [(0.1, 0.0), (0.0, 0.5)],
+                             ids=["fractional_winding", "sloped_S1"])
+    def test_coevolved_rejects_non_periodic_psi(self, slopes):
+        channels = ActionChannels((RealField.zeros(GRID),) * 2, slopes)
+        with pytest.raises(ConfigurationError, match="non-periodic"):
+            coevolved_wavefunction_run(
+                channels, PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE),
+                P_SYM, 1e-4, 10)
 
 
 class TestReference:
@@ -585,7 +613,7 @@ def test_scenario_validation():
     lambda dt, every: schrodinger_reference(unit_gaussian(), None, 1.0, 1.0,
                                             dt, 10, every),
     lambda dt, every: evolve_hj(
-        ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)), (1.0, 1.0)),
+        ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID))),
         PotentialSet.zeros(GRID, 2), P_SYM, dt, 10, every),
 ], ids=["schrodinger_reference", "evolve_hj"])
 def test_public_solvers_check_stepping(solve, dt, snapshot_every):

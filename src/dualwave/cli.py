@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate
+from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate, snapshot_steps
 from dualwave.diagnostics import norm_rate, phase_rate, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
 from dualwave.madelung import from_wavefunction
@@ -130,16 +130,17 @@ def _hj_tables(expanded: ExpandedHJ):
 
 
 def _oscillator_tables(expanded: ExpandedOscillator):
-    integ = expanded.integration
-    traj, comments, code = _solve(
-        integrate_rk4, expanded.rhs, expanded.state0, integ.dt, integ.n_steps)
-    keep = np.arange(0, traj.shape[0], integ.snapshot_every)
-    times = keep * integ.dt
+    integ, params = expanded.integration, expanded.params
     table = FORMALISMS[expanded.formalism]
-    summary = [(t, *table.summary_row(state, t, expanded.params))
-               for t, state in zip(times.tolist(), traj[keep])]
+    traj, comments, code = _solve(
+        integrate_rk4, lambda s: table.rhs(s, params), expanded.state0,
+        integ.dt, integ.n_steps, integ.snapshot_every)
+    steps = snapshot_steps(integ.dt, integ.n_steps, integ.snapshot_every)
+    times = np.array(steps[:len(traj)]) * integ.dt
+    summary = [(t, *table.summary_row(state, t, params))
+               for t, state in zip(times.tolist(), traj)]
     return (code, comments,
-            (("t",) + table.columns, [np.column_stack((times, traj[keep]))]),
+            (("t",) + table.columns, [np.column_stack((times, traj))]),
             (("t",) + table.summary_header, np.array(summary)))
 
 

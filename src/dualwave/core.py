@@ -35,8 +35,13 @@ class ConfigurationError(ValueError):
     """A scenario/run configuration is invalid (maps to CLI exit code 2)."""
 
 
-def check_stepping(dt: float, n_steps: int, snapshot_every: int):
-    """Reject a step size, step count or snapshot cadence no run can use."""
+OVERFLOW_THRESHOLD = 1e12  # a larger state magnitude counts as a blow-up
+
+
+def snapshot_steps(dt: float, n_steps: int, snapshot_every: int) -> list:
+    """The steps every solver records, [0, e, 2e, ..., n_steps] with
+    e = snapshot_every, the last always included; raises ConfigurationError
+    for a step size, step count or snapshot cadence no run can use."""
     if not 0 < dt < math.inf:
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     if n_steps < 0:
@@ -44,6 +49,7 @@ def check_stepping(dt: float, n_steps: int, snapshot_every: int):
     if snapshot_every < 1:
         raise ConfigurationError(
             f"snapshot_every must be >= 1, got {snapshot_every}")
+    return [*range(0, n_steps, snapshot_every), n_steps]
 
 
 @dataclass(frozen=True)

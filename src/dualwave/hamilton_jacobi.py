@@ -33,7 +33,7 @@ from dualwave.core import (
     DualParams,
     Grid1D,
     RealField,
-    check_stepping,
+    snapshot_steps,
     spectral_derivative_values,
 )
 
@@ -189,7 +189,7 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, pot: PotentialSet,
 
 @dataclass
 class HJTrajectory:
-    """Time series of channel states at the snapshot cadence."""
+    """Time series of channel states at the recorded steps."""
 
     times: list
     states: list  # list of ActionChannels
@@ -197,7 +197,8 @@ class HJTrajectory:
 
 def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
               dt: float, n_steps: int, snapshot_every: int = 1) -> HJTrajectory:
-    """RK4 time integration of the coupled channel equations.
+    """RK4 time integration of the coupled channel equations, recording
+    the state at the steps of `core.snapshot_steps`.
 
     Each RK4 stage is one batched rfft/irfft pair (`_hj_rhs_values`); the
     stage at a new state gives the caustic check its gradients and is the
@@ -207,9 +208,10 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     channel or when the potentials alone overflow the RK4 stage sum. Aborts
     with BlowUpError("caustic/blow-up detected at step s") when any channel
     gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go non-finite; the
-    exception carries the partial HJTrajectory so far.
+    exception carries the partial HJTrajectory so far. The check runs at
+    every step, not only at the recorded ones.
     """
-    check_stepping(dt, n_steps, snapshot_every)
+    steps = snapshot_steps(dt, n_steps, snapshot_every)
     grid, n_ch = S0.grid, S0.n_channels
     if len(p.masses) != n_ch:
         raise ConfigurationError(
@@ -229,21 +231,21 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     with np.errstate(over="ignore", invalid="ignore"):
         v = S0.values_stack()
         k1, _ = rhs(v)
-        for step in range(1, n_steps + 1):
-            k2, _ = rhs(v + 0.5 * dt * k1)
-            k3, _ = rhs(v + 0.5 * dt * k2)
-            k4, _ = rhs(v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = not np.all(np.isfinite(v))
-            if not bad:
-                k1, grads = rhs(v)
-                bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
-            if bad:
-                raise BlowUpError(f"caustic/blow-up detected at step {step}",
-                                  step=step, partial=traj)
-            if step % snapshot_every == 0 or step == n_steps:
-                traj.times.append(step * dt)
-                traj.states.append(S0.with_values(v))
+        for start, stop in zip(steps, steps[1:]):
+            for step in range(start + 1, stop + 1):
+                k2, _ = rhs(v + 0.5 * dt * k1)
+                k3, _ = rhs(v + 0.5 * dt * k2)
+                k4, _ = rhs(v + dt * k3)
+                v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                bad = not np.all(np.isfinite(v))
+                if not bad:
+                    k1, grads = rhs(v)
+                    bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
+                if bad:
+                    raise BlowUpError(f"caustic/blow-up detected at step {step}",
+                                      step=step, partial=traj)
+            traj.times.append(stop * dt)
+            traj.states.append(S0.with_values(v))
     return traj
 
 

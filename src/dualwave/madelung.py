@@ -37,11 +37,10 @@ AMPLITUDE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class UnwrapResult:
-    """Inverse-map output: action fields plus any regularization warnings."""
+    """Inverse-map output: the action fields S0 and S1."""
 
     s0: RealField
     s1: RealField
-    warnings: tuple = ()
 
 
 def to_wavefunction(s0: RealField, s1: RealField, p: DualParams) -> ComplexField:
@@ -57,20 +56,18 @@ def wrapped_phase_differences(theta: np.ndarray) -> np.ndarray:
     return np.mod(np.roll(theta, -1, axis=-1) - theta + np.pi, 2.0 * np.pi) - np.pi
 
 
-def unwrap_phase(theta: np.ndarray):
+def unwrap_phase(theta: np.ndarray) -> np.ndarray:
     """Cumulative-difference unwrap anchored to the principal value at index 0.
 
     Sums the first N-1 cyclic increments, so the result keeps the winding
-    of psi as a linear ramp. Returns (unwrapped, aliased) where `aliased`
-    flags adjacent jumps at the branch boundary (|diff| ~ pi), i.e. inputs
-    that violate the band-limited phase assumption.
+    of psi as a linear ramp. A band-limited phase is assumed: an increment
+    near +-pi is taken at its wrapped value.
     """
     d = wrapped_phase_differences(theta)[:-1]
-    aliased = bool(np.any(np.abs(d) >= np.pi - 1e-9))
     unwrapped = np.empty_like(theta)
     unwrapped[0] = 0.0
     np.cumsum(d, out=unwrapped[1:])
-    return theta[0] + unwrapped, aliased
+    return theta[0] + unwrapped
 
 
 def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
@@ -84,28 +81,17 @@ def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
     The in-loop extraction of the wave solver (`_extract_action_terms`)
     differs on purpose: it only needs Laplacians, so it tapers the
     increments, floors additively and rebuilds a periodic phase. Raises
-    DegenerateWavefunctionError for psi identically zero; attaches "phase
-    aliasing" / "amplitude floor engaged" warnings to the result instead
-    of failing on marginal inputs.
+    DegenerateWavefunctionError for psi identically zero.
     """
     v = psi.values
     amax = float(np.max(np.abs(v)))
     if amax == 0.0:
         raise DegenerateWavefunctionError("degenerate wavefunction")
-    warnings = []
 
     # at amax below ~1e-142 the relative floor itself would underflow to
     # zero and S1 to infinity; the smallest normal float keeps it finite
     floor2 = max((AMPLITUDE_FLOOR * amax) ** 2, np.finfo(float).tiny)
     rho = (v.real * v.real + v.imag * v.imag)
-    if np.any(rho < floor2):
-        warnings.append("amplitude floor engaged")
     s1 = -0.5 * p.zeta * np.log(np.maximum(rho, floor2))
-
-    theta, aliased = unwrap_phase(np.angle(v))
-    if aliased:
-        warnings.append("phase aliasing")
-    s0 = p.zeta * theta
-
-    return UnwrapResult(RealField(s0, psi.grid), RealField(s1, psi.grid),
-                        tuple(warnings))
+    s0 = p.zeta * unwrap_phase(np.angle(v))
+    return UnwrapResult(RealField(s0, psi.grid), RealField(s1, psi.grid))

@@ -21,9 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from dualwave.core import BlowUpError, check_stepping
-
-OVERFLOW_THRESHOLD = 1e12
+from dualwave.core import OVERFLOW_THRESHOLD, BlowUpError, snapshot_steps
 
 
 @dataclass(frozen=True)
@@ -140,12 +138,11 @@ def dekker_energies(state: np.ndarray, p: OscParams) -> tuple:
     energy.
     """
     x, xdot, y, ydot = state
-    ex = 0.5 * p.mass * xdot ** 2 + 0.5 * p.stiffness * x ** 2
-    ey = -(0.5 * p.mass * ydot ** 2 + 0.5 * p.stiffness * y ** 2)
-    return ex, ey
+    return mechanical_energy(x, xdot, p), -mechanical_energy(y, ydot, p)
 
 
-def mechanical_energy(x: float, xdot: float, p: OscParams) -> float:
+def mechanical_energy(x, xdot, p: OscParams):
+    """m xdot^2 / 2 + k x^2 / 2 of floats or, elementwise, of arrays."""
     return 0.5 * p.mass * xdot ** 2 + 0.5 * p.stiffness * x ** 2
 
 
@@ -192,34 +189,39 @@ def damped_oscillator_solution(t, p: OscParams, x0: float = 1.0, v0: float = 0.0
     return np.exp(-0.5 * p.gamma * t) * (x0 * np.cos(wd * t) + c2 * np.sin(wd * t))
 
 
-def integrate_rk4(rhs, state0, dt: float, n_steps: int) -> np.ndarray:
+def integrate_rk4(rhs, state0, dt: float, n_steps: int,
+                  snapshot_every: int = 1) -> np.ndarray:
     """Classical fixed-step 4th-order Runge-Kutta.
 
     The state is stepped as a list of Python floats (`rhs` returns a float
     sequence): far cheaper than NumPy arrays at 2 or 4 components, and the
     same bits, since the operation order is the array formula's.
 
-    Returns an (n_steps + 1, dim) trajectory including the initial state.
-    Raises ConfigurationError for a dt or n_steps no run can use, and
-    BlowUpError (carrying the partial trajectory) as soon as any
-    state component exceeds the 1e12 overflow threshold or goes non-finite;
-    anti-damped growth below the threshold is legitimate output.
+    Returns the trajectory at the steps of `core.snapshot_steps`, the
+    initial state first (every step at snapshot_every = 1). Raises
+    ConfigurationError for stepping no run can use, and BlowUpError as soon
+    as any state component exceeds core.OVERFLOW_THRESHOLD or goes
+    non-finite (anti-damped growth below it is legitimate output); the
+    error carries the recorded rows so far, the blow-up step's included
+    when it is recorded.
     """
-    check_stepping(dt, n_steps, 1)
+    steps = snapshot_steps(dt, n_steps, snapshot_every)
     state = np.asarray(state0, dtype=float).tolist()
-    traj = np.empty((n_steps + 1, len(state)))
+    traj = np.empty((len(steps), len(state)))
     traj[0] = state
     h, sixth = 0.5 * dt, dt / 6.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(state)
-        k2 = rhs([s + h * k for s, k in zip(state, k1)])
-        k3 = rhs([s + h * k for s, k in zip(state, k2)])
-        k4 = rhs([s + dt * k for s, k in zip(state, k3)])
-        state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        traj[step] = state
-        if not all(math.isfinite(s) and abs(s) <= OVERFLOW_THRESHOLD
-                   for s in state):
-            raise BlowUpError(f"blow-up at step {step}", step=step,
-                              partial=traj[: step + 1])
+    for row, (start, stop) in enumerate(zip(steps, steps[1:]), 1):
+        for step in range(start + 1, stop + 1):
+            k1 = rhs(state)
+            k2 = rhs([s + h * k for s, k in zip(state, k1)])
+            k3 = rhs([s + h * k for s, k in zip(state, k2)])
+            k4 = rhs([s + dt * k for s, k in zip(state, k3)])
+            state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            if not all(math.isfinite(s) and abs(s) <= OVERFLOW_THRESHOLD
+                       for s in state):
+                traj[row] = state  # kept only when `step` is recorded
+                raise BlowUpError(f"blow-up at step {step}", step=step,
+                                  partial=traj[: row + (step == stop)])
+        traj[row] = state
     return traj

@@ -21,8 +21,8 @@ from dualwave.core import (
     DualParams,
     Grid1D,
     RealField,
-    check_stepping,
     field_norm,
+    snapshot_steps,
 )
 from dualwave.hamilton_jacobi import (
     EXPLICIT,
@@ -47,7 +47,7 @@ class Integration:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        check_stepping(self.dt, self.n_steps, self.snapshot_every)
+        snapshot_steps(self.dt, self.n_steps, self.snapshot_every)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class ExpandedHJ:
 @dataclass(frozen=True)
 class ExpandedOscillator:
     formalism: str
-    rhs: object
     state0: np.ndarray
     params: OscParams
     integration: Integration
@@ -285,8 +284,7 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
         state0 = np.array([float(osc.get(key, default)) for key, default in
                            (("x0", 1.0), ("v0", 0.0), ("y0", 0.0), ("vy0", 0.0))])
         return ExpandedOscillator(
-            formalism=formalism, rhs=lambda s: table.rhs(s, params),
-            state0=state0[:len(table.columns)],
+            formalism=formalism, state0=state0[:len(table.columns)],
             params=params, integration=spec.integration)
 
     raise ConfigurationError(f"unknown scenario kind {spec.kind!r}")

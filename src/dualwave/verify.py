@@ -28,12 +28,13 @@ from dualwave.diagnostics import norm_rate, phase_rate, quantum_potential, rms_w
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction, to_wavefunction
 from dualwave.oscillators import (
+    FORMALISMS,
     OscParams,
     bateman_rhs,
     caldirola_kanai_rhs,
     damped_oscillator_solution,
-    dekker_complex_rhs,
     integrate_rk4,
+    mechanical_energy,
 )
 from dualwave.scenarios import (
     DEFAULT_GRID,
@@ -213,14 +214,11 @@ def crit_oscillator_oracles(cache):
     t = np.arange(n + 1) * dt
     exact = damped_oscillator_solution(t, p)
 
-    traj_b = integrate_rk4(lambda s: bateman_rhs(s, p),
-                           np.array([1.0, 0.0, 1.0, 0.0]), dt, n)
-    traj_c = integrate_rk4(lambda s: caldirola_kanai_rhs(s, p),
-                           np.array([1.0, 0.0]), dt, n)
-    traj_d = integrate_rk4(lambda s: dekker_complex_rhs(s, p),
-                           np.array([1.0, 0.0, 1.0, 0.0]), dt, n)
     out = []
-    for label, traj in (("bateman", traj_b), ("ck", traj_c), ("dekker", traj_d)):
+    for label, table in FORMALISMS.items():
+        # x0 = 1 and, for a doubled state, y0 = 1, both at rest
+        state0 = [1.0, 0.0, 1.0, 0.0][:len(table.columns)]
+        traj = integrate_rk4(lambda s: table.rhs(s, p), state0, dt, n)
         dev = float(np.max(np.abs(traj[:, 0] - exact)))
         out.append(_lt(f"oscillator_oracles[{label}]", dev, 1e-6))
 
@@ -230,8 +228,8 @@ def crit_oscillator_oracles(cache):
     traj_fd = integrate_rk4(lambda s: bateman_rhs(s, p),
                             np.array([1.0, 0.0, 1.0, 0.0]), dt_fd,
                             int(round(t_end / dt_fd)))
-    ex = 0.5 * p.mass * traj_fd[:, 1] ** 2 + 0.5 * p.stiffness * traj_fd[:, 0] ** 2
-    ey = 0.5 * p.mass * traj_fd[:, 3] ** 2 + 0.5 * p.stiffness * traj_fd[:, 2] ** 2
+    ex = mechanical_energy(traj_fd[:, 0], traj_fd[:, 1], p)
+    ey = mechanical_energy(traj_fd[:, 2], traj_fd[:, 3], p)
     dex = (ex[2:] - ex[:-2]) / (2 * dt_fd)
     dey = (ey[2:] - ey[:-2]) / (2 * dt_fd)
     rate_x = -p.gamma * p.mass * traj_fd[1:-1, 1] ** 2

@@ -57,13 +57,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualwave.core import (
+    OVERFLOW_THRESHOLD,
     BlowUpError,
     ComplexField,
     ConfigurationError,
     DualParams,
     Grid1D,
     RealField,
-    check_stepping,
+    snapshot_steps,
     spectral_derivative_values,
 )
 from dualwave.hamilton_jacobi import (
@@ -83,8 +84,6 @@ from dualwave.madelung import (
 NONLINEAR_ON = "on"
 NONLINEAR_OFF = "off"
 NONLINEAR_AUTO = "auto"
-
-PSI_OVERFLOW_THRESHOLD = 1e12
 
 # Relative amplitude floor for in-the-loop extraction of the slaved S
 # fields. This must sit well above the spectral roundoff noise floor
@@ -110,7 +109,7 @@ class WaveScenario:
     nonlinear_term: str = NONLINEAR_AUTO
 
     def __post_init__(self):
-        check_stepping(self.dt, self.n_steps, self.snapshot_every)
+        snapshot_steps(self.dt, self.n_steps, self.snapshot_every)
         if self.closure_mode not in (EXPLICIT, SYMMETRIC_CLOSURE):
             raise ConfigurationError(f"unknown closure mode {self.closure_mode!r}")
         if self.nonlinear_term not in (NONLINEAR_ON, NONLINEAR_OFF, NONLINEAR_AUTO):
@@ -384,11 +383,11 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
     return np.fft.ifft(u)
 
 
-def _integrate(stepper, v: np.ndarray, n_steps: int,
-               snapshot_every: int) -> list:
-    """Step the (P, N) stack v with snapshots every `snapshot_every` steps
-    and after the last; returns for each row its WaveRun, or the
-    BlowUpError, carrying the partial WaveRun, that stopped it.
+def _integrate(stepper, v: np.ndarray, steps: list) -> list:
+    """Step the (P, N) stack v through the segments between consecutive
+    recorded `steps` (`core.snapshot_steps`), with a snapshot at each;
+    returns for each row its WaveRun, or the BlowUpError, carrying the
+    partial WaveRun, that stopped it.
 
     A row stops on overflow or a non-finite state, and at a snapshot whose
     norm has underflowed to zero (no diagnostic or inverse map is defined
@@ -403,13 +402,12 @@ def _integrate(stepper, v: np.ndarray, n_steps: int,
             for snap in _snapshots(0.0, v, grid, stepper.energy_terms)]
     results = list(runs)
     alive = list(range(len(runs)))
-    for start in range(0, n_steps, snapshot_every):
-        step = min(start + snapshot_every, n_steps)
+    for start, step in zip(steps, steps[1:]):
         # the snapshot check below reports any overflow or NaN as a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
             v = _strang_steps(v, stepper, step - start)
         # False for a NaN or infinite maximum too
-        bounded = np.max(np.abs(v), axis=-1) <= PSI_OVERFLOW_THRESHOLD
+        bounded = np.max(np.abs(v), axis=-1) <= OVERFLOW_THRESHOLD
         terms = [t for t, ok in zip(stepper.energy_terms, bounded) if ok]
         snaps = iter(_snapshots(step * dt, v[bounded], grid, terms))
         keep = []
@@ -472,11 +470,11 @@ def evolve_many(scenarios) -> list:
     for index, s in enumerate(scenarios):
         key = (s.grid, s.dt, s.n_steps, s.snapshot_every, _row_kind(s))
         stacks.setdefault(key, []).append(index)
-    for (_, _, n_steps, snapshot_every, _), indices in stacks.items():
+    for (_, dt, n_steps, snapshot_every, _), indices in stacks.items():
         stack = [scenarios[index] for index in indices]
         runs = _integrate(_GeneralizedStepper(stack),
                           np.stack([s.psi0.values for s in stack]),
-                          n_steps, snapshot_every)
+                          snapshot_steps(dt, n_steps, snapshot_every))
         for index, run in zip(indices, runs):
             results[index] = run
     return results
@@ -526,12 +524,11 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
     diagnostics; serves as the oracle for the symmetric-limit equivalence
     and for the deformed-dispersion checks. `vg0` is a RealField or None.
     """
-    check_stepping(dt, n_steps, snapshot_every)
+    steps = snapshot_steps(dt, n_steps, snapshot_every)
     grid = psi0.grid
     vg0_values = np.zeros(grid.n_points) if vg0 is None else vg0.values
     stepper = _ReferenceStepper(grid, vg0_values, mass, zeta, dt)
-    return _runs_or_raise(
-        _integrate(stepper, psi0.values[None], n_steps, snapshot_every))[0]
+    return _runs_or_raise(_integrate(stepper, psi0.values[None], steps))[0]
 
 
 # --------------------------------------------------------------------------

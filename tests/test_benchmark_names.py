@@ -8,6 +8,7 @@ path beyond the package.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,36 @@ def _dualwave_imports():
                     and node.module.startswith("dualwave")):
                 out.update((node.module, alias.name) for alias in node.names)
     return sorted(out)
+
+
+def _positional_reads():
+    """(layer, index, name) for each `_arg(args, kwargs, index, name)` call
+    in a branch `if name == "<module>.<function>"` of `_after` in layers.py:
+    the harness reads that argument by position when it is passed so."""
+    tree = ast.parse((BENCHMARKS / "layers.py").read_text())
+    after = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_after")
+    out = []
+    for branch in ast.walk(after):
+        if not isinstance(branch, ast.If):
+            continue
+        test = branch.test
+        if isinstance(test, ast.BoolOp):  # `name == "<layer>" and exc is None`
+            test = test.values[0]
+        layer = ast.literal_eval(test.comparators[0])
+        for call in (c for stmt in branch.body for c in ast.walk(stmt)):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                index, name = (ast.literal_eval(a) for a in call.args[2:])
+                out.append((layer, index, name))
+    assert out, "layers.py `_after` reads no argument by position"
+    return out
+
+
+@pytest.mark.parametrize("layer, index, name", _positional_reads())
+def test_positional_reads_match_signatures(layer, index, name):
+    module, function = layer.split(".")
+    fn = getattr(importlib.import_module(f"dualwave.{module}"), function)
+    assert list(inspect.signature(fn).parameters)[index] == name, layer
 
 
 @pytest.mark.parametrize("module, names", sorted(

@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dualwave.cli import _sweep_point, _sweep_value_spec, load_config, main
-from dualwave.core import BlowUpError
+from dualwave.core import BlowUpError, snapshot_steps
 from dualwave.diagnostics import summarize_run
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction
-from dualwave.oscillators import integrate_rk4
+from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
 from dualwave.wavesolver import NONLINEAR_OFF, evolve
 
@@ -406,6 +406,21 @@ class TestConfigFile:
         summary = read_lines(tmp_path / "plane_wave_dispersion_summary.csv")
         assert len(summary) == 1 + 3  # t = 0, 0.25, 0.5
 
+    @pytest.mark.parametrize("scenario", [
+        "kind = wave\ninitial_type = gaussian\ninitial_sigma = 0.5\n",
+        "kind = hj\nchannel0_type = linear\nchannel0_slope = 1.0\n"
+        "channel1_type = zero\n",
+        "kind = oscillator\nformalism = bateman\ngamma = 0.2\ny0 = 1.0\n",
+    ], ids=["wave", "hj", "oscillator"])
+    def test_last_step_recorded_off_the_cadence(self, tmp_path, scenario):
+        cfg = tmp_path / "last.ini"
+        cfg.write_text(f"[scenario]\nlabel = last\n{scenario}[integration]\n"
+                       "dt = 0.01\nn_steps = 15\nsnapshot_every = 10\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        times = [0.0, 10 * 0.01, 15 * 0.01]
+        assert list(parse_csv(tmp_path / "last_summary.csv")[:, 0]) == times
+        assert parse_csv(tmp_path / "last_snapshots.csv")[-1, 0] == times[-1]
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 
@@ -617,13 +632,15 @@ class TestByteContract:
         assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
         exp = expand(builtin_by_name(name), DEFAULT_GRID)
         integ = exp.integration
-        traj = integrate_rk4(exp.rhs, exp.state0, integ.dt, integ.n_steps)
-        keep = np.arange(0, traj.shape[0], integ.snapshot_every)
+        rhs = FORMALISMS[exp.formalism].rhs
+        traj = integrate_rk4(lambda s: rhs(s, exp.params), exp.state0, integ.dt,
+                             integ.n_steps, integ.snapshot_every)
+        steps = snapshot_steps(integ.dt, integ.n_steps, integ.snapshot_every)
         snapshots = tmp_path / f"{name}_snapshots.csv"
         summary = tmp_path / f"{name}_summary.csv"
         assert_bitwise(parse_csv(snapshots),
-                       np.column_stack((keep * integ.dt, traj[keep])))
-        assert len(parse_csv(summary)) == keep.size
+                       np.column_stack((np.array(steps) * integ.dt, traj)))
+        assert len(parse_csv(summary)) == len(steps)
         assert (sha256(snapshots), sha256(summary)) == OSCILLATOR_SHA256[name]
 
 

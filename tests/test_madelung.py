@@ -105,18 +105,6 @@ class TestInverseMap:
         with pytest.raises(DegenerateWavefunctionError):
             from_wavefunction(ComplexField.zeros(GRID), P)
 
-    def test_phase_aliasing_flagged_at_nyquist(self):
-        k = 128  # Nyquist mode of a 256-point grid on [0, 2*pi)
-        psi = ComplexField(np.exp(1j * k * GRID.x), GRID)
-        res = from_wavefunction(psi, P)
-        assert "phase aliasing" in res.warnings
-
-    def test_amplitude_floor_flagged_near_node(self):
-        vals = np.abs(np.sin(GRID.x / 2.0)) + 0.0
-        vals[0] = 0.0
-        res = from_wavefunction(ComplexField(vals, GRID), P)
-        assert "amplitude floor engaged" in res.warnings
-
     def test_anchor_at_reference_index(self):
         # the unwrapped phase is anchored to its principal value at index 0
         psi = ComplexField(np.exp(1j * (3 * GRID.x + 2.5)), GRID)
@@ -134,12 +122,11 @@ def reference_from_wavefunction(v, zeta):
     s1 = -0.5 * zeta * np.log(np.maximum(rho, floor2))
     theta = np.angle(v)
     d = np.mod(np.diff(theta) + np.pi, 2.0 * np.pi) - np.pi
-    aliased = bool(np.any(np.abs(d) >= np.pi - 1e-9))
     unwrapped = np.empty_like(theta)
     unwrapped[0] = 0.0
     np.cumsum(d, out=unwrapped[1:])
     unwrapped = theta[0] + (unwrapped - unwrapped[0])
-    return zeta * unwrapped, s1, aliased, bool(np.any(rho < floor2))
+    return zeta * unwrapped, s1, bool(np.any(rho < floor2))
 
 
 def reference_extract_action_terms(v, grid, scale):
@@ -187,12 +174,10 @@ class TestInverseMapsMatchReferenceFormulas:
         v = hard_state()
         res = from_wavefunction(ComplexField(v, GRID),
                                 DualParams(masses=(1.0, 1.0), zeta=zeta))
-        s0, s1, aliased, floored = reference_from_wavefunction(v, zeta)
+        s0, s1, floored = reference_from_wavefunction(v, zeta)
         assert bits(res.s0.values) == bits(s0)
         assert bits(res.s1.values) == bits(s1)
-        assert ("phase aliasing" in res.warnings) == aliased
-        assert ("amplitude floor engaged" in res.warnings) == floored
-        assert floored
+        assert floored  # the state reaches the clamp
         # the unwrapped phase keeps the winding: 3 turns across the domain
         assert round((s0[-1] - s0[0]) / (2 * math.pi * zeta)) == 3
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualwave.core import BlowUpError, ConfigurationError
+from dualwave.core import BlowUpError, ConfigurationError, snapshot_steps
 from dualwave.oscillators import (
     OscParams,
     bateman_rhs,
@@ -186,6 +186,23 @@ class TestIntegrateRK4:
         assert err.step > 0
         assert err.partial.shape == (err.step + 1, 4)
         assert np.all(np.isfinite(err.partial[:-1]))
+
+    @pytest.mark.parametrize("every", [10, 1087], ids=["off_cadence", "on_cadence"])
+    def test_blowup_partial_holds_the_recorded_rows(self, every):
+        """The recorded rows up to the blow-up at step 1087, that step's
+        row included only when the cadence records it."""
+        p = OscParams(gamma=3.0)
+
+        def blow_up(snapshot_every):
+            with pytest.raises(BlowUpError) as info:
+                integrate_rk4(lambda s: bateman_rhs(s, p), [1.0, 0.0, 1.0, 0.0],
+                              0.01, 3000, snapshot_every)
+            return info.value
+
+        full, err = blow_up(1), blow_up(every)
+        assert err.step == full.step == 1087
+        recorded = [s for s in snapshot_steps(0.01, 3000, every) if s <= 1087]
+        assert np.array_equal(err.partial, full.partial[recorded])
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from dualwave.hamilton_jacobi import (
     evolve_hj,
 )
 from dualwave.madelung import to_wavefunction
+from dualwave.oscillators import OscParams, bateman_rhs, integrate_rk4
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
 from dualwave.wavesolver import (
     NONLINEAR_OFF,
@@ -341,16 +342,28 @@ class TestLoopDriver:
                              [(0, 1, [0]), (0, 10, [0]), (5, 10, [0, 5]),
                               (100, 7, [0, *range(7, 100, 7), 100])])
     def test_snapshot_cadence(self, n_steps, snapshot_every, steps):
+        """The wave, reference, HJ and oscillator solvers all record the
+        steps of `core.snapshot_steps`, the last one included."""
         scenario = self.harmonic(n_steps, snapshot_every)
         dt = scenario.dt
         expected = np.array(steps) * dt
         run = evolve(scenario)
         ref = schrodinger_reference(scenario.psi0, scenario.potentials.vg[0],
                                     1.0, 1.0, dt, n_steps, snapshot_every)
+        hj = evolve_hj(ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
+                                      (1.0, 0.0)),
+                       PotentialSet.zeros(GRID, 2), P_SYM, dt, n_steps, snapshot_every)
         assert np.array_equal(run.times, expected)
         assert np.array_equal(ref.times, expected)
+        assert np.array_equal(hj.times, expected)
         assert np.array_equal(run.snapshots[0].psi.values,
                               scenario.psi0.values)
+
+        def oscillator(every):
+            return integrate_rk4(lambda s: bateman_rhs(s, OscParams(gamma=0.2)),
+                                 [1.0, 0.0, 1.0, 0.0], dt, n_steps, every)
+
+        assert np.array_equal(oscillator(snapshot_every), oscillator(1)[steps])
 
     @pytest.mark.parametrize("name, changes, per_step", [
         ("harmonic_ground_symmetric", {}, 2),
@@ -615,7 +628,9 @@ def test_scenario_validation():
     lambda dt, every: evolve_hj(
         ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID))),
         PotentialSet.zeros(GRID, 2), P_SYM, dt, 10, every),
-], ids=["schrodinger_reference", "evolve_hj"])
+    lambda dt, every: integrate_rk4(lambda s: bateman_rhs(s, OscParams()),
+                                    [1.0, 0.0, 1.0, 0.0], dt, 10, every),
+], ids=["schrodinger_reference", "evolve_hj", "integrate_rk4"])
 def test_public_solvers_check_stepping(solve, dt, snapshot_every):
     with pytest.raises(ConfigurationError):
         solve(dt, snapshot_every)

@@ -11,7 +11,7 @@ Every run writes two CSV files, `<name>_snapshots.csv` and
 `<name>_summary.csv`. Floats are serialized with 17 significant digits so
 the files round-trip 64-bit values exactly; identical configurations
 produce byte-identical output. A wave run's summary rows and a sweep
-point's norm and phase rates come from `diagnostics`.
+point's rates and phase shift come from `diagnostics`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate, snapshot_steps
-from dualwave.diagnostics import norm_rate, phase_rate, summarize_run
+from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
 from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
@@ -101,7 +101,8 @@ def _wave_tables(expanded: ExpandedWave):
                 v.real * v.real + v.imag * v.imag,
                 inv.s0.values, inv.s1.values))
 
-    summary = summarize_run(run, scenario.params.kinetic_mass, scenario.params.zeta)
+    summary = summarize_run(run, scenario.potentials.vg_values(0, scenario.grid),
+                            scenario.params.kinetic_mass, scenario.params.zeta)
     return (code, comments,
             (("t", "x", "re_psi", "im_psi", "rho", "S0", "S1"), snapshots()),
             (("t", "norm", "energy", "drift_rate", "continuity_residual"), summary))
@@ -333,17 +334,13 @@ def _source(args):
 
 
 def cmd_run(args) -> int:
-    try:
-        spec, grid, out_dir = _source(args)
-        if args.snapshot_every is not None:
-            spec = dataclasses.replace(
-                spec, integration=Integration(
-                    spec.integration.dt, spec.integration.n_steps,
-                    args.snapshot_every))
-        code = run_scenario_to_files(spec, grid, out_dir)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec, grid, out_dir = _source(args)
+    if args.snapshot_every is not None:
+        spec = dataclasses.replace(
+            spec, integration=Integration(
+                spec.integration.dt, spec.integration.n_steps,
+                args.snapshot_every))
+    code = run_scenario_to_files(spec, grid, out_dir)
     if code == EXIT_BLOWUP:
         print(f"blow-up: partial output written to {out_dir}", file=sys.stderr)
     elif args.verbose:
@@ -354,11 +351,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from dualwave.verify import run_criteria
 
-    try:
-        results = run_criteria(only=args.only)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    results = run_criteria(only=args.only)
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width}}  {'measured':>13}  {'bound':>13}  result")
     all_pass = True
@@ -401,30 +394,25 @@ def _sweep_point(scenario: WaveScenario, run, off):
     if t_end > 0:
         drift = norm_rate(run.snapshots[0], run.final)
         phase = phase_rate(run, scenario.psi0)
-    shift = 0.0 if off is None else float(
-        np.angle(np.vdot(off.final.psi.values, run.final.psi.values)))
+    shift = 0.0 if off is None else phase_shift(off, run)
     return t_end, run.final.norm, drift, phase, shift
 
 
 def cmd_sweep(args) -> int:
     try:
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        except ValueError as err:
-            raise ConfigurationError(f"bad sweep value list: {err}") from None
-        if not values:
-            raise ConfigurationError("empty sweep value list")
-        base, grid, out_dir = _source(args)
-        # validate every point before burning cycles on any of them
-        scenarios = []
-        for value in values:
-            expanded = expand(_sweep_value_spec(base, args.param, value), grid)
-            if not isinstance(expanded, ExpandedWave):
-                raise ConfigurationError("sweep supports wave scenarios only")
-            scenarios.append(expanded.scenario)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError as err:
+        raise ConfigurationError(f"bad sweep value list: {err}") from None
+    if not values:
+        raise ConfigurationError("empty sweep value list")
+    base, grid, out_dir = _source(args)
+    # validate every point before burning cycles on any of them
+    scenarios = []
+    for value in values:
+        expanded = expand(_sweep_value_spec(base, args.param, value), grid)
+        if not isinstance(expanded, ExpandedWave):
+            raise ConfigurationError("sweep supports wave scenarios only")
+        scenarios.append(expanded.scenario)
 
     # every point and every asymmetry-off re-run in one call, so runs that
     # share their stepping advance as one stack
@@ -492,7 +480,11 @@ def main(argv=None) -> int:
         print(f"{args.command}: need --scenario NAME or --config FILE",
               file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

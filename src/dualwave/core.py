@@ -38,17 +38,30 @@ class ConfigurationError(ValueError):
 OVERFLOW_THRESHOLD = 1e12  # a larger state magnitude counts as a blow-up
 
 
+@dataclass(frozen=True)
+class Integration:
+    """Step size, step count and snapshot cadence of a run; raises
+    ConfigurationError for values no run can use, and builds no schedule."""
+
+    dt: float
+    n_steps: int
+    snapshot_every: int = 1
+
+    def __post_init__(self):
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
+        if self.n_steps < 0:
+            raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
+        if self.snapshot_every < 1:
+            raise ConfigurationError(
+                f"snapshot_every must be >= 1, got {self.snapshot_every}")
+
+
 def snapshot_steps(dt: float, n_steps: int, snapshot_every: int) -> list:
     """The steps every solver records, [0, e, 2e, ..., n_steps] with
     e = snapshot_every, the last always included; raises ConfigurationError
     for a step size, step count or snapshot cadence no run can use."""
-    if not 0 < dt < math.inf:
-        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    if n_steps < 0:
-        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
-    if snapshot_every < 1:
-        raise ConfigurationError(
-            f"snapshot_every must be >= 1, got {snapshot_every}")
+    Integration(dt, n_steps, snapshot_every)
     return [*range(0, n_steps, snapshot_every), n_steps]
 
 

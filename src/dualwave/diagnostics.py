@@ -2,8 +2,8 @@
 
 The quantum potential and the continuity residual quantify how far a run
 sits from ideal Schrodinger behavior, at the action scale zeta; the rms
-width is the natural length scale of a density. A wave run's summary rows
-and its norm and phase rates are written here once, for `cli` and `verify`.
+width is the natural length scale of a density. A wave run's summary rows,
+energy, rates and phase shift are written here once, for `cli` and `verify`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from dualwave.core import Grid1D, RealField, spectral_derivative_values
+from dualwave.core import ComplexField, Grid1D, RealField, spectral_derivative_values
 from dualwave.madelung import AMPLITUDE_FLOOR
 
 
@@ -71,6 +71,15 @@ def continuity_residual_l2(psi_prev: np.ndarray, psi_next: np.ndarray,
     return math.sqrt(float(np.sum(resid ** 2) * grid.dx))
 
 
+def energy(psi: ComplexField, vg0: np.ndarray, mass: float, zeta: float) -> float:
+    """The integral of (zeta^2/2 mass) |grad psi|^2 + Vg0 |psi|^2, with `mass`
+    the kinetic mass 2 m_red of the wave equation and Vg0 as samples."""
+    v, grid = psi.values, psi.grid
+    grad = spectral_derivative_values(v, grid, 1)
+    dens = (zeta ** 2 / (2.0 * mass)) * np.abs(grad) ** 2 + vg0 * np.abs(v) ** 2
+    return float(np.sum(dens) * grid.dx)
+
+
 def norm_rate(a, b) -> float:
     """(ln b.norm - ln a.norm) / (b.t - a.t): the norm's exponential rate
     between two snapshots."""
@@ -84,14 +93,21 @@ def phase_rate(run, psi0) -> float:
     return (phases[-1] - phases[0]) / (run.final.t - run.snapshots[0].t)
 
 
-def summarize_run(run, mass: float, zeta: float) -> np.ndarray:
-    """The (n, 5) summary rows of a WaveRun's n snapshots: t, norm, energy,
-    norm drift rate and continuity residual, the last two differenced
-    against the previous snapshot (0 for the first)."""
+def phase_shift(off_run, on_run) -> float:
+    """The phase the mass-asymmetry term adds over a run: arg <psi_off|psi_on>
+    at the end of the runs of one scenario without and with that term."""
+    return float(np.angle(np.vdot(off_run.final.psi.values, on_run.final.psi.values)))
+
+
+def summarize_run(run, vg0: np.ndarray, mass: float, zeta: float) -> np.ndarray:
+    """The (n, 5) summary rows of a WaveRun's n snapshots: t, norm, energy
+    at the guiding potential Vg0, norm drift rate and continuity residual,
+    the last two differenced against the previous snapshot (0 for the first)."""
     snaps = run.snapshots
-    rows = [(snaps[0].t, snaps[0].norm, snaps[0].energy, 0.0, 0.0)]
+    rows = [(snaps[0].t, snaps[0].norm, energy(snaps[0].psi, vg0, mass, zeta), 0.0, 0.0)]
     for prev, snap in zip(snaps, snaps[1:]):
-        rows.append((snap.t, snap.norm, snap.energy, norm_rate(prev, snap),
+        rows.append((snap.t, snap.norm, energy(snap.psi, vg0, mass, zeta),
+                     norm_rate(prev, snap),
                      continuity_residual_l2(prev.psi.values, snap.psi.values,
                                             snap.psi.grid, snap.t - prev.t, mass, zeta)))
     return np.array(rows)

@@ -20,9 +20,9 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     Grid1D,
+    Integration,
     RealField,
     field_norm,
-    snapshot_steps,
 )
 from dualwave.hamilton_jacobi import (
     EXPLICIT,
@@ -38,16 +38,6 @@ DEFAULT_GRID = Grid1D(1024, -10.0, 10.0)
 KIND_WAVE = "wave"
 KIND_HJ = "hj"
 KIND_OSCILLATOR = "oscillator"
-
-
-@dataclass(frozen=True)
-class Integration:
-    dt: float
-    n_steps: int
-    snapshot_every: int = 1
-
-    def __post_init__(self):
-        snapshot_steps(self.dt, self.n_steps, self.snapshot_every)
 
 
 @dataclass(frozen=True)

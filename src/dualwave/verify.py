@@ -24,7 +24,14 @@ from dualwave.core import (
     DualParams,
     RealField,
 )
-from dualwave.diagnostics import norm_rate, phase_rate, quantum_potential, rms_width
+from dualwave.diagnostics import (
+    energy,
+    norm_rate,
+    phase_rate,
+    phase_shift,
+    quantum_potential,
+    rms_width,
+)
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction, to_wavefunction
 from dualwave.oscillators import (
@@ -125,32 +132,30 @@ def _harmonic_ten_periods(cache):
         spec = dataclasses.replace(
             builtin_by_name("harmonic_ground_symmetric"),
             integration=Integration(dt, n_steps, n_steps // 80))
-        cache["harmonic_10T"] = evolve(expand(spec, DEFAULT_GRID).scenario)
+        scenario = expand(spec, DEFAULT_GRID).scenario
+        cache["harmonic_10T"] = scenario, evolve(scenario)
     return cache["harmonic_10T"]
 
 
 def crit_harmonic_stationarity(cache):
-    run = _harmonic_ten_periods(cache)
+    scenario, run = _harmonic_ten_periods(cache)
     amp0 = np.abs(run.snapshots[0].psi.values)
     amp_dev = max(float(np.max(np.abs(np.abs(s.psi.values) - amp0)))
                   for s in run.snapshots)
-    energy_dev = max(abs(s.energy - 0.5) for s in run.snapshots)
+    vg0, params = scenario.potentials.vg_values(0, scenario.grid), scenario.params
+    energy_dev = max(abs(energy(s.psi, vg0, params.kinetic_mass, params.zeta) - 0.5)
+                     for s in run.snapshots)
     return [_lt("harmonic_stationarity[amplitude]", amp_dev, 1e-7),
             _lt("harmonic_stationarity[energy]", energy_dev, 1e-7)]
 
 
 def crit_norm_conservation(cache):
-    devs = []
-    for name in ("free_gaussian_symmetric", "double_well_symmetric"):
-        run = cache.get(f"run_{name}")
-        if run is None:
-            run = evolve(expand(builtin_by_name(name), DEFAULT_GRID).scenario)
-        devs.append(max(abs(s.norm - run.snapshots[0].norm)
-                        for s in run.snapshots))
-    run10 = _harmonic_ten_periods(cache)
-    devs.append(max(abs(s.norm - run10.snapshots[0].norm)
-                    for s in run10.snapshots))
-    out = [_lt("norm_conservation[symmetric]", max(devs), 1e-8)]
+    runs = [cache.get(f"run_{name}")
+            or evolve(expand(builtin_by_name(name), DEFAULT_GRID).scenario)
+            for name in ("free_gaussian_symmetric", "double_well_symmetric")]
+    runs.append(_harmonic_ten_periods(cache)[1])
+    dev = max(abs(s.norm - run.snapshots[0].norm) for run in runs for s in run.snapshots)
+    out = [_lt("norm_conservation[symmetric]", dev, 1e-8)]
 
     lam, zeta = 0.5, 1.0
     drift_run = evolve(expand(builtin_by_name("norm_drift_constant_Vg1"),
@@ -176,8 +181,7 @@ def crit_residual_mass_term(cache):
     scen = expand(sym, grid).scenario
     on, off = _runs_or_raise(evolve_many(
         [scen, dataclasses.replace(scen, nonlinear_term=NONLINEAR_OFF)]))
-    shift = abs(float(np.angle(np.vdot(off.final.psi.values,
-                                       on.final.psi.values))))
+    shift = abs(phase_shift(off, on))
     out.append(_lt("residual_mass_term[symmetric_shift]", shift, 1e-14))
     return out
 

@@ -34,9 +34,9 @@ two orders differ in the last bit.
 FFT counts hold per stack, not per row: a step costs 2 FFT calls, plus 4
 in a mass-asymmetric stack (two gradients) and 4 in an explicit-closure
 stack (two Laplacians), so 2, 6, 6 or 10, whatever P is.
-`evolve` and the reference solver share this loop driver and the snapshot
-diagnostics but assemble their multipliers separately. The equation's
-terms are written once, in the stepper that steps them.
+`evolve` and the reference solver share this loop driver, which records
+each snapshot's state, but assemble their multipliers separately. The
+equation's terms are written once, in the stepper that steps them.
 
 In `symmetric_closure` mode the bracketed coupling terms are cancelled
 analytically (they are identically zero when the coupling potentials equal
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     Grid1D,
+    Integration,
     RealField,
     snapshot_steps,
     spectral_derivative_values,
@@ -109,7 +111,7 @@ class WaveScenario:
     nonlinear_term: str = NONLINEAR_AUTO
 
     def __post_init__(self):
-        snapshot_steps(self.dt, self.n_steps, self.snapshot_every)
+        Integration(self.dt, self.n_steps, self.snapshot_every)  # checks the stepping
         if self.closure_mode not in (EXPLICIT, SYMMETRIC_CLOSURE):
             raise ConfigurationError(f"unknown closure mode {self.closure_mode!r}")
         if self.nonlinear_term not in (NONLINEAR_ON, NONLINEAR_OFF, NONLINEAR_AUTO):
@@ -134,6 +136,13 @@ class WaveScenario:
                 f"potential rate max(|Vg|, |Vc|) / zeta = {rate:g} at zeta = {z:g} "
                 f"and dt = {self.dt:g} leaves the float range; raise zeta or "
                 f"lower dt or the potentials")
+        # the RK2 multiplier 1 + a dt + (a dt)^2/2 of a decay rate a is 1 at
+        # a dt = -2 and grows past it, so a stronger decay would grow the norm
+        decay = self.dt * float(np.max(-pot.vg_values(1, self.grid)
+                                       - pot.vc_values(1, self.grid))) / z
+        if decay >= 2.0:
+            raise ConfigurationError(f"dt * max(-(Vg1 + Vc1)) / zeta = {decay:.3g} >= 2; "
+                                     f"reduce dt below {2.0 * self.dt / decay:.3g}")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
@@ -160,12 +169,16 @@ class WaveScenario:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State at one output time with its basic diagnostics."""
+    """State at one output time; its norm, which the loop driver's underflow
+    stop reads, is computed once, on first use."""
 
     t: float
     psi: ComplexField
-    norm: float
-    energy: float
+
+    @cached_property
+    def norm(self) -> float:
+        v = self.psi.values
+        return float(np.sum(v.real * v.real + v.imag * v.imag) * self.psi.grid.dx)
 
 
 @dataclass
@@ -179,10 +192,6 @@ class WaveRun:
     @property
     def final(self) -> Snapshot:
         return self.snapshots[-1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
 
 
 # --------------------------------------------------------------------------
@@ -306,12 +315,10 @@ class _GeneralizedStepper:
         # i nu / z with nu = (z^2/4)(1/m0 - 1/m1)
         self.asymmetry_coeff = _stacked(
             [1j * (0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
-        base_a, self.energy_terms = [], []
-        for s, z in zip(scenarios, zs):
-            vg0, vg1 = s.potentials.vg_values(0, grid), s.potentials.vg_values(1, grid)
-            # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
-            base_a.append((vg1 - 1j * vg0) / z)
-            self.energy_terms.append((vg0, z, s.params.kinetic_mass))
+        # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
+        base_a = [(s.potentials.vg_values(1, grid)
+                   - 1j * s.potentials.vg_values(0, grid)) / z
+                  for s, z in zip(scenarios, zs)]
         self.base_a = _stacked(base_a)
         self.rk2_base = _stacked([_rk2_multiplier(a, dt) for a in base_a])
         self.floor_engaged = np.zeros(len(scenarios), dtype=bool)
@@ -398,8 +405,8 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
     from the full Strang state.
     """
     grid, dt = stepper.grid, stepper.dt
-    runs = [WaveRun(snapshots=[snap])
-            for snap in _snapshots(0.0, v, grid, stepper.energy_terms)]
+    runs = [WaveRun(snapshots=[Snapshot(0.0, ComplexField(row.copy(), grid))])
+            for row in v]
     results = list(runs)
     alive = list(range(len(runs)))
     for start, step in zip(steps, steps[1:]):
@@ -408,14 +415,12 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
             v = _strang_steps(v, stepper, step - start)
         # False for a NaN or infinite maximum too
         bounded = np.max(np.abs(v), axis=-1) <= OVERFLOW_THRESHOLD
-        terms = [t for t, ok in zip(stepper.energy_terms, bounded) if ok]
-        snaps = iter(_snapshots(step * dt, v[bounded], grid, terms))
         keep = []
         for row, run_index in enumerate(alive):
             runs[run_index].floor_engaged |= bool(stepper.floor_engaged[row])
-            snap = next(snaps) if bounded[row] else None
-            if snap is None or snap.norm == 0.0:
-                cause = "blow-up" if snap is None else "norm underflowed to zero"
+            snap = Snapshot(step * dt, ComplexField(v[row].copy(), grid))
+            if not bounded[row] or snap.norm == 0.0:
+                cause = "norm underflowed to zero" if bounded[row] else "blow-up"
                 results[run_index] = BlowUpError(
                     f"{cause} at step {step}", step=step, partial=runs[run_index])
             else:
@@ -436,23 +441,6 @@ def _runs_or_raise(results: list) -> list:
         if isinstance(result, BlowUpError):
             raise result
     return results
-
-
-def _snapshots(t: float, v: np.ndarray, grid: Grid1D, energy_terms) -> list:
-    """Snapshots of the rows of the (P, N) stack v with each norm and energy.
-
-    The energy is the integral of (z^2/2 mass) |grad psi|^2 + Vg0 |psi|^2,
-    with each row's (vg0, z, mass) from `energy_terms` and `mass` the
-    kinetic mass.
-    """
-    grads = spectral_derivative_values(v, grid, 1)
-    snaps = []
-    for row, grad, (vg0, z, mass) in zip(v, grads, energy_terms):
-        norm = float(np.sum(row.real * row.real + row.imag * row.imag) * grid.dx)
-        dens = (z ** 2 / (2.0 * mass)) * np.abs(grad) ** 2 + vg0 * np.abs(row) ** 2
-        snaps.append(Snapshot(t=t, psi=ComplexField(row.copy(), grid), norm=norm,
-                              energy=float(np.sum(dens) * grid.dx)))
-    return snaps
 
 
 def evolve_many(scenarios) -> list:
@@ -502,7 +490,6 @@ class _ReferenceStepper:
                  dt: float):
         self.grid = grid
         self.dt = dt
-        self.energy_terms = [(vg0, z, mass)]
         self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
             grid, z / (2.0 * mass), dt)
         self.rk2 = _rk2_multiplier(-1j * vg0 / z, dt)
@@ -520,9 +507,9 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
         i z dpsi/dt = -(z^2/2m) lap psi + Vg0 psi,   z = zeta.
 
     Same Strang/RK2 discretization as `evolve`, assembled directly from
-    (Vg0, mass, z) and sharing only the loop driver and snapshot
-    diagnostics; serves as the oracle for the symmetric-limit equivalence
-    and for the deformed-dispersion checks. `vg0` is a RealField or None.
+    (Vg0, mass, z) and sharing only the loop driver; serves as the oracle
+    for the symmetric-limit equivalence and for the deformed-dispersion
+    checks. `vg0` is a RealField or None.
     """
     steps = snapshot_steps(dt, n_steps, snapshot_every)
     grid = psi0.grid
@@ -550,8 +537,7 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
     discretization error, about 1e-13. At m0 != m1 they do not: the
     mass-asymmetry term of `evolve` has the opposite sign to the one this
     Hamilton-Jacobi pair induces, and at masses (1, 1.5) the routes differ
-    by about 1.6e-3. Energies use the kinetic mass 2 m_red, as `evolve`
-    does.
+    by about 1.6e-3.
 
     Two usage constraints: the channel fields must be periodic-smooth on
     the grid (a log-amplitude with a kink at the wrap point rings under the
@@ -567,9 +553,7 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
             f"channel slopes ({slope0:g}, {slope1:g}) make psi non-periodic: "
             f"S1 needs slope 0 and S0 a multiple of 2 pi zeta / L")
     traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
-    energy_terms = [(pot.vg_values(0, grid), p.zeta, p.kinetic_mass)]
     return WaveRun(snapshots=[
-        _snapshots(t, to_wavefunction(RealField(state.total_samples(0), grid),
-                                      state.channels[1], p).values[None],
-                   grid, energy_terms)[0]
+        Snapshot(t, to_wavefunction(RealField(state.total_samples(0), grid),
+                                    state.channels[1], p))
         for t, state in zip(traj.times, traj.states)])

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from dualwave.cli import _sweep_point, _sweep_value_spec, load_config, main
 from dualwave.core import BlowUpError, snapshot_steps
-from dualwave.diagnostics import summarize_run
+from dualwave.diagnostics import phase_shift, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
-from dualwave.wavesolver import NONLINEAR_OFF, evolve
+from dualwave.wavesolver import NONLINEAR_OFF, NONLINEAR_ON, evolve
 
 def read_lines(path):
     return Path(path).read_text().splitlines()
@@ -56,6 +56,13 @@ HJ_INI = ("[scenario]\nkind = hj\nlabel = bad\nchannel0_type = zero\n"
           "channel1_type = samples\n[integration]\ndt = 1e-3\nn_steps = 10\n")
 OSC_INI = ("[scenario]\nkind = oscillator\nlabel = bad\nformalism = ck\n"
            "[integration]\ndt = -0.001\nn_steps = 10\n")
+
+
+# a Gaussian under a constant decaying imaginary potential, 40 steps of
+# dt = 1e-3 on the default grid; at vg1_v0 = -2000 the RK2 multiplier
+# 1 + a dt + (a dt)^2/2 is exactly 1, and past it the norm would grow
+DECAY_INI = WAVE_INI.replace("n_steps = 10", "n_steps = 40").replace(
+    "initial_sigma = 0.5\n", "initial_sigma = 0.5\nvg1_type = constant\nvg1_v0 = {v0}\n")
 
 
 # a decay rate of 2000 per unit time: by step 600 the norm has underflowed
@@ -142,6 +149,8 @@ class TestRun:
         (STORED_VC_INI.replace("label = vc\n", "label = vc\nclosure_mode = explicit\n"
                                "potential_mode = symmetric_closure\n"), []),
         (HJ_VC_INI.replace("= explicit", "= symmetric_closure"), []),
+        (DECAY_INI.format(v0=-2000), []),
+        (DECAY_INI.format(v0=-3000), []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -149,7 +158,8 @@ class TestRun:
             "hj_mass_key_beyond_channels", "hbar_zero",
             "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta",
             "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials",
-            "hj_stored_vc_with_closure_potentials"])
+            "hj_stored_vc_with_closure_potentials", "decay_rate_at_rk2_bound",
+            "decay_rate_past_rk2_bound"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -450,6 +460,24 @@ class TestSweep:
         assert shifts[1.0] == 0.0
         assert shifts[1.5] > shifts[1.1] > 0.0
 
+    def test_phase_shift_column_is_the_diagnostics_phase_shift(self, tmp_path):
+        """Each row's nonlinear_phase_shift is `phase_shift` of the point's
+        runs without and with the mass-asymmetry term; at m1 == m0 the term
+        is off and the shift is 0, as `phase_shift` of the two runs is."""
+        name = "residual_mass_plane_wave"
+        assert main(["sweep", "--scenario", name, "--param", "m1",
+                     "--values", "1.0,1.5", "--out", str(tmp_path)]) == 0
+        shifts = []
+        for m1 in (1.0, 1.5):
+            spec = _sweep_value_spec(builtin_by_name(name), "m1", m1)
+            scenario = expand(spec, DEFAULT_GRID).scenario
+            off = evolve(dataclasses.replace(scenario, nonlinear_term=NONLINEAR_OFF))
+            on = evolve(dataclasses.replace(scenario, nonlinear_term=NONLINEAR_ON))
+            shifts.append(phase_shift(off, on))
+        assert shifts[0] == 0.0 and shifts[1] > 0.0
+        cells = data_cells(tmp_path / f"{name}_sweep_m1.csv")
+        assert [float(row[-1]) for row in cells] == shifts
+
     def test_norm_underflow_exits_3_with_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "underflow.ini"
         cfg.write_text(UNDERFLOW_INI)
@@ -592,8 +620,8 @@ class TestByteContract:
                 inv.s0.values, inv.s1.values)))
         assert_bitwise(parse_csv(tmp_path / f"{name}_snapshots.csv"),
                        np.vstack(blocks))
-        summary = summarize_run(run, 2.0 * scenario.params.reduced_mass,
-                                scenario.params.zeta)
+        summary = summarize_run(run, scenario.potentials.vg_values(0, scenario.grid),
+                                2.0 * scenario.params.reduced_mass, scenario.params.zeta)
         assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"), summary)
 
     @pytest.mark.parametrize("caustic", [False, True], ids=["free", "caustic"])

@@ -68,36 +68,40 @@ class TestRmsWidth:
         assert rms_width(rho) == pytest.approx(sigma, rel=1e-6)
 
 
+def vg0_of(scenario):
+    return scenario.potentials.vg_values(0, GRID)
+
+
 class TestReports:
     def test_symmetric_free_run_has_tiny_drift(self):
-        run = evolve(expand(builtin_by_name("free_gaussian_symmetric"),
-                            GRID).scenario)
-        summary = summarize_run(run, 1.0, 1.0)
+        scenario = expand(builtin_by_name("free_gaussian_symmetric"), GRID).scenario
+        run = evolve(scenario)
+        summary = summarize_run(run, vg0_of(scenario), 1.0, 1.0)
         assert np.max(np.abs(summary[1:, 3])) < 1e-9
 
     def test_drift_rate_matches_imaginary_potential(self):
         lam = 0.5
-        run = evolve(expand(builtin_by_name("norm_drift_constant_Vg1"),
-                            GRID).scenario)
-        summary = summarize_run(run, 1.0, 1.0)
+        scenario = expand(builtin_by_name("norm_drift_constant_Vg1"), GRID).scenario
+        run = evolve(scenario)
+        summary = summarize_run(run, vg0_of(scenario), 1.0, 1.0)
         for drift in summary[1:, 3]:
             assert abs(drift + 2 * lam) / (2 * lam) < 1e-4
         rate = norm_rate(run.snapshots[0], run.final)
         assert abs(rate + 2 * lam) / (2 * lam) < 1e-4
 
     def test_harmonic_ground_energy_reported(self):
-        run = evolve(expand(builtin_by_name("harmonic_ground_symmetric"),
-                            GRID).scenario)
-        summary = summarize_run(run, 1.0, 1.0)
+        scenario = expand(builtin_by_name("harmonic_ground_symmetric"), GRID).scenario
+        run = evolve(scenario)
+        summary = summarize_run(run, vg0_of(scenario), 1.0, 1.0)
         assert summary.shape == (len(run.snapshots), 5)
-        assert np.array_equal(summary[:, 0], run.times)
+        assert np.array_equal(summary[:, 0], [s.t for s in run.snapshots])
         for energy in summary[:, 2]:
             assert abs(energy - 0.5) < 1e-7
 
     def test_first_snapshot_report_is_finite(self):
-        run = evolve(expand(builtin_by_name("free_gaussian_symmetric"),
-                            GRID).scenario)
-        first = summarize_run(run, 1.0, 1.0)[0]
+        scenario = expand(builtin_by_name("free_gaussian_symmetric"), GRID).scenario
+        run = evolve(scenario)
+        first = summarize_run(run, vg0_of(scenario), 1.0, 1.0)[0]
         assert first[1] == run.snapshots[0].norm
         assert first[3] == 0.0
         assert first[4] == 0.0

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from dualwave.core import (
     RealField,
     spectral_derivative_values,
 )
+from dualwave.diagnostics import energy
 from dualwave.hamilton_jacobi import (
     EXPLICIT,
     SYMMETRIC_CLOSURE,
@@ -22,7 +25,7 @@ from dualwave.hamilton_jacobi import (
 )
 from dualwave.madelung import to_wavefunction
 from dualwave.oscillators import OscParams, bateman_rhs, integrate_rk4
-from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
+from dualwave.scenarios import DEFAULT_GRID, Integration, builtin_by_name, expand
 from dualwave.wavesolver import (
     NONLINEAR_OFF,
     NONLINEAR_ON,
@@ -254,8 +257,9 @@ class TestEvolve:
                                 dt=1e-3, n_steps=3000, snapshot_every=100,
                                 nonlinear_term=NONLINEAR_OFF)
         run = evolve(scenario)
-        e0 = run.snapshots[0].energy
-        assert max(abs(s.energy - e0) for s in run.snapshots) < 1e-6
+        energies = [energy(s.psi, vg0.values, scenario.params.kinetic_mass, 1.0)
+                    for s in run.snapshots]
+        assert max(abs(e - energies[0]) for e in energies) < 1e-6
 
     @pytest.mark.parametrize("zeta", [1.0, 2.0])
     @pytest.mark.parametrize("closure_mode", [SYMMETRIC_CLOSURE, EXPLICIT])
@@ -287,9 +291,9 @@ class TestEvolve:
         assert np.max(np.abs(rhob - np.roll(rho0, cells))) < 1e-6
 
 
-def fft_calls_of_three_steps(monkeypatch, scenarios) -> int:
-    """FFT calls of three time steps of `evolve_many(scenarios)`, counted
-    exactly from two runs that differ only in their step count."""
+def fft_calls(monkeypatch, scenarios, step_counts) -> list:
+    """FFT calls of `evolve_many(scenarios)` at each of `step_counts`, with
+    a snapshot at the first and the last step only."""
     calls = [0]
 
     def counting(fn):
@@ -303,13 +307,19 @@ def fft_calls_of_three_steps(monkeypatch, scenarios) -> int:
 
     def count(n):
         calls[0] = 0
-        runs = evolve_many([dataclasses.replace(s, n_steps=n, snapshot_every=n)
+        runs = evolve_many([dataclasses.replace(s, n_steps=n, snapshot_every=max(n, 1))
                             for s in scenarios])
         assert all(isinstance(run, WaveRun) for run in runs)
         return calls[0]
 
-    # set-up and snapshot work cancel in the difference
-    return count(6) - count(3)
+    return [count(n) for n in step_counts]
+
+
+def fft_calls_of_three_steps(monkeypatch, scenarios) -> int:
+    """FFT calls of three time steps, counted exactly from two runs that
+    differ only in their step count: set-up work cancels in the difference."""
+    three, six = fft_calls(monkeypatch, scenarios, (3, 6))
+    return six - three
 
 
 class TestLoopDriver:
@@ -334,7 +344,7 @@ class TestLoopDriver:
                 states.append(v[0])
         run = evolve(scenario)
         assert len(run.snapshots) == len(states) == 287
-        assert np.array_equal(run.times, np.array(times))
+        assert [s.t for s in run.snapshots] == times
         for snap, ref in zip(run.snapshots, states):
             assert np.max(np.abs(snap.psi.values - ref)) <= 1e-12
 
@@ -353,8 +363,8 @@ class TestLoopDriver:
         hj = evolve_hj(ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
                                       (1.0, 0.0)),
                        PotentialSet.zeros(GRID, 2), P_SYM, dt, n_steps, snapshot_every)
-        assert np.array_equal(run.times, expected)
-        assert np.array_equal(ref.times, expected)
+        assert np.array_equal([s.t for s in run.snapshots], expected)
+        assert np.array_equal([s.t for s in ref.snapshots], expected)
         assert np.array_equal(hj.times, expected)
         assert np.array_equal(run.snapshots[0].psi.values,
                               scenario.psi0.values)
@@ -377,7 +387,10 @@ class TestLoopDriver:
                                    mode=SYMMETRIC_CLOSURE)
             scenario = dataclasses.replace(scenario, potentials=closure,
                                            **changes)
-        assert fft_calls_of_three_steps(monkeypatch, [scenario]) == 3 * per_step
+        # recording a snapshot takes no FFT, so a run of no steps takes none
+        zero, three, six = fft_calls(monkeypatch, [scenario], (0, 3, 6))
+        assert zero == 0
+        assert six - three == 3 * per_step
 
     @pytest.mark.parametrize("kinds, per_step", [
         (("linear",), 2),
@@ -408,7 +421,7 @@ class TestLoopDriver:
 def assert_same_run(got: WaveRun, want: WaveRun):
     assert len(got.snapshots) == len(want.snapshots)
     for a, b in zip(got.snapshots, want.snapshots):
-        assert a.t == b.t and a.norm == b.norm and a.energy == b.energy
+        assert a.t == b.t and a.norm == b.norm
         assert np.array_equal(a.psi.values, b.psi.values)
 
 
@@ -592,7 +605,7 @@ class TestReference:
         vg0 = RealField(0.5 * GRID.x ** 2, GRID)
         run = schrodinger_reference(psi, vg0, 1.0, 1.0, 1e-3, 100, 50)
         for snap in run.snapshots:
-            assert abs(snap.energy - 0.5) < 1e-7
+            assert abs(energy(snap.psi, vg0.values, 1.0, 1.0) - 0.5) < 1e-7
 
     def test_zeta_in_evolve_matches_reference(self):
         k, psi = plane_wave()
@@ -604,6 +617,32 @@ class TestReference:
         ref = schrodinger_reference(psi, None, 1.0, 2.0, 1e-3, 100, 100)
         assert np.max(np.abs(run.final.psi.values
                              - ref.final.psi.values)) < 1e-10
+
+
+@pytest.mark.parametrize("vg1, vc1, rejected", [
+    (-1999.0, None, False),
+    (-2000.0, None, True),
+    (-3000.0, None, True),
+    (-1000.0, -1000.0, True),
+    (-1000.0, 1000.0, False),
+], ids=["below_bound", "at_bound", "past_bound", "stored_vc1_adds", "stored_vc1_cancels"])
+def test_decay_past_the_rk2_bound_is_rejected(vg1, vc1, rejected):
+    """The RK2 multiplier 1 + a dt + (a dt)^2/2 of a decay rate a is 1 at
+    a dt = -2 and grows past it: dt * max(-(Vg1 + Vc1)) / zeta must stay
+    below 2, with Vc1 = 0 where none is stored."""
+    def constant(v0):
+        return RealField(np.full(GRID.n_points, v0), GRID)
+
+    vc = None if vc1 is None else (RealField.zeros(GRID), constant(vc1))
+    scenario = functools.partial(
+        WaveScenario, psi0=unit_gaussian(), params=P_SYM,
+        potentials=PotentialSet((RealField.zeros(GRID), constant(vg1)), vc),
+        dt=1e-3, n_steps=40, closure_mode=SYMMETRIC_CLOSURE if vc is None else EXPLICIT)
+    if rejected:
+        with pytest.raises(ConfigurationError, match=r"max\(-\(Vg1 \+ Vc1\)\) / zeta"):
+            scenario()
+    else:
+        scenario()
 
 
 def test_scenario_validation():
@@ -618,6 +657,20 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=1e-3,
                      n_steps=1, nonlinear_term="maybe")
+
+
+def test_stepping_checks_build_no_schedule():
+    """Integration and WaveScenario check dt, n_steps and the cadence
+    without the list of recorded steps, which at 10**6 steps takes ~36 MB."""
+    psi, pot = unit_gaussian(), PotentialSet.zeros(GRID, 2)
+    tracemalloc.start()
+    try:
+        Integration(1e-3, 10 ** 6, 1)
+        WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=1e-3, n_steps=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 @pytest.mark.parametrize("dt, snapshot_every", [(math.nan, 1), (1e-3, 0)],

@@ -115,16 +115,11 @@ def _hj_tables(expanded: ExpandedHJ):
         integ.dt, integ.n_steps, integ.snapshot_every)
     grid = expanded.channels.grid
     n_ch = expanded.channels.n_channels
-    states = list(zip(traj.times, traj.states))
-    snapshots = (np.column_stack([np.full(grid.n_points, t), grid.x]
-                                 + [state.total_samples(i) for i in range(n_ch)])
-                 for t, state in states)
-    summary = []
-    for t, state in states:
-        grads = [state.gradient(i) for i in range(n_ch)]
-        max_grad = max(float(np.max(np.abs(gv))) for gv in grads)
-        w = participation_metric(state)
-        summary.append((t, max_grad, integrate(w.values, grid)))
+    snapshots = (np.column_stack((np.full(grid.n_points, t), grid.x, *samples))
+                 for t, samples in zip(traj.times, traj.samples))
+    summary = [(t, float(np.max(np.abs(grads))),
+                integrate(participation_metric(grads), grid))
+               for t, grads in zip(traj.times, traj.gradients)]
     return (code, comments,
             (("t", "x") + tuple(f"S{i}" for i in range(n_ch)), snapshots),
             (("t", "max_abs_grad", "participation_integral"), np.array(summary)))

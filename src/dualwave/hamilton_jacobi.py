@@ -34,7 +34,7 @@ from dualwave.core import (
     Grid1D,
     RealField,
     snapshot_steps,
-    spectral_derivative_values,
+    spectral_derivative_values,  # noqa: F401  benchmarks/layers.py wraps this binding
 )
 
 EXPLICIT = "explicit"
@@ -81,20 +81,6 @@ class ActionChannels:
 
     def values_stack(self) -> np.ndarray:
         return np.stack([ch.values for ch in self.channels])
-
-    def gradient(self, i: int) -> np.ndarray:
-        """Total gradient of channel i: slope + spectral d/dx of the periodic part."""
-        return self.slopes[i] + spectral_derivative_values(
-            self.channels[i].values, self.grid, 1)
-
-    def total_samples(self, i: int) -> np.ndarray:
-        """Channel samples including the linear ramp, slope*x + periodic part."""
-        return self.slopes[i] * self.grid.x + self.channels[i].values
-
-    def with_values(self, values_2d: np.ndarray) -> "ActionChannels":
-        return ActionChannels(
-            tuple(RealField(values_2d[i], self.grid) for i in range(self.n_channels)),
-            self.slopes)
 
 
 @dataclass(frozen=True)
@@ -189,10 +175,11 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, pot: PotentialSet,
 
 @dataclass
 class HJTrajectory:
-    """Time series of channel states at the recorded steps."""
+    """Recorded times, (n_ch, N) channel samples slope*x + periodic, gradients."""
 
     times: list
-    states: list  # list of ActionChannels
+    samples: list
+    gradients: list
 
 
 def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
@@ -203,6 +190,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     Each RK4 stage is one batched rfft/irfft pair (`_hj_rhs_values`); the
     stage at a new state gives the caustic check its gradients and is the
     next step's k1, so a step makes 8 FFT calls in either potential mode.
+    A recorded step keeps that stage's gradients, so it costs no transform.
 
     Raises ConfigurationError when p.masses does not hold one mass per
     channel or when the potentials alone overflow the RK4 stage sum. Aborts
@@ -222,15 +210,16 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
         raise ConfigurationError(f"potential max(|Vg|, |Vc|) = {vmax:g} overflows "
                                  "the RK4 stage sum 6 max|Vg + Vc|")
     slopes = np.reshape(S0.slopes, (-1, 1))
+    ramps = slopes * grid.x
 
     def rhs(v):
         return _hj_rhs_values(v, slopes, pot, p, grid)
 
-    traj = HJTrajectory(times=[0.0], states=[S0])
     # the finiteness and gradient check below reports any overflow as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         v = S0.values_stack()
-        k1, _ = rhs(v)
+        k1, grads = rhs(v)
+        traj = HJTrajectory(times=[0.0], samples=[ramps + v], gradients=[grads])
         for start, stop in zip(steps, steps[1:]):
             for step in range(start + 1, stop + 1):
                 k2, _ = rhs(v + 0.5 * dt * k1)
@@ -245,18 +234,18 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
                     raise BlowUpError(f"caustic/blow-up detected at step {step}",
                                       step=step, partial=traj)
             traj.times.append(stop * dt)
-            traj.states.append(S0.with_values(v))
+            traj.samples.append(ramps + v)
+            traj.gradients.append(grads)
     return traj
 
 
-def participation_metric(S: ActionChannels) -> RealField:
-    """Gram field of environment-channel gradients, W(x) = sum_{mu>=1} (dS_mu)^2.
+def participation_metric(gradients: np.ndarray) -> np.ndarray:
+    """Gram field W(x) = sum_{mu>=1} (dS_mu)^2 of one recorded gradient stack.
 
     In 1D the metric is a single non-negative scalar field; the system
-    channel (index 0) is excluded from the sum.
+    channel (row 0) is excluded from the sum.
     """
-    w = np.zeros(S.grid.n_points)
-    for mu in range(1, S.n_channels):
-        g = S.gradient(mu)
+    w = np.zeros(gradients.shape[1])
+    for g in gradients[1:]:
         w += g * g
-    return RealField(w, S.grid)
+    return w

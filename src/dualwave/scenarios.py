@@ -141,8 +141,6 @@ def expand_initial_wave(desc: dict, grid: Grid1D) -> ComplexField:
         left = _gaussian(grid, sigma, center - 0.5 * separation, +k_rel)
         right = _gaussian(grid, sigma, center + 0.5 * separation, -k_rel)
         values = left + right
-    elif kind == "samples":
-        values = np.asarray(desc["values"], dtype=np.complex128)
     else:
         raise ConfigurationError(f"unknown initial-data type {kind!r}")
     psi = ComplexField(values, grid)
@@ -169,8 +167,6 @@ def expand_potential(desc, grid: Grid1D, mass: float) -> RealField:
         a = float(desc.get("a", 0.01))
         b = float(desc.get("b", 2.0))
         return RealField(a * (x ** 2 - b ** 2) ** 2, grid)
-    if kind == "samples":
-        return RealField(np.asarray(desc["values"], dtype=float), grid)
     raise ConfigurationError(f"unknown potential type {kind!r}")
 
 
@@ -186,9 +182,6 @@ def expand_action_channel(desc, grid: Grid1D):
     if kind == "quadratic":
         coeff = float(desc.get("coeff", -0.5))
         return RealField(coeff * grid.x ** 2, grid), 0.0
-    if kind == "samples":
-        return (RealField(np.asarray(desc["values"], dtype=float), grid),
-                float(desc.get("slope", 0.0)))
     raise ConfigurationError(f"unknown action channel type {kind!r}")
 
 

@@ -253,7 +253,7 @@ def crit_hj_free_caustic(cache):
     t_end = integ.dt * integ.n_steps
     mom = free.channels.slopes[0]
     exact = mom * DEFAULT_GRID.x - mom ** 2 / (2.0 * free.params.m0) * t_end
-    dev = float(np.max(np.abs(traj.states[-1].total_samples(0) - exact)))
+    dev = float(np.max(np.abs(traj.samples[-1][0] - exact)))
     out = [_lt("hj_free_caustic[free_exact]", dev, 1e-8)]
 
     caustic = expand(builtin_by_name("hj_caustic"), DEFAULT_GRID)

@@ -96,6 +96,11 @@ NONLINEAR_AUTO = "auto"
 # appropriate for one-shot inversions of a given wavefunction.
 SLAVED_AMPLITUDE_FLOOR = 1e-8
 
+# Largest share of spectral power above 2/3 of the Nyquist wavenumber, where
+# products alias (Orszag's 2/3 rule), that a snapshot of a row whose rate is a
+# function of psi may hold; resolved runs stay below 1e-26, unstable ones pass it.
+SPECTRAL_TAIL_BOUND = 1e-12
+
 
 @dataclass(frozen=True)
 class WaveScenario:
@@ -322,6 +327,8 @@ class _GeneralizedStepper:
         self.base_a = _stacked(base_a)
         self.rk2_base = _stacked([_rk2_multiplier(a, dt) for a in base_a])
         self.floor_engaged = np.zeros(len(scenarios), dtype=bool)
+        self.tail_bound = (SPECTRAL_TAIL_BOUND if self.explicit or self.nonlinear
+                           else math.inf)
 
     def select(self, keep) -> "_GeneralizedStepper":
         """The stepper of the rows `keep` only."""
@@ -369,14 +376,23 @@ class _GeneralizedStepper:
         return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
 
 
-def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
+def _tail_fraction(u: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Each row's share of spectral power above 2/3 of the Nyquist
+    wavenumber, from the FFT-layout spectra u; NaN for zero power."""
+    tail = np.abs(grid.wavenumbers) > (2.0 / 3.0) * grid.nyquist
+    power = u.real * u.real + u.imag * u.imag
+    return np.sum(power, axis=-1, where=tail) / np.sum(power, axis=-1)
+
+
+def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> tuple:
     """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
     stack v, with adjacent kinetic half-steps merged. A stack holds rows of
     one kind, and its FFT calls per step do not grow with P: 2 for a linear
     stack, 6 for a mass-asymmetric one (two gradients), 6 for an
     explicit-closure one (two Laplacians) and 10 for an explicit
     mass-asymmetric one, plus one pair per call. A single run is a (1, N)
-    stack. The returned state is the full Strang state after the last step.
+    stack. Returns the full Strang state after the last step and each
+    row's `_tail_fraction`, read from the spectrum before the last `ifft`.
 
     Each row is bitwise equal to that row stepped alone, because a batched
     FFT row equals the 1-D transform of the row. The multipliers' operand
@@ -387,7 +403,7 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> np.ndarray:
     for i in range(1, n_steps + 1):
         u = np.fft.fft(stepper.pointwise(np.fft.ifft(u)))
         u *= stepper.kinetic_half if i == n_steps else stepper.kinetic_full
-    return np.fft.ifft(u)
+    return np.fft.ifft(u), _tail_fraction(u, stepper.grid)
 
 
 def _integrate(stepper, v: np.ndarray, steps: list) -> list:
@@ -396,9 +412,10 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
     returns for each row its WaveRun, or the BlowUpError, carrying the
     partial WaveRun, that stopped it.
 
-    A row stops on overflow or a non-finite state, and at a snapshot whose
+    A row stops on overflow or a non-finite state, at a snapshot whose
     norm has underflowed to zero (no diagnostic or inverse map is defined
-    there); rows are checked at snapshot steps only, after each row's
+    there), and at one whose spectral tail fraction exceeds the stepper's
+    `tail_bound`; rows are checked at snapshot steps only, after each row's
     `floor_engaged` flag has passed to its run. The other rows go on
     with the stepper of the rows left (`stepper.select`, needed only for
     P > 1), which is bitwise safe because every segment already starts
@@ -412,20 +429,25 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
     for start, step in zip(steps, steps[1:]):
         # the snapshot check below reports any overflow or NaN as a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
-            v = _strang_steps(v, stepper, step - start)
+            v, tail = _strang_steps(v, stepper, step - start)
         # False for a NaN or infinite maximum too
         bounded = np.max(np.abs(v), axis=-1) <= OVERFLOW_THRESHOLD
         keep = []
         for row, run_index in enumerate(alive):
             runs[run_index].floor_engaged |= bool(stepper.floor_engaged[row])
             snap = Snapshot(step * dt, ComplexField(v[row].copy(), grid))
-            if not bounded[row] or snap.norm == 0.0:
-                cause = "norm underflowed to zero" if bounded[row] else "blow-up"
-                results[run_index] = BlowUpError(
-                    f"{cause} at step {step}", step=step, partial=runs[run_index])
+            if not bounded[row]:
+                cause = "blow-up"
+            elif snap.norm == 0.0:
+                cause = "norm underflowed to zero"
+            elif tail[row] > stepper.tail_bound:
+                cause = f"spectral tail {tail[row]:.2e}"
             else:
                 runs[run_index].snapshots.append(snap)
                 keep.append(row)
+                continue
+            results[run_index] = BlowUpError(
+                f"{cause} at step {step}", step=step, partial=runs[run_index])
         if len(keep) < len(alive):
             if not keep:
                 break
@@ -494,6 +516,7 @@ class _ReferenceStepper:
             grid, z / (2.0 * mass), dt)
         self.rk2 = _rk2_multiplier(-1j * vg0 / z, dt)
         self.floor_engaged = np.zeros(1, dtype=bool)
+        self.tail_bound = math.inf
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
         return self.rk2 * v
@@ -554,6 +577,5 @@ def coevolved_wavefunction_run(channels: ActionChannels, pot: PotentialSet,
             f"S1 needs slope 0 and S0 a multiple of 2 pi zeta / L")
     traj = evolve_hj(channels, pot, p, dt, n_steps, snapshot_every=snapshot_every)
     return WaveRun(snapshots=[
-        Snapshot(t, to_wavefunction(RealField(state.total_samples(0), grid),
-                                    state.channels[1], p))
-        for t, state in zip(traj.times, traj.states)])
+        Snapshot(t, to_wavefunction(RealField(s0, grid), RealField(s1, grid), p))
+        for t, (s0, s1, *_) in zip(traj.times, traj.samples)])

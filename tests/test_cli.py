@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -108,6 +109,31 @@ HJ_LINEAR_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                  "[integration]\ndt = 1e-3\nn_steps = 20\n")
 
 
+# a mode-8 plane wave under explicit closure with no stored couplings: the
+# uncancelled coupling terms amplify rounding noise at high wavenumber
+EXPLICIT_PLANE_INI = ("[params]\nzeta = {zeta}\n"
+                      "[scenario]\nkind = wave\nlabel = explicit_plane\n"
+                      "initial_type = plane_wave\ninitial_mode = 8\n"
+                      "closure_mode = explicit\n"
+                      "[integration]\ndt = 1e-5\nn_steps = {n_steps}\n"
+                      "snapshot_every = 250\n")
+
+
+def count_fft_calls(monkeypatch):
+    """Patch np.fft's transforms to count their calls in the returned list."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return calls
+
+
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -180,6 +206,26 @@ class TestRun:
         assert "# caustic/blow-up detected at step 4978" in summary
         snaps = read_lines(tmp_path / "hj_caustic_snapshots.csv")
         assert snaps[0] == "t,x,S0,S1"
+
+    @pytest.mark.parametrize("zeta, n_steps, step", [(2.0, 1500, 750),
+                                                     (1.0, 6000, 2500)])
+    def test_explicit_instability_stops_on_spectral_tail(self, tmp_path, capsys,
+                                                         zeta, n_steps, step):
+        # the high-wavenumber share of the spectrum passes the bound while
+        # the norm still reads 1; at zeta = 2 the run used to exit 0 with
+        # norm 2.5e19, below the overflow guard
+        cfg = tmp_path / "explicit.ini"
+        cfg.write_text(EXPLICIT_PLANE_INI.format(zeta=zeta, n_steps=n_steps))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up: partial output")
+        trailer = read_lines(tmp_path / "explicit_plane_summary.csv")[-1]
+        match = re.fullmatch(r"# spectral tail (\S+) at step (\d+)", trailer)
+        assert match and int(match[2]) == step
+        assert 1e-12 < float(match[1]) < 1e-6
+        rows = parse_csv(tmp_path / "explicit_plane_summary.csv")
+        assert len(rows) == step // 250
+        assert np.max(np.abs(rows[:, 1] - 1.0)) < 1e-9
 
     def test_norm_underflow_exits_3_with_partial_output(self, tmp_path, capsys):
         cfg = tmp_path / "underflow.ini"
@@ -646,14 +692,24 @@ class TestByteContract:
             assert caustic
             traj = err.partial
         x = grid.x
-        expected = np.vstack([
-            np.column_stack([np.full(x.size, t), x] + [
-                state.total_samples(i) for i in range(state.n_channels)])
-            for t, state in zip(traj.times, traj.states)])
+        expected = np.vstack([np.column_stack((np.full(x.size, t), x, *samples))
+                              for t, samples in zip(traj.times, traj.samples)])
         assert_bitwise(parse_csv(out / f"{spec.name}_snapshots.csv"), expected)
         summary = read_lines(out / f"{spec.name}_summary.csv")
         assert len(parse_csv(out / f"{spec.name}_summary.csv")) == len(traj.times)
         assert summary[-1].startswith("# caustic") == caustic
+
+    def test_hj_run_adds_no_fft_to_evolve_hj(self, tmp_path, monkeypatch):
+        # the summary's gradients are the ones the solver recorded
+        calls = count_fft_calls(monkeypatch)
+        exp = expand(builtin_by_name("hj_free_particle"), DEFAULT_GRID)
+        integ = exp.integration
+        evolve_hj(exp.channels, exp.potentials, exp.params, integ.dt,
+                  integ.n_steps, integ.snapshot_every)
+        solver_calls, calls[0] = calls[0], 0
+        assert main(["run", "--scenario", "hj_free_particle",
+                     "--out", str(tmp_path)]) == 0
+        assert calls[0] == solver_calls
 
     @pytest.mark.parametrize("name", sorted(OSCILLATOR_SHA256))
     def test_oscillator_run(self, tmp_path, name):
@@ -707,6 +763,54 @@ def mutated_configs(draw):
     sections[section][key] = value
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
+
+
+# the smallest keys each descriptor type of the README schema needs
+README_TYPE_KEYS = {
+    "initial": {"gaussian": "initial_sigma = 0.75\n",
+                "plane_wave": "initial_mode = 2\n",
+                "two_gaussian": "initial_sigma = 0.75\ninitial_separation = 2\n"},
+    "vg0": {"constant": "vg0_v0 = 0.5\n"},
+}
+
+
+def readme_types(pattern):
+    """The descriptor types listed in the README [scenario] block line that
+    `pattern` (a regex whose group 1 is the '|' list) matches."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("[scenario]\n", 1)[1].split("[integration]", 1)[0]
+    match = re.search(pattern, block)
+    assert match, pattern
+    return [item.split()[0] for item in match[1].split("|")]
+
+
+class TestReadmeSchema:
+    """Every descriptor type the README schema lists runs with exit 0."""
+
+    @pytest.mark.parametrize("prefix, pattern", [
+        ("initial", r"; initial_type = \w+ +; (.+)"),
+        ("vg0", r"; vg0_type = \w+ +; (.+)"),
+        ("channel1", r";\s+(zero \|.+)"),
+    ], ids=["initial", "vg0", "hj_channel"])
+    def test_listed_types_run(self, tmp_path, prefix, pattern):
+        types = readme_types(pattern)
+        assert len(types) >= 3
+        for kind in types:
+            keys = f"{prefix}_type = {kind}\n" + README_TYPE_KEYS.get(
+                prefix, {}).get(kind, "")
+            if prefix == "channel1":
+                ini = HJ_LINEAR_INI.format(keys="").replace(
+                    "channel1_type = zero\n", keys)
+            else:
+                ini = ("[grid]\nn = 128\nx_min = -8\nx_max = 8\n"
+                       "[scenario]\nkind = wave\nlabel = schema\n"
+                       + ("" if prefix == "initial" else
+                          "initial_type = gaussian\ninitial_sigma = 0.75\n")
+                       + keys + "[integration]\ndt = 1e-3\nn_steps = 4\n")
+            cfg = tmp_path / f"{prefix}_{kind}.ini"
+            cfg.write_text(ini)
+            assert main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / kind)]) == 0, kind
 
 
 class TestConfigFuzz:

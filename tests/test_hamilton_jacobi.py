@@ -53,8 +53,10 @@ class TestActionChannels:
     def test_gradient_includes_slope(self):
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
                             (2.5, 0.0))
-        assert np.allclose(ch.gradient(0), 2.5, rtol=0, atol=1e-15)
-        assert np.allclose(ch.total_samples(0), 2.5 * GRID.x, rtol=0, atol=0)
+        traj = evolve_hj(ch, PotentialSet.zeros(GRID, 2), P_EQUAL, 1e-3, 0)
+        assert traj.times == [0.0]
+        assert np.allclose(traj.gradients[0][0], 2.5, rtol=0, atol=1e-15)
+        assert np.allclose(traj.samples[0][0], 2.5 * GRID.x, rtol=0, atol=0)
 
 
 class TestDualRhs:
@@ -64,8 +66,9 @@ class TestDualRhs:
         vg1 = RealField(np.full(256, 0.7), GRID)
         pot = PotentialSet((vg0, vg1), None)
         ch = ActionChannels((s0, RealField.zeros(GRID)))
-        ds0, ds1 = hj_rhs(ch, pot, DualParams(masses=(1.0, 2.0)))
-        g0 = ch.gradient(0)
+        (ds0, ds1), (g0, _) = _hj_rhs_values(
+            ch.values_stack(), np.reshape(ch.slopes, (-1, 1)), pot,
+            DualParams(masses=(1.0, 2.0)), GRID)
         assert np.max(np.abs(ds0 + (g0 ** 2 / 2.0 + vg0.values))) < 1e-12
         assert np.max(np.abs(ds1 + vg1.values)) < 1e-14
 
@@ -149,7 +152,7 @@ class TestEvolve:
         traj = evolve_hj(ch, PotentialSet.zeros(GRID, 2), P_EQUAL,
                          1e-3, 1000, snapshot_every=1000)
         exact = 1.0 * GRID.x - 0.5 * 1.0
-        assert np.max(np.abs(traj.states[-1].total_samples(0) - exact)) < 1e-8
+        assert np.max(np.abs(traj.samples[-1][0] - exact)) < 1e-8
         assert traj.times[-1] == pytest.approx(1.0)
 
     def test_uniform_potential_lowers_action_uniformly(self):
@@ -157,7 +160,7 @@ class TestEvolve:
                             RealField.zeros(GRID)), None)
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)))
         traj = evolve_hj(ch, pot, P_EQUAL, 1e-3, 500, snapshot_every=500)
-        assert np.max(np.abs(traj.states[-1].channels[0].values + 2.0 * 0.5)) < 1e-12
+        assert np.max(np.abs(traj.samples[-1][0] + 2.0 * 0.5)) < 1e-12
 
     def test_focusing_data_raises_caustic_in_window(self):
         grid = Grid1D(1024, -10.0, 10.0)
@@ -169,7 +172,7 @@ class TestEvolve:
                       snapshot_every=500)
         t_blow = info.value.step * dt
         assert 0.8 <= t_blow <= 1.0
-        assert len(info.value.partial.states) >= 1
+        assert len(info.value.partial.samples) >= 1
 
     def test_symmetric_closure_mode_runs(self):
         s0, s1 = smooth_pair()
@@ -177,7 +180,7 @@ class TestEvolve:
         ch = ActionChannels((RealField(0.1 * s0.values, GRID),
                              RealField(0.1 * s1.values + 1.0, GRID)))
         traj = evolve_hj(ch, pot, P_EQUAL, 1e-3, 100, snapshot_every=100)
-        assert np.all(np.isfinite(traj.states[-1].values_stack()))
+        assert np.all(np.isfinite(traj.samples[-1]))
 
 
 def per_channel_rhs(v, S, pot, p):
@@ -234,9 +237,13 @@ class TestBatchedStages:
             v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if step % every == 0:
                 ref.append(v)
-        assert len(traj.states) == len(ref) == 4
-        for state, expected in zip(traj.states, ref):
-            assert state.values_stack().tobytes() == expected.tobytes()
+        assert len(traj.samples) == len(traj.gradients) == len(ref) == 4
+        for samples, grads, expected in zip(traj.samples, traj.gradients, ref):
+            for i, slope in enumerate(ch.slopes):
+                assert (samples[i].tobytes()
+                        == (slope * GRID.x + expected[i]).tobytes())
+                assert (grads[i].tobytes() == (
+                    slope + spectral_derivative_values(expected[i], GRID, 1)).tobytes())
 
     @pytest.mark.parametrize("mode", [EXPLICIT, SYMMETRIC_CLOSURE])
     def test_fft_calls_per_step(self, monkeypatch, mode):
@@ -263,30 +270,37 @@ class TestBatchedStages:
         assert count(6) - count(3) == 3 * 8
 
 
+def recorded_metric(ch):
+    """participation_metric of the gradients evolve_hj records at t = 0."""
+    n_ch = ch.n_channels
+    traj = evolve_hj(ch, PotentialSet.zeros(GRID, n_ch),
+                     DualParams(masses=(1.0,) * n_ch), 1e-3, 0)
+    return participation_metric(traj.gradients[0])
+
+
 class TestParticipationMetric:
     def test_constant_environment_gives_zero(self):
         ch = ActionChannels((RealField(GRID.x ** 0, GRID),
                              RealField(np.full(256, 3.0), GRID)))
-        assert np.max(np.abs(participation_metric(ch).values)) < 1e-15
+        assert np.max(np.abs(recorded_metric(ch))) < 1e-15
 
     def test_linear_channel_gives_slope_squared(self):
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
                             (0.0, 1.7))
-        w = participation_metric(ch)
-        assert np.max(np.abs(w.values - 1.7 ** 2)) < 1e-12
+        w = recorded_metric(ch)
+        assert np.max(np.abs(w - 1.7 ** 2)) < 1e-12
 
     def test_nonnegative_and_offset_invariant(self):
         s0, s1 = smooth_pair()
         ch = ActionChannels((s0, s1))
-        w = participation_metric(ch)
-        assert np.all(w.values >= 0.0)
+        w = recorded_metric(ch)
+        assert np.all(w >= 0.0)
         ch2 = ActionChannels((s0, RealField(s1.values + 13.0, GRID)))
-        assert np.max(np.abs(participation_metric(ch2).values - w.values)) < 1e-10
+        assert np.max(np.abs(recorded_metric(ch2) - w)) < 1e-10
 
     def test_environment_permutation_invariant(self):
         s0, s1 = smooth_pair()
         s2 = RealField(0.4 * np.sin(2 * np.pi * 4 * GRID.x / GRID.length), GRID)
         a = ActionChannels((s0, s1, s2))
         b = ActionChannels((s0, s2, s1))
-        assert np.max(np.abs(participation_metric(a).values
-                             - participation_metric(b).values)) < 1e-14
+        assert np.max(np.abs(recorded_metric(a) - recorded_metric(b))) < 1e-14

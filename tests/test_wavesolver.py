@@ -12,6 +12,7 @@ from dualwave.core import (
     ComplexField,
     ConfigurationError,
     DualParams,
+    Grid1D,
     RealField,
     spectral_derivative_values,
 )
@@ -34,6 +35,7 @@ from dualwave.wavesolver import (
     _asymmetry_potential,
     _GeneralizedStepper,
     _strang_steps,
+    _tail_fraction,
     coevolved_wavefunction_run,
     evolve,
     evolve_many,
@@ -338,7 +340,7 @@ class TestLoopDriver:
         stepper = _GeneralizedStepper([scenario])
         v, times, states = scenario.psi0.values[None], [0.0], [scenario.psi0.values]
         for step in range(1, scenario.n_steps + 1):
-            v = _strang_steps(v, stepper, 1)
+            v, _ = _strang_steps(v, stepper, 1)
             if step % 7 == 0 or step == scenario.n_steps:
                 times.append(step * scenario.dt)
                 states.append(v[0])
@@ -687,3 +689,29 @@ def test_stepping_checks_build_no_schedule():
 def test_public_solvers_check_stepping(solve, dt, snapshot_every):
     with pytest.raises(ConfigurationError):
         solve(dt, snapshot_every)
+
+
+class TestSpectralTail:
+    """A row whose pointwise rate is a function of psi stops once more
+    than 1e-12 of its spectral power lies above 2/3 of the Nyquist
+    wavenumber; a linear row, exact in that band, runs on."""
+
+    def test_tail_fraction_of_known_spectrum(self):
+        grid = Grid1D(64, -5.0, 5.0)
+        # modes 8 and -21 lie below 2/3 of the Nyquist index 32, 22 and -32 above
+        u = np.zeros((2, 64), dtype=complex)
+        u[0, 8], u[0, 22], u[1, -21], u[1, 32] = 3.0, 1.0j, 2.0, 2.0
+        assert _tail_fraction(u, grid).tolist() == [0.1, 0.5]
+
+    def test_only_state_dependent_rows_are_held_to_the_bound(self):
+        # a Gaussian that does not vanish at the periodic edges holds about
+        # 3e-9 of its power above 2/3 of the Nyquist wavenumber from t = 0
+        grid = Grid1D(64, -5.0, 5.0)
+        linear = WaveScenario(psi0=unit_gaussian(grid, sigma=1.0), params=P_SYM,
+                              potentials=PotentialSet.zeros(grid, 2), dt=1e-4,
+                              n_steps=8, snapshot_every=4)
+        assert len(evolve(linear).snapshots) == 3
+        for changes in ({"nonlinear_term": NONLINEAR_ON},
+                        {"closure_mode": EXPLICIT}):
+            with pytest.raises(BlowUpError, match=r"^spectral tail \S+ at step 4$"):
+                evolve(dataclasses.replace(linear, **changes))

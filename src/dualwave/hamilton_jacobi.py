@@ -245,7 +245,4 @@ def participation_metric(gradients: np.ndarray) -> np.ndarray:
     In 1D the metric is a single non-negative scalar field; the system
     channel (row 0) is excluded from the sum.
     """
-    w = np.zeros(gradients.shape[1])
-    for g in gradients[1:]:
-        w += g * g
-    return w
+    return sum((g * g for g in gradients[1:]), np.zeros(gradients.shape[1]))

@@ -99,7 +99,8 @@ SLAVED_AMPLITUDE_FLOOR = 1e-8
 # Largest share of spectral power above 2/3 of the Nyquist wavenumber, where
 # products alias (Orszag's 2/3 rule), that a snapshot of a row whose rate is a
 # function of psi may hold; resolved runs stay below 1e-26, unstable ones pass it.
-SPECTRAL_TAIL_BOUND = 1e-12
+# Data may set a larger share at t = 0; growth past SPECTRAL_TAIL_GROWTH times it stops.
+SPECTRAL_TAIL_BOUND, SPECTRAL_TAIL_GROWTH = 1e-12, 1e4
 
 
 @dataclass(frozen=True)
@@ -415,13 +416,14 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
     A row stops on overflow or a non-finite state, at a snapshot whose
     norm has underflowed to zero (no diagnostic or inverse map is defined
     there), and at one whose spectral tail fraction exceeds the stepper's
-    `tail_bound`; rows are checked at snapshot steps only, after each row's
+    `tail_bound` and then (by one FFT) SPECTRAL_TAIL_GROWTH times its share
+    at t = 0; rows are checked at snapshot steps only, after each row's
     `floor_engaged` flag has passed to its run. The other rows go on
     with the stepper of the rows left (`stepper.select`, needed only for
     P > 1), which is bitwise safe because every segment already starts
     from the full Strang state.
     """
-    grid, dt = stepper.grid, stepper.dt
+    grid, dt, v0 = stepper.grid, stepper.dt, v
     runs = [WaveRun(snapshots=[Snapshot(0.0, ComplexField(row.copy(), grid))])
             for row in v]
     results = list(runs)
@@ -440,7 +442,8 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
                 cause = "blow-up"
             elif snap.norm == 0.0:
                 cause = "norm underflowed to zero"
-            elif tail[row] > stepper.tail_bound:
+            elif tail[row] > stepper.tail_bound and tail[row] > SPECTRAL_TAIL_GROWTH * (
+                    _tail_fraction(np.fft.fft(v0[run_index]), grid)):
                 cause = f"spectral tail {tail[row]:.2e}"
             else:
                 runs[run_index].snapshots.append(snap)
@@ -494,8 +497,8 @@ def evolve(scenario: WaveScenario) -> WaveRun:
     """Integrate the scenario, returning snapshots at the configured cadence.
 
     Deterministic for identical inputs. Raises BlowUpError carrying the
-    partial WaveRun if the state overflows, goes non-finite or its norm
-    underflows to zero mid-run.
+    partial WaveRun if the state overflows, goes non-finite, its norm
+    underflows to zero or its spectral tail grows mid-run (`_integrate`).
     """
     return _runs_or_raise(evolve_many([scenario]))[0]
 
@@ -510,8 +513,7 @@ class _ReferenceStepper:
 
     def __init__(self, grid: Grid1D, vg0: np.ndarray, mass: float, z: float,
                  dt: float):
-        self.grid = grid
-        self.dt = dt
+        self.grid, self.dt = grid, dt
         self.kinetic_half, self.kinetic_full = _kinetic_multipliers(
             grid, z / (2.0 * mass), dt)
         self.rk2 = _rk2_multiplier(-1j * vg0 / z, dt)

@@ -119,21 +119,6 @@ EXPLICIT_PLANE_INI = ("[params]\nzeta = {zeta}\n"
                       "snapshot_every = 250\n")
 
 
-def count_fft_calls(monkeypatch):
-    """Patch np.fft's transforms to count their calls in the returned list."""
-    calls = [0]
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    return calls
-
-
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -699,9 +684,9 @@ class TestByteContract:
         assert len(parse_csv(out / f"{spec.name}_summary.csv")) == len(traj.times)
         assert summary[-1].startswith("# caustic") == caustic
 
-    def test_hj_run_adds_no_fft_to_evolve_hj(self, tmp_path, monkeypatch):
+    def test_hj_run_adds_no_fft_to_evolve_hj(self, tmp_path, fft_counter):
         # the summary's gradients are the ones the solver recorded
-        calls = count_fft_calls(monkeypatch)
+        calls = fft_counter
         exp = expand(builtin_by_name("hj_free_particle"), DEFAULT_GRID)
         integ = exp.integration
         evolve_hj(exp.channels, exp.potentials, exp.params, integ.dt,
@@ -761,6 +746,10 @@ def mutated_configs(draw):
         st.sampled_from(["nan", "inf", "-inf", "1e308", "5e-324", "-0.0"])))
     sections = {name: dict(keys) for name, keys in base.items()}
     sections[section][key] = value
+    return ini_text(sections)
+
+
+def ini_text(sections: dict) -> str:
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
 
@@ -827,6 +816,16 @@ class TestConfigFuzz:
         assert capsys.readouterr().err.count("\n") <= 1
         # cwd is `work`, so a write to any relative path would land here
         assert {p.name for p in work.iterdir()} <= {"fuzz.ini", "out"}
+
+    def test_bases_exit_0(self, tmp_path, capsys):
+        # the wave base holds 3.1e-8 of its power above 2/3 of the Nyquist
+        # wavenumber from t = 0, which is not growth and stops nothing
+        for i, base in enumerate(FUZZ_BASES):
+            cfg = tmp_path / f"base{i}.ini"
+            cfg.write_text(ini_text(base))
+            assert main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / str(i))]) == 0, i
+        assert capsys.readouterr().err == ""
 
 
 class TestVerifyCommand:

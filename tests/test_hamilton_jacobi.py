@@ -246,20 +246,10 @@ class TestBatchedStages:
                     slope + spectral_derivative_values(expected[i], GRID, 1)).tobytes())
 
     @pytest.mark.parametrize("mode", [EXPLICIT, SYMMETRIC_CLOSURE])
-    def test_fft_calls_per_step(self, monkeypatch, mode):
+    def test_fft_calls_per_step(self, fft_counter, mode):
         ch, _, p = self.three_channels()
         pot = PotentialSet.zeros(GRID, 3, mode=mode)
-        calls = [0]
-
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls[0] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for fft_name in ("fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(np.fft, fft_name,
-                                counting(getattr(np.fft, fft_name)))
+        calls = fft_counter
 
         def count(n):
             calls[0] = 0

@@ -293,19 +293,10 @@ class TestEvolve:
         assert np.max(np.abs(rhob - np.roll(rho0, cells))) < 1e-6
 
 
-def fft_calls(monkeypatch, scenarios, step_counts) -> list:
+def fft_calls(calls, scenarios, step_counts) -> list:
     """FFT calls of `evolve_many(scenarios)` at each of `step_counts`, with
-    a snapshot at the first and the last step only."""
-    calls = [0]
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for fft_name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, fft_name, counting(getattr(np.fft, fft_name)))
+    a snapshot at the first and the last step only, counted in `calls`
+    (the `fft_counter` fixture)."""
 
     def count(n):
         calls[0] = 0
@@ -317,10 +308,10 @@ def fft_calls(monkeypatch, scenarios, step_counts) -> list:
     return [count(n) for n in step_counts]
 
 
-def fft_calls_of_three_steps(monkeypatch, scenarios) -> int:
+def fft_calls_of_three_steps(calls, scenarios) -> int:
     """FFT calls of three time steps, counted exactly from two runs that
     differ only in their step count: set-up work cancels in the difference."""
-    three, six = fft_calls(monkeypatch, scenarios, (3, 6))
+    three, six = fft_calls(calls, scenarios, (3, 6))
     return six - three
 
 
@@ -382,7 +373,7 @@ class TestLoopDriver:
         ("residual_mass_plane_wave", {}, 6),
         ("free_gaussian_symmetric", {"closure_mode": EXPLICIT}, 6),
     ])
-    def test_fft_calls_per_step(self, monkeypatch, name, changes, per_step):
+    def test_fft_calls_per_step(self, fft_counter, name, changes, per_step):
         scenario = expand(builtin_by_name(name), GRID).scenario
         if changes:
             closure = PotentialSet(vg=scenario.potentials.vg,
@@ -390,7 +381,7 @@ class TestLoopDriver:
             scenario = dataclasses.replace(scenario, potentials=closure,
                                            **changes)
         # recording a snapshot takes no FFT, so a run of no steps takes none
-        zero, three, six = fft_calls(monkeypatch, [scenario], (0, 3, 6))
+        zero, three, six = fft_calls(fft_counter, [scenario], (0, 3, 6))
         assert zero == 0
         assert six - three == 3 * per_step
 
@@ -404,7 +395,7 @@ class TestLoopDriver:
         (("linear", "nonlinear", "explicit"), 14),
         (("explicit", "nonlinear", "linear") * 2, 14),
     ])
-    def test_fft_calls_per_step_of_a_stack(self, monkeypatch, kinds, per_step):
+    def test_fft_calls_per_step_of_a_stack(self, fft_counter, kinds, per_step):
         """Each row kind forms its own stack, and a stack's counts do not
         grow with its number of rows: 2 linear, 6 mass-asymmetric, 6
         explicit; a call that mixes kinds sums one stack per kind."""
@@ -417,7 +408,7 @@ class TestLoopDriver:
         stack = [dataclasses.replace(
             base, params=DualParams(masses=(1.0, 1.1 + 0.1 * i)), **changes[kind])
             for i, kind in enumerate(kinds)]
-        assert fft_calls_of_three_steps(monkeypatch, stack) == 3 * per_step
+        assert fft_calls_of_three_steps(fft_counter, stack) == 3 * per_step
 
 
 def assert_same_run(got: WaveRun, want: WaveRun):
@@ -694,7 +685,17 @@ def test_public_solvers_check_stepping(solve, dt, snapshot_every):
 class TestSpectralTail:
     """A row whose pointwise rate is a function of psi stops once more
     than 1e-12 of its spectral power lies above 2/3 of the Nyquist
-    wavenumber; a linear row, exact in that band, runs on."""
+    wavenumber and that share has grown 1e4-fold since t = 0; a linear
+    row, exact in that band, runs on."""
+
+    @staticmethod
+    def edge_gaussian(n_steps, snapshot_every):
+        # a Gaussian that does not vanish at the periodic edges holds
+        # 3.4e-9 of its power above 2/3 of the Nyquist wavenumber at t = 0
+        grid = Grid1D(64, -5.0, 5.0)
+        return WaveScenario(psi0=unit_gaussian(grid, sigma=1.0), params=P_SYM,
+                            potentials=PotentialSet.zeros(grid, 2), dt=1e-4,
+                            n_steps=n_steps, snapshot_every=snapshot_every)
 
     def test_tail_fraction_of_known_spectrum(self):
         grid = Grid1D(64, -5.0, 5.0)
@@ -703,15 +704,23 @@ class TestSpectralTail:
         u[0, 8], u[0, 22], u[1, -21], u[1, 32] = 3.0, 1.0j, 2.0, 2.0
         assert _tail_fraction(u, grid).tolist() == [0.1, 0.5]
 
-    def test_only_state_dependent_rows_are_held_to_the_bound(self):
-        # a Gaussian that does not vanish at the periodic edges holds about
-        # 3e-9 of its power above 2/3 of the Nyquist wavenumber from t = 0
-        grid = Grid1D(64, -5.0, 5.0)
-        linear = WaveScenario(psi0=unit_gaussian(grid, sigma=1.0), params=P_SYM,
-                              potentials=PotentialSet.zeros(grid, 2), dt=1e-4,
-                              n_steps=8, snapshot_every=4)
-        assert len(evolve(linear).snapshots) == 3
-        for changes in ({"nonlinear_term": NONLINEAR_ON},
+    def test_tail_held_from_t0_is_not_growth(self):
+        linear = self.edge_gaussian(n_steps=8, snapshot_every=4)
+        for changes in ({}, {"nonlinear_term": NONLINEAR_ON},
                         {"closure_mode": EXPLICIT}):
-            with pytest.raises(BlowUpError, match=r"^spectral tail \S+ at step 4$"):
-                evolve(dataclasses.replace(linear, **changes))
+            run = evolve(dataclasses.replace(linear, **changes))
+            assert len(run.snapshots) == 3
+
+    def test_explicit_row_stops_once_its_tail_grows(self):
+        # the explicit-closure instability grows the share from 3.4e-9 to
+        # 4.9e-5 by step 650, while the norm has moved by 6e-4 only
+        linear = self.edge_gaussian(n_steps=2000, snapshot_every=50)
+        assert len(evolve(linear).snapshots) == 41
+        assert len(evolve(dataclasses.replace(
+            linear, nonlinear_term=NONLINEAR_ON)).snapshots) == 41
+        with pytest.raises(BlowUpError,
+                           match=r"^spectral tail \S+ at step 650$") as err:
+            evolve(dataclasses.replace(linear, closure_mode=EXPLICIT))
+        tail = float(str(err.value).split()[2])
+        assert 3.4e-5 < tail < 1e-4
+        assert abs(err.value.partial.snapshots[-1].norm - 1.0) < 1e-3

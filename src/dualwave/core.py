@@ -30,6 +30,10 @@ class BlowUpError(RuntimeError):
         self.step = step
         self.partial = partial
 
+    def __reduce__(self):
+        # the default rebuilds from self.args alone, which lacks `step`
+        return type(self), (str(self), self.step, self.partial)
+
 
 class ConfigurationError(ValueError):
     """A scenario/run configuration is invalid (maps to CLI exit code 2)."""

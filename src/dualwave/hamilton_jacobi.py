@@ -18,6 +18,19 @@ periodic grid), and since every right-hand side above is periodic in x the
 slopes are constants of the motion. Smooth flow only: when characteristics
 cross, gradients blow up and evolve_hj raises BlowUpError with the partial
 trajectory instead of switching to a viscosity solution.
+
+Explicit coupling without the closure rule is ill-posed, as on the wave
+route (see `wavesolver`). With one environment channel, m0 == m1 == m and
+stored or zero couplings, the pair is one complex equation for
+u = S0 + i S1,
+
+    u_t = -(u_x)^2 / 2m - (Vg0 + Vc0) - i (Vg1 + Vc1)
+
+the wave route's L = ln psi = i u / zeta. Linearized, the mode exp(iqx)
+grows at |q| |dS1/dx| / m, without bound in q wherever S1 varies. An S1
+that starts uniform with Vg1 + Vc1 == 0 stays uniform, and S0 then follows
+the real HJ equation. The closure rule adds (i zeta / 2m) u_xx, the
+Laplacian that makes it the Schrodinger equation for psi.
 """
 
 from __future__ import annotations

@@ -4,6 +4,15 @@ Each criterion is an executable check with one pinned bound: a tolerance,
 an order-of-convergence ratio window, the caustic timing window, or byte
 equality. `dualwave verify` prints each measured value next to its bound,
 so the headroom of every check is visible.
+
+The criteria run as independent tasks on one worker process per usable
+CPU (in this process when there is one CPU, or one task, as with
+`--only`). Criteria share no state except the ten-period harmonic run,
+so `harmonic_stationarity` and `norm_conservation` form one task, and it
+is submitted first because it takes most of the time. The results come
+back in `CRITERIA` order with the values of a serial run. On a 2-CPU
+machine the full suite's median wall time fell from 11.7 s to 7.8 s
+(ten alternating runs each); the harmonic task alone takes about 6 s.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import math
+import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,7 +114,6 @@ def crit_symmetric_limit(cache):
     out = []
     for name, scenario, run in zip(names, scenarios, runs):
         ref = _reference_for(scenario)
-        cache[f"run_{name}"] = run
         out.append(_lt(f"symmetric_limit[{name}]", _sup_diff(run, ref), 1e-8))
     return out
 
@@ -150,8 +159,7 @@ def crit_harmonic_stationarity(cache):
 
 
 def crit_norm_conservation(cache):
-    runs = [cache.get(f"run_{name}")
-            or evolve(expand(builtin_by_name(name), DEFAULT_GRID).scenario)
+    runs = [evolve(expand(builtin_by_name(name), DEFAULT_GRID).scenario)
             for name in ("free_gaussian_symmetric", "double_well_symmetric")]
     runs.append(_harmonic_ten_periods(cache)[1])
     dev = max(abs(s.norm - run.snapshots[0].norm) for run in runs for s in run.snapshots)
@@ -367,8 +375,43 @@ CRITERIA = {
 }
 
 
+# the criteria that share the ten-period harmonic run, the one cache entry
+_SHARED_RUN = ("harmonic_stationarity", "norm_conservation")
+
+
+def _tasks(names):
+    """The criteria as independent tasks, longest first: the criteria of
+    `_SHARED_RUN` form one task, and each other criterion is a task alone."""
+    shared = tuple(name for name in _SHARED_RUN if name in names)
+    return ([shared] if shared else []) + [
+        (name,) for name in names if name not in _SHARED_RUN]
+
+
+def _run_task(names):
+    """Run criteria in order with one cache; returns {name: results}."""
+    cache = {}
+    return {name: CRITERIA[name](cache) for name in names}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_criteria(only: str | None = None):
-    """Execute acceptance criteria; returns a list of CriterionResult."""
+    """Execute acceptance criteria; returns a list of CriterionResult in
+    `CRITERIA` order.
+
+    With more than one usable CPU and task, the tasks run on a process
+    pool, one worker per CPU, and the pool is shut down before this
+    returns, also when a task raises. Workers start by the platform's
+    default method (on a 2-CPU Linux machine a fork pool started in 13 ms,
+    a spawn pool in 0.35 s). Either gives the same values: a worker
+    receives only criterion names, and no criterion reads state set after
+    import.
+    """
     if only is not None:
         if only not in CRITERIA:
             raise ConfigurationError(
@@ -378,8 +421,21 @@ def run_criteria(only: str | None = None):
     else:
         names = list(CRITERIA)
 
-    cache = {}
-    results = []
-    for name in names:
-        results.extend(CRITERIA[name](cache))
-    return results
+    tasks = _tasks(names)
+    workers = min(_usable_cpus(), len(tasks))
+    if workers <= 1:
+        done = [_run_task(task) for task in tasks]
+    else:
+        # imported here: `import dualwave.verify` stays as cheap as before
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers) as pool:
+            futures = [pool.submit(_run_task, task) for task in tasks]
+            try:
+                done = [future.result() for future in futures]
+            except BaseException:
+                # else every queued task runs before the error propagates
+                pool.shutdown(cancel_futures=True)
+                raise
+    by_name = {name: results for task in done for name, results in task.items()}
+    return [result for name in names for result in by_name[name]]

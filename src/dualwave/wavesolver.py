@@ -47,6 +47,20 @@ closure-rule potentials its coupling terms are exactly zero (the stepper
 subtracts the very products `closure_couplings` returns), so that route is
 bitwise the analytic one: a wiring check, not an independent
 discretization.
+
+Explicit coupling without the closure rule is ill-posed. Let L = ln psi,
+so S0 = z Im L and S1 = -z Re L, and let c = z/4m. With stored or zero
+coupling potentials the state-dependent terms -(z/4m) lap S1 and
++(z/4m) lap S0 add -i c L_xx to L_t, which cancels the second-derivative
+part of the kinetic term and leaves, at m0 == m1,
+
+    L_t = i c (L_x)^2 + (Vg1 + Vc1 - i (Vg0 + Vc0)) / z
+
+Linearized about a state, the mode exp(iqx) grows at 2c |q| |d/dx ln|psi||:
+the rate has no bound in q wherever |psi| varies, so no grid converges and
+a finer grid fails sooner (Hadamard ill-posed). Only the closure rule puts
+the Laplacian back, and with it the equation is the well-posed linear
+Schrodinger equation. The spectral-tail stop is what catches this growth.
 """
 
 from __future__ import annotations

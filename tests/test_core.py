@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualwave.core import (
+    BlowUpError,
     ComplexField,
     ConfigurationError,
     DualParams,
@@ -14,7 +16,9 @@ from dualwave.core import (
     field_norm,
     spectral_derivative_values,
 )
+from dualwave.hamilton_jacobi import HJTrajectory
 from dualwave.scenarios import Integration, ScenarioSpec
+from dualwave.wavesolver import Snapshot, WaveRun
 
 GRID_2PI = Grid1D(64, 0.0, 2.0 * math.pi)
 
@@ -101,6 +105,35 @@ class TestFieldNorm:
         amp = (2.0 * math.pi * sigma ** 2) ** -0.25
         psi = ComplexField(amp * np.exp(-g.x ** 2 / (4 * sigma ** 2)), g)
         assert abs(field_norm(psi) - 1.0) < 1e-10
+
+
+class TestBlowUpError:
+    # a criterion that blows up on a worker process reaches the caller pickled
+    def _round_trip(self, partial):
+        err = BlowUpError("blow-up at step 3", step=3, partial=partial)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is BlowUpError
+        assert (str(back), back.step) == ("blow-up at step 3", 3)
+        return back.partial
+
+    def test_partial_wave_run(self):
+        psi = ComplexField(np.exp(1j * GRID_2PI.x), GRID_2PI)
+        run = WaveRun([Snapshot(0.0, psi), Snapshot(0.5, psi)], floor_engaged=True)
+        back = self._round_trip(run)
+        assert [s.t for s in back.snapshots] == [0.0, 0.5]
+        assert back.floor_engaged
+        np.testing.assert_array_equal(back.final.psi.values, psi.values)
+
+    def test_partial_hj_trajectory(self):
+        samples = np.stack([np.sin(GRID_2PI.x), np.cos(GRID_2PI.x)])
+        traj = HJTrajectory([0.0], [samples], [-samples[::-1]])
+        back = self._round_trip(traj)
+        assert back.times == [0.0]
+        np.testing.assert_array_equal(back.samples[0], samples)
+        np.testing.assert_array_equal(back.gradients[0], -samples[::-1])
+
+    def test_without_partial(self):
+        assert self._round_trip(None) is None
 
 
 class TestDualParams:

@@ -85,6 +85,11 @@ class Grid1D:
         if not self.x_max > self.x_min:
             raise ConfigurationError(
                 f"empty domain: x_min={self.x_min}, x_max={self.x_max}")
+        # the solvers' second-derivative multipliers reach (pi/dx)^2
+        kmax = math.pi / self.dx if self.dx > 0.0 else math.inf
+        if not (math.isfinite(self.length) and math.isfinite(kmax * kmax)):
+            raise ConfigurationError(f"domain [{self.x_min:g}, {self.x_max:g}) on {n} "
+                                     f"points: length or (pi/dx)^2 leaves the float range")
 
     @property
     def length(self) -> float:

@@ -12,6 +12,38 @@ from dualwave import verify
 from dualwave.core import DualParams
 from dualwave.verify import CRITERIA, run_criteria
 
+# every criterion's bound, in report order: a change to a bound fails here,
+# while the measured values may move within it
+BOUNDS = [
+    ("symmetric_limit[free_gaussian_symmetric]", "< 1e-08"),
+    ("symmetric_limit[harmonic_ground_symmetric]", "< 1e-08"),
+    ("symmetric_limit[double_well_symmetric]", "< 1e-08"),
+    ("free_spreading", "< 1e-06"),
+    ("harmonic_stationarity[amplitude]", "< 1e-07"),
+    ("harmonic_stationarity[energy]", "< 1e-07"),
+    ("norm_conservation[symmetric]", "< 1e-08"),
+    ("norm_conservation[drift_law]", "< 0.0001"),
+    ("residual_mass_term[bracket]", "< 1e-10"),
+    ("residual_mass_term[symmetric_shift]", "< 1e-14"),
+    ("madelung_round_trip[identity]", "< 1e-10"),
+    ("madelung_round_trip[conjugation]", "< 1e-12"),
+    ("madelung_round_trip[gauge]", "< 1e-12"),
+    ("oscillator_oracles[bateman]", "< 1e-06"),
+    ("oscillator_oracles[ck]", "< 1e-06"),
+    ("oscillator_oracles[dekker]", "< 1e-06"),
+    ("oscillator_oracles[energy_rate_x]", "< 1e-06"),
+    ("oscillator_oracles[energy_rate_y]", "< 1e-06"),
+    ("hj_free_caustic[free_exact]", "< 1e-08"),
+    ("hj_free_caustic[caustic_time]", "in [0.8, 1]"),
+    ("convergence_orders[rk4]", "in [12, 20]"),
+    ("convergence_orders[split_step]", "in [3.5, 4.5]"),
+    ("zeta_dispersion", "< 1e-08"),
+    ("quantum_potential[gaussian]", "< 1e-08"),
+    ("quantum_potential[bohmian_balance]", "< 1e-07"),
+    ("quantum_potential[scale_invariance]", "< 1e-10"),
+    ("determinism", "bytes equal"),
+]
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -28,6 +60,10 @@ def test_all_criteria_pass(results):
         if not r.passed:
             failed.append(r.name)
     assert not failed, f"criteria failed: {failed}"
+
+
+def test_bounds_are_pinned(results):
+    assert [(r.name, r.bound_text) for r in results] == BOUNDS
 
 
 def test_every_registered_criterion_reported(results):

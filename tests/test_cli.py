@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import re
 import tempfile
 import warnings
@@ -60,19 +61,22 @@ OSC_INI = ("[scenario]\nkind = oscillator\nlabel = bad\nformalism = ck\n"
 
 
 # a Gaussian under a constant decaying imaginary potential, 40 steps of
-# dt = 1e-3 on the default grid; at vg1_v0 = -2000 the RK2 multiplier
-# 1 + a dt + (a dt)^2/2 is exactly 1, and past it the norm would grow
+# dt = 1e-3 on the default grid
 DECAY_INI = WAVE_INI.replace("n_steps = 10", "n_steps = 40").replace(
     "initial_sigma = 0.5\n", "initial_sigma = 0.5\nvg1_type = constant\nvg1_v0 = {v0}\n")
 
 
-# a decay rate of 2000 per unit time: by step 600 the norm has underflowed
-# to zero, although |psi| itself has not
+# a decay rate of 1000 per unit time: the norm, 1 at t = 0, is exactly
+# e^(-2000 t), so it underflows to zero at the first snapshot where that
+# does, although |psi| itself has not
 UNDERFLOW_INI = ("[scenario]\nkind = wave\nlabel = underflow\n"
                  "initial_type = gaussian\ninitial_sigma = 0.5\n"
                  "vg1_type = constant\nvg1_v0 = -1000\n"
                  "[integration]\ndt = 1e-3\nn_steps = 1200\n"
                  "snapshot_every = 100\n")
+UNDERFLOW_STEP = next(step for step in range(0, 1201, 100)
+                      if math.exp(-2000.0 * step * 1e-3) == 0.0)
+UNDERFLOW = f"norm underflowed to zero at step {UNDERFLOW_STEP}"
 
 
 # stored coupling potentials, which only explicit closure with explicit
@@ -92,13 +96,23 @@ HJ_VC_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
              "[integration]\ndt = 1e-3\nn_steps = 20\n")
 
 
-# a guiding potential of 1e150: (dt V)^2 = 1e294 passes validation, and
-# the state overflows between snapshots
+# a growing imaginary potential of 1e6: its multiplier exp(dt Vg1) = e^1000
+# overflows to inf, and so does the state before the first snapshot
 OVERFLOW_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                 "[scenario]\nkind = wave\nlabel = ov\n"
                 "initial_type = gaussian\ninitial_sigma = 1.0\n"
-                "vg0_type = constant\nvg0_v0 = 1e150\n"
+                "vg1_type = constant\nvg1_v0 = 1e6\n"
                 "[integration]\ndt = 1e-3\nn_steps = 20\nsnapshot_every = 10\n")
+
+
+# a Gaussian of masses (1, 1.2) on a small grid; {hbar} and {keys}, the
+# potentials, set its potential rate
+RATE_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+            "[params]\nm0 = 1.0\nm1 = 1.2\nhbar = {hbar}\n"
+            "[scenario]\nkind = wave\nlabel = fz\n"
+            "initial_type = gaussian\ninitial_sigma = 1.0\n"
+            "initial_k = 0.5\n{keys}"
+            "[integration]\ndt = 1e-4\nn_steps = 12\nsnapshot_every = 4\n")
 
 
 # a linear S0 on a small grid; {keys} adds the potentials
@@ -160,8 +174,10 @@ class TestRun:
         (STORED_VC_INI.replace("label = vc\n", "label = vc\nclosure_mode = explicit\n"
                                "potential_mode = symmetric_closure\n"), []),
         (HJ_VC_INI.replace("= explicit", "= symmetric_closure"), []),
-        (DECAY_INI.format(v0=-2000), []),
-        (DECAY_INI.format(v0=-3000), []),
+        ("[grid]\nx_min = -1e308\nx_max = 1e308\n"
+         "[scenario]\nname = hj_free_particle\n", []),
+        ("[grid]\nx_min = 0\nx_max = 1e-310\n"
+         "[scenario]\nname = free_gaussian_symmetric\n", []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -169,8 +185,8 @@ class TestRun:
             "hj_mass_key_beyond_channels", "hbar_zero",
             "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta",
             "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials",
-            "hj_stored_vc_with_closure_potentials", "decay_rate_at_rk2_bound",
-            "decay_rate_past_rk2_bound"])
+            "hj_stored_vc_with_closure_potentials", "grid_length_overflows",
+            "grid_nyquist_overflows"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -218,9 +234,10 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.count("\n") == 1
         summary = read_lines(tmp_path / "underflow_summary.csv")
-        assert summary[-1] == "# norm underflowed to zero at step 600"
+        assert summary[-1] == f"# {UNDERFLOW}"
         rows = parse_csv(tmp_path / "underflow_summary.csv")
-        assert rows[:, 0].tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        assert rows[:, 0].tolist() == [step * 1e-3
+                                       for step in range(0, UNDERFLOW_STEP, 100)]
         assert np.all(rows[:, 1] > 0.0)
         assert np.all(np.isfinite(parse_csv(tmp_path / "underflow_snapshots.csv")))
 
@@ -261,30 +278,19 @@ class TestRun:
         assert err[0] == "warning: amplitude floor engaged"
         assert err[1].startswith("blow-up: partial output written to ")
         summary = read_lines(tmp_path / "underflow_summary.csv")
-        assert summary[-1] == "# norm underflowed to zero at step 600"
+        assert summary[-1] == f"# {UNDERFLOW}"
 
     @pytest.mark.parametrize("hbar, keys", [
         ("5e-324", "vg0_type = harmonic\nvg0_omega = 1.0\n"),
         ("5e-324", ""),
         ("1e-300", "closure_mode = explicit\nvc0_type = harmonic\nvc0_omega = 1e10\n"),
-        ("1.0", "vg0_type = constant\nvg0_v0 = 1e200\n"),
-        ("1.0", "vg0_type = constant\nvg0_v0 = 1.2e158\n"
-                "vg1_type = constant\nvg1_v0 = 1.2e158\n"),
-    ], ids=["harmonic_vg0", "zero_vg", "stored_vc0", "rk2_multiplier_overflow",
-            "rk2_multiplier_cross_term"])
+    ], ids=["harmonic_vg0", "zero_vg", "stored_vc0"])
     def test_non_finite_potential_rate_exits_2(self, tmp_path, capsys, hbar, keys):
         # at a subnormal hbar max|Vg| / zeta overflows, and with Vg = 0 the
         # complex division by zeta still gives NaN; explicit closure divides
-        # the stored couplings by zeta too; a finite rate of 1e200 still
-        # overflows the RK2 multiplier 1 + a dt + (a dt)^2 / 2, and so does
-        # (dt * rate)^2 = 1.4e308 through the cross term of (a dt)^2
+        # the stored couplings by zeta too
         cfg = tmp_path / "tiny_hbar.ini"
-        cfg.write_text("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
-                       f"[params]\nm0 = 1.0\nm1 = 1.2\nhbar = {hbar}\n"
-                       "[scenario]\nkind = wave\nlabel = fz\n"
-                       "initial_type = gaussian\ninitial_sigma = 1.0\n"
-                       f"initial_k = 0.5\n{keys}"
-                       "[integration]\ndt = 1e-4\nn_steps = 12\nsnapshot_every = 4\n")
+        cfg.write_text(RATE_INI.format(hbar=hbar, keys=keys))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # as outside the test suite
@@ -295,6 +301,48 @@ class TestRun:
         assert err.startswith("configuration error: potential rate")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def _run_rate_config(self, tmp_path, keys):
+        """Run RATE_INI at hbar = 1: exit code, caught warnings, summary path."""
+        cfg = tmp_path / "large.ini"
+        cfg.write_text(RATE_INI.format(hbar="1.0", keys=keys))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        return code, [str(w.message) for w in caught], tmp_path / "fz_summary.csv"
+
+    def test_large_real_potential_is_a_phase(self, tmp_path, capsys):
+        # a finite rate passes validation; a real potential of 1e200 only
+        # turns the phase, exp(-i dt Vg0), so every snapshot keeps norm 1
+        code, caught, summary = self._run_rate_config(
+            tmp_path, "vg0_type = constant\nvg0_v0 = 1e200\n")
+        assert code == 0 and caught == []
+        assert capsys.readouterr().err == ""
+        rows = parse_csv(summary)
+        assert rows[:, 0].tolist() == [step * 1e-4 for step in (0, 4, 8, 12)]
+        assert np.max(np.abs(rows[:, 1] - 1.0)) < 1e-12
+
+    def test_large_growing_potential_blows_up_without_warnings(self, tmp_path, capsys):
+        # a growing imaginary potential of 1.2e158 overflows exp(dt Vg1) to
+        # inf, which only the snapshot check may report
+        code, caught, summary = self._run_rate_config(
+            tmp_path, "vg0_type = constant\nvg0_v0 = 1.2e158\n"
+                      "vg1_type = constant\nvg1_v0 = 1.2e158\n")
+        assert code == 3 and caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up: partial output")
+        assert read_lines(summary)[-1] == "# blow-up at step 4"
+
+    @pytest.mark.parametrize("v0", [-1999.0, -2000.0, -3000.0])
+    def test_strong_decay_has_the_exact_rate(self, tmp_path, v0):
+        # the norm rate of a constant decaying potential is exactly
+        # 2 Vg1 / zeta at any strength; zeta = 1 here
+        cfg = tmp_path / "decay.ini"
+        cfg.write_text(DECAY_INI.format(v0=v0))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rates = parse_csv(tmp_path / "bad_summary.csv")[1:, 3]
+        assert len(rates) == 40
+        assert np.max(np.abs(rates / (2.0 * v0) - 1.0)) < 1e-12
 
     def test_genuine_blow_up_exits_3_without_warnings(self, tmp_path, capsys):
         # only the snapshot check may report the overflow
@@ -515,8 +563,7 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg), "--param", "lambda_Vg1",
                      "--values", "1000", "--out", str(tmp_path / "out")])
         assert code == 3
-        assert capsys.readouterr().err == (
-            "sweep aborted: norm underflowed to zero at step 600\n")
+        assert capsys.readouterr().err == f"sweep aborted: {UNDERFLOW}\n"
 
     def test_blow_up_keeps_finished_points(self, tmp_path, capsys):
         cfg = tmp_path / "underflow.ini"
@@ -524,12 +571,10 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg), "--param", "lambda_Vg1",
                      "--values", "1000,0.5", "--out", str(tmp_path / "out")])
         assert code == 3
-        assert capsys.readouterr().err == (
-            "sweep aborted: norm underflowed to zero at step 600\n")
+        assert capsys.readouterr().err == f"sweep aborted: {UNDERFLOW}\n"
         path = tmp_path / "out" / "underflow_sweep_lambda_Vg1.csv"
         lines = read_lines(path)
-        assert lines[-1] == ("# lambda_Vg1=1000: "
-                             "norm underflowed to zero at step 600")
+        assert lines[-1] == f"# lambda_Vg1=1000: {UNDERFLOW}"
         cells = data_cells(path)
         assert [row[:2] for row in cells] == [["lambda_Vg1", "0.5"]]
         assert_canonical(row[1:] for row in cells)

@@ -38,6 +38,14 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid1D(8, 1.0, 1.0)
 
+    @pytest.mark.parametrize("x_min, x_max", [
+        (-1e308, 1e308), (-math.inf, 0.0), (0.0, 1e-310), (0.0, 5e-324), (0.0, 1e-300)])
+    def test_rejects_domain_outside_the_float_range(self, x_min, x_max):
+        # the length, or the squared Nyquist wavenumber (pi/dx)^2 that the
+        # second-derivative multipliers reach, is not finite
+        with pytest.raises(ConfigurationError, match="float range"):
+            Grid1D(1024, x_min, x_max)
+
 
 def derivative(values, order):
     """spectral_derivative_values on GRID_2PI."""

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 mid-run blow-up (partial output is still written: a run's summary file
 records the blow-up step in a trailing '#' comment line, and a sweep's CSV
-holds every finished point and one '#' line per failed point). A wave run,
-or a sweep, with `WaveRun.floor_engaged` set on a run (on a blow-up, on
-its partial run) prints one `warning: amplitude floor engaged` stderr line.
+holds every finished point and one '#' line per failed point). A wave
+run's coupling is the closure rule: `closure_mode = explicit` without
+`potential_mode = symmetric_closure`, or a stored `vc<i>`, exits 2.
 
 Every run writes two CSV files, `<name>_snapshots.csv` and
 `<name>_summary.csv`. Floats are serialized with 17 significant digits so
@@ -51,8 +51,6 @@ EXIT_BLOWUP = 3
 
 SWEEP_PARAMS = ("m1", "lambda_Vg1", "zeta", "dt")
 
-FLOOR_WARNING = "warning: amplitude floor engaged"
-
 
 def _write_csv(path: Path, header, blocks, trailer_comments=()):
     """Write the header, each 2-D block with one %-format, then '# ' comments.
@@ -88,8 +86,6 @@ def _solve(solver, *args):
 def _wave_tables(expanded: ExpandedWave):
     scenario = expanded.scenario
     run, comments, code = _solve(evolve, scenario)
-    if run.floor_engaged:
-        print(FLOOR_WARNING, file=sys.stderr)
     x = scenario.grid.x
 
     def snapshots():
@@ -414,9 +410,6 @@ def cmd_sweep(args) -> int:
     offs = [dataclasses.replace(s, nonlinear_term=NONLINEAR_OFF)
             for s in scenarios if s.nonlinear_active]
     runs = evolve_many(scenarios + offs)
-    if any((r.partial if isinstance(r, BlowUpError) else r).floor_engaged
-           for r in runs):
-        print(FLOOR_WARNING, file=sys.stderr)
     off_runs = iter(runs[len(scenarios):])
     pairs = [(run, next(off_runs) if s.nonlinear_active else None)
              for s, run in zip(scenarios, runs)]

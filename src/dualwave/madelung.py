@@ -24,9 +24,8 @@ class DegenerateWavefunctionError(ValueError):
 class AmplitudeFloorWarning(UserWarning):
     """The amplitude floor was engaged near a node of psi.
 
-    The solver no longer issues it (a run reports `WaveRun.floor_engaged`);
-    the class stays because the benchmark harness imports it in its fixed
-    warnings filter."""
+    No solver issues it; the class stays because the benchmark harness
+    imports it in its fixed warnings filter."""
 
 
 # Relative floor on |psi| (w.r.t. max|psi|) below which the one-shot
@@ -50,20 +49,15 @@ def to_wavefunction(s0: RealField, s1: RealField, p: DualParams) -> ComplexField
     return ComplexField(np.exp((1j * s0.values - s1.values) / p.zeta), s0.grid)
 
 
-def wrapped_phase_differences(theta: np.ndarray) -> np.ndarray:
-    """The N cyclic phase increments theta[i+1] - theta[i] along the last
-    axis, the last one across the periodic wrap, each wrapped into [-pi, pi)."""
-    return np.mod(np.roll(theta, -1, axis=-1) - theta + np.pi, 2.0 * np.pi) - np.pi
-
-
 def unwrap_phase(theta: np.ndarray) -> np.ndarray:
     """Cumulative-difference unwrap anchored to the principal value at index 0.
 
-    Sums the first N-1 cyclic increments, so the result keeps the winding
-    of psi as a linear ramp. A band-limited phase is assumed: an increment
-    near +-pi is taken at its wrapped value.
+    Sums the N-1 increments theta[i+1] - theta[i], each wrapped into
+    [-pi, pi), so the result keeps the winding of psi as a linear ramp. A
+    band-limited phase is assumed: an increment near +-pi is taken at its
+    wrapped value.
     """
-    d = wrapped_phase_differences(theta)[:-1]
+    d = np.mod(np.diff(theta) + np.pi, 2.0 * np.pi) - np.pi
     unwrapped = np.empty_like(theta)
     unwrapped[0] = 0.0
     np.cumsum(d, out=unwrapped[1:])
@@ -76,12 +70,10 @@ def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
     S1 = -(zeta/2) ln(psi* psi) with |psi|^2 clamped below at
     (AMPLITUDE_FLOOR * max|psi|)^2, or at the smallest normal float if
     that is smaller; S0 = zeta * unwrap(arg psi), anchored to
-    the principal value at index 0. This is the one-shot map of a given
-    state, so it keeps the winding and the anchor and clamps the floor.
-    The in-loop extraction of the wave solver (`_extract_action_terms`)
-    differs on purpose: it only needs Laplacians, so it tapers the
-    increments, floors additively and rebuilds a periodic phase. Raises
-    DegenerateWavefunctionError for psi identically zero.
+    the principal value at index 0. It keeps the winding and the anchor.
+    The wave solver never inverts the map: the closure rule cancels every
+    term that would need S. Raises DegenerateWavefunctionError for psi
+    identically zero.
     """
     v = psi.values
     amax = float(np.max(np.abs(v)))

@@ -10,9 +10,7 @@ CPU (in this process when there is one CPU, or one task, as with
 `--only`). Criteria share no state except the ten-period harmonic run,
 so `harmonic_stationarity` and `norm_conservation` form one task, and it
 is submitted first because it takes most of the time. The results come
-back in `CRITERIA` order with the values of a serial run. On a 2-CPU
-machine the full suite's median wall time fell from 11.7 s to 7.8 s
-(ten alternating runs each); the harmonic task alone takes about 6 s.
+back in `CRITERIA` order with the values of a serial run.
 """
 
 from __future__ import annotations
@@ -407,8 +405,7 @@ def run_criteria(only: str | None = None):
     With more than one usable CPU and task, the tasks run on a process
     pool, one worker per CPU, and the pool is shut down before this
     returns, also when a task raises. Workers start by the platform's
-    default method (on a 2-CPU Linux machine a fork pool started in 13 ms,
-    a spawn pool in 0.35 s). Either gives the same values: a worker
+    default method, fork or spawn. Either gives the same values: a worker
     receives only criterion names, and no criterion reads state set after
     import.
     """

@@ -2,67 +2,65 @@
 reference linear Schrodinger solver that the symmetric limit must match.
 
 With action scale z (zeta), reduced mass m and residual mass
-mbar, the evolved equation is
+mbar, the generalized equation is
 
     i z dpsi/dt = -(z^2/4m) lap psi + Vg0 psi + [Vc0 - (z/4m) lap S1] psi
                   + (z^2/4 mbar) [psi* div(grad psi / psi*) - lap psi]
                   + i Vg1 psi + i [Vc1 + (z/4m) lap S0] psi
 
-The S fields are slaved to psi (extracted by the inverse Madelung map once
-per step), which closes the equation in psi. The mass-asymmetry bracket
-is exactly psi* div(grad psi / psi*) - lap psi = -W psi with the real
-potential W = |grad psi|^2 / |psi|^2, so that term only rotates the phase.
+with S0 = z arg psi and S1 = -z ln|psi|. The closure rule
+Vc0 = (z/4m) lap S1, Vc1 = -(z/4m) lap S0 cancels both bracketed coupling
+terms identically, so no S field is ever extracted from psi and the
+stepped equation is
+
+    i z dpsi/dt = -(z^2/4m) lap psi + (Vg0 + i Vg1) psi - (z^2/4 mbar) W psi
+
+since the mass-asymmetry bracket is exactly -W psi with the real potential
+W = |grad psi|^2 / |psi|^2, a term that only rotates the phase. With
+m0 == m1 and Vg1 == 0 this is the linear Schrodinger equation.
 
 Integration is Strang splitting: an exact half-step kinetic propagator in
-Fourier space, a full step of the pointwise part with the S fields frozen
-at substep start, then the second kinetic half-step: the time-splitting
-spectral method of Bao, Jin & Markowich (J. Comput. Phys. 175 (2002) 487).
-The pointwise step solves du/dt = a u exactly for a frozen rate a,
-u -> exp(a dt) u, and is the exponential midpoint rule of
-du/dt = (a + i nu W(u)/z) u when the mass-asymmetry term is on, which
-keeps the norm up to the a part by construction. Between snapshots
-adjacent kinetic half-steps are merged into one full step, and every
-snapshot holds the full Strang state.
+Fourier space, a full step of the pointwise part, then the second kinetic
+half-step: the time-splitting spectral method of Bao, Jin & Markowich
+(J. Comput. Phys. 175 (2002) 487). The pointwise step solves du/dt = a u
+exactly for the rate a = (Vg1 - i Vg0) / z, u -> exp(a dt) u, and is the
+exponential midpoint rule of du/dt = (a + i nu W(u)/z) u when the
+mass-asymmetry term is on, which keeps the norm up to the a part by
+construction. Between snapshots adjacent kinetic half-steps are merged
+into one full step, and every snapshot holds the full Strang state.
 
 The loop driver steps a (P, N) stack of runs that share the grid, dt,
-step count, snapshot cadence and row kind, that is closure mode and
-nonlinear term (`evolve_many`; `evolve` is a one-row stack). Each row is
-bitwise equal to its run stepped alone: a batched FFT row equals the 1-D
-transform, each row's multipliers and scalars come from the single-run
-expressions, and the operand order of every multiplier product is kept
-(`K * fft(v)` and `u *= K`, not `fft(v) * K`), since on some machines the
-two orders differ in the last bit.
+step count, snapshot cadence and nonlinear term (`evolve_many`; `evolve`
+is a one-row stack). Each row is bitwise equal to its run stepped alone:
+a batched FFT row equals the 1-D transform, each row's multipliers and
+scalars come from the single-run expressions, and the operand order of
+every multiplier product is kept (`K * fft(v)` and `u *= K`, not
+`fft(v) * K`), since on some machines the two orders differ in the last bit.
 
 FFT counts hold per stack, not per row: a step costs 2 FFT calls, plus 4
-in a mass-asymmetric stack (two gradients) and 4 in an explicit-closure
-stack (two Laplacians), so 2, 6, 6 or 10, whatever P is.
+in a mass-asymmetric stack (two gradients), so 2 or 6, whatever P is.
 `evolve` and the reference solver share this loop driver, which records
 each snapshot's state, but assemble their multipliers separately. The
 equation's terms are written once, in the stepper that steps them.
 
-In `symmetric_closure` mode the bracketed coupling terms are cancelled
-analytically (they are identically zero when the coupling potentials equal
-the closure Laplacians), so no extraction runs and, with m0 == m1 and
-Vg1 == 0, the stepped equation is algebraically the linear Schrodinger
-equation. `explicit` mode evaluates every term numerically. With the
-closure-rule potentials its coupling terms are exactly zero (the stepper
-subtracts the very products `closure_couplings` returns), so that route is
-bitwise the analytic one: a wiring check, not an independent
-discretization.
+`closure_mode = explicit` is accepted only with `potential_mode =
+symmetric_closure`. There each coupling term, evaluated numerically,
+would be the difference of two equal products, exactly zero, so an
+explicit run is the analytic run bit for bit, and it is stepped as one.
 
-Explicit coupling without the closure rule is ill-posed. Let L = ln psi,
-so S0 = z Im L and S1 = -z Re L, and let c = z/4m. With stored or zero
-coupling potentials the state-dependent terms -(z/4m) lap S1 and
-+(z/4m) lap S0 add -i c L_xx to L_t, which cancels the second-derivative
-part of the kinetic term and leaves, at m0 == m1,
+Explicit coupling without the closure rule is ill-posed, and
+`WaveScenario` rejects it. Let L = ln psi, so S0 = z Im L and
+S1 = -z Re L, and let c = z/4m. With stored or zero coupling potentials
+the state-dependent terms -(z/4m) lap S1 and +(z/4m) lap S0 add -i c L_xx
+to L_t, which cancels the second-derivative part of the kinetic term and
+leaves, at m0 == m1,
 
     L_t = i c (L_x)^2 + (Vg1 + Vc1 - i (Vg0 + Vc0)) / z
 
 Linearized about a state, the mode exp(iqx) grows at 2c |q| |d/dx ln|psi||:
 the rate has no bound in q wherever |psi| varies, so no grid converges and
 a finer grid fails sooner (Hadamard ill-posed). Only the closure rule puts
-the Laplacian back, and with it the equation is the well-posed linear
-Schrodinger equation. The spectral-tail stop is what catches this growth.
+the Laplacian back, and with it the equation is well posed.
 """
 
 from __future__ import annotations
@@ -90,26 +88,23 @@ from dualwave.hamilton_jacobi import (
     SYMMETRIC_CLOSURE,
     ActionChannels,
     PotentialSet,
-    closure_couplings,
     evolve_hj,
 )
-from dualwave.madelung import (
-    DegenerateWavefunctionError,
-    to_wavefunction,
-    wrapped_phase_differences,
-)
+from dualwave.madelung import to_wavefunction
 
 NONLINEAR_ON = "on"
 NONLINEAR_OFF = "off"
 NONLINEAR_AUTO = "auto"
 
-# Relative amplitude floor for in-the-loop extraction of the slaved S
-# fields. This must sit well above the spectral roundoff noise floor
-# (~1e-13 relative per step, accumulating over thousands of steps): with a
-# lower floor the phase of roundoff-dominated samples enters the coupling
-# terms with order-one trust and feeds back through the kinetic step into
-# a runaway. The tighter madelung.AMPLITUDE_FLOOR (1e-12) remains
-# appropriate for one-shot inversions of a given wavefunction.
+# Relative amplitude floor of the mass-asymmetry potential
+# W = |grad psi|^2 / |psi|^2: its denominator is floored at
+# (SLAVED_AMPLITUDE_FLOOR max|psi|)^2. Where |psi| falls to the spectral
+# rounding level (~1e-13 relative per step, accumulating over thousands of
+# steps) gradient and amplitude are both rounding noise, and their bare
+# ratio would give those samples a phase rate up to z k_max^2 / 4 mbar.
+# The floor sits well above that level, so there W is the squared noise
+# gradient over the floor and stays small. The one-shot inverse map clamps
+# at the tighter madelung.AMPLITUDE_FLOOR (1e-12).
 SLAVED_AMPLITUDE_FLOOR = 1e-8
 
 # Largest share of spectral power above 2/3 of the Nyquist wavenumber, where
@@ -140,25 +135,38 @@ class WaveScenario:
             raise ConfigurationError(
                 f"unknown nonlinear_term {self.nonlinear_term!r}")
         pot = self.potentials
-        # PotentialSet itself rejects them under potential_mode = symmetric_closure
-        if pot.vc is not None and self.closure_mode == SYMMETRIC_CLOSURE:
+        # the closure rule is the only wave coupling (module docstring)
+        if self.closure_mode == EXPLICIT and pot.mode != SYMMETRIC_CLOSURE:
             raise ConfigurationError(
-                "stored coupling potentials vc0/vc1 are used only with "
-                "closure_mode = explicit")
-        # the stepper divides the guiding and stored coupling potentials by
-        # zeta, as complex numbers, which gives NaN once 1/zeta overflows
-        # even where they are 0, and multiplies the rate by dt
+                "closure_mode = explicit needs potential_mode = symmetric_closure: "
+                "explicit coupling without the closure rule is ill-posed")
+        if pot.vc is not None:
+            raise ConfigurationError(
+                "wave runs take no stored coupling potentials vc0/vc1; "
+                "their coupling is the closure rule")
+        # the stepper divides the guiding potentials by zeta, as complex
+        # numbers, which gives NaN once 1/zeta overflows even where they
+        # are 0, and multiplies the rate by dt
         z = self.params.zeta
         rate = pot.max_abs(self.grid, 2) / z
         if not (math.isfinite(self.dt * rate) and math.isfinite(1.0 / z)):
             raise ConfigurationError(
-                f"potential rate max(|Vg|, |Vc|) / zeta = {rate:g} at zeta = {z:g} "
+                f"potential rate max|Vg| / zeta = {rate:g} at zeta = {z:g} "
                 f"and dt = {self.dt:g} leaves the float range; raise zeta or "
                 f"lower dt or the potentials")
+        # the kinetic multipliers' exponent c k^2 dt, c = zeta / (2 kinetic_mass),
+        # in their operation order; an infinite one gives NaN multipliers
+        kmax = self.grid.nyquist
+        c = z / (2.0 * self.params.kinetic_mass)
+        if not math.isfinite(c * kmax * kmax * self.dt):
+            raise ConfigurationError(
+                f"kinetic rate dt * zeta * k_max^2 / (2 kinetic_mass) at zeta = "
+                f"{z:g}, kinetic_mass = {self.params.kinetic_mass:g} and dt = "
+                f"{self.dt:g} leaves the float range; raise the masses or lower "
+                f"zeta or dt")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
-            kmax = self.psi0.grid.nyquist
             rate = self.params.zeta * kmax ** 2 / (4.0 * self.params.reduced_mass)
             if self.dt * rate >= 0.5:
                 raise ConfigurationError(
@@ -195,11 +203,9 @@ class Snapshot:
 
 @dataclass
 class WaveRun:
-    """Snapshots of one trajectory at the configured cadence, and whether
-    its explicit-closure extraction ever hit the amplitude floor."""
+    """Snapshots of one trajectory at the configured cadence."""
 
     snapshots: list
-    floor_engaged: bool = False
 
     @property
     def final(self) -> Snapshot:
@@ -207,7 +213,7 @@ class WaveRun:
 
 
 # --------------------------------------------------------------------------
-# Field extraction and term evaluation
+# Term evaluation
 # --------------------------------------------------------------------------
 
 def _stacked(values):
@@ -216,55 +222,6 @@ def _stacked(values):
     if isinstance(values[0], np.ndarray):
         return np.stack(values)
     return np.reshape(values, (-1, 1))
-
-
-def _extract_action_terms(v: np.ndarray, grid: Grid1D, scale):
-    """Laplacians of the slaved action fields S0, S1 extracted from psi.
-
-    This is not `madelung.from_wavefunction`, and must not be: the one-shot
-    map keeps the winding and the anchor and clamps the floor, while the
-    coupling terms need only Laplacians, free of ringing and of noise. The
-    amplitude channel uses a smooth additive floor (log(rho + floor^2)
-    stays analytic through nodes, so its spectral Laplacian does not ring
-    the way a hard clamp would). Returns (lap_s0, lap_s1, trust, engaged)
-    where `trust` = rho/(rho + floor^2) is a smooth window that is 1 on
-    the support of psi and 0 where the amplitude has fallen to the floor:
-    there the phase is rounding noise and the extracted fields are
-    meaningless, so coupling terms built from them must be switched off.
-
-    The rows of `v` along its last axis are treated apart, with `scale` a
-    scalar or a column per row; `engaged` holds one flag per row. Raises
-    DegenerateWavefunctionError for a row identically zero.
-    """
-    amax = np.max(np.abs(v), axis=-1, keepdims=True)
-    if not amax.all():
-        raise DegenerateWavefunctionError("degenerate wavefunction")
-    rho = v.real * v.real + v.imag * v.imag
-    # each row's floor from its Python float; the smallest normal float
-    # keeps it from underflowing to zero (0/0 in trust, log(0) in s1)
-    tiny = np.finfo(float).tiny
-    floor2 = np.reshape([max((SLAVED_AMPLITUDE_FLOOR * a) ** 2, tiny)
-                         for a in amax.ravel().tolist()], amax.shape)
-    engaged = np.any(rho < floor2, axis=-1)
-    trust = rho / (rho + floor2)
-    s1 = -0.5 * scale * np.log(rho + floor2)
-
-    # Phase route: taper the wrapped cyclic phase increments by the edge
-    # trust (off-support increments are pure noise), then rebuild a
-    # zero-mean periodic phase by cumulative summation. Removing the mean
-    # increment strips both the integer winding ramp and any tapering bias
-    # as a linear-in-x term, which the Laplacian cannot see anyway.
-    d = wrapped_phase_differences(np.angle(v))
-    d *= trust * np.roll(trust, -1, axis=-1)
-    d -= np.mean(d, axis=-1, keepdims=True)
-    s0_periodic = np.empty_like(d)
-    s0_periodic[..., 0] = 0.0
-    np.cumsum(d[..., :-1], axis=-1, out=s0_periodic[..., 1:])
-    s0_periodic *= scale
-
-    lap_s0 = spectral_derivative_values(s0_periodic, grid, 2)
-    lap_s1 = spectral_derivative_values(s1, grid, 2)
-    return lap_s0, lap_s1, trust, engaged
 
 
 def _asymmetry_potential(v: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -288,19 +245,14 @@ def _kinetic_multipliers(grid: Grid1D, kinetic_rate_coeff: float, dt: float):
             np.exp(-1j * kinetic_rate_coeff * k * k * dt))
 
 
-def _row_kind(scenario: WaveScenario) -> tuple:
-    """(explicit, nonlinear): which pointwise substep a scenario's row takes."""
-    return scenario.closure_mode == EXPLICIT, scenario.nonlinear_active
-
-
 class _GeneralizedStepper:
     """The generalized equation for a (P, N) stack of WaveScenarios of one
-    `_row_kind`: the kinetic multipliers, which step the term
-    i * kinetic_coeff * lap psi exactly, the frozen rate a(v), the
+    nonlinear term: the kinetic multipliers, which step the term
+    i (zeta / 2 kinetic_mass) lap psi exactly, the potential rate a, the
     mass-asymmetry rate and the pointwise substep built from them.
 
-    Row p belongs to scenarios[p]. The rows share the grid, dt, closure
-    mode and nonlinear term and may differ in masses, zeta and potentials.
+    Row p belongs to scenarios[p]. The rows share the grid, dt and
+    nonlinear term and may differ in masses, zeta and potentials.
     Each row's operands are built from its scenario alone, by the
     expressions a single run uses, and then stacked (`_stacked`), so each
     row steps bit for bit as it would alone.
@@ -308,7 +260,7 @@ class _GeneralizedStepper:
 
     def __init__(self, scenarios):
         self.scenarios = scenarios = list(scenarios)
-        self.explicit, self.nonlinear = _row_kind(scenarios[0])
+        self.nonlinear = scenarios[0].nonlinear_active
         grid, dt = scenarios[0].grid, scenarios[0].dt
         self.grid, self.dt = grid, dt
         params = [s.params for s in scenarios]
@@ -316,8 +268,6 @@ class _GeneralizedStepper:
         coeffs = [p.zeta / (2.0 * p.kinetic_mass) for p in params]
         half, full = zip(*(_kinetic_multipliers(grid, c, dt) for c in coeffs))
         self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
-        self.z = _stacked(zs)
-        self.kinetic_coeff = _stacked(coeffs)
         # i nu / z with nu = (z^2/4)(1/m0 - 1/m1)
         self.asymmetry_coeff = _stacked(
             [1j * (0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
@@ -329,52 +279,23 @@ class _GeneralizedStepper:
         # a strongly growing Vg1 overflows to inf, which the snapshot check reports
         with np.errstate(over="ignore"):
             self.linear_base = _stacked([np.exp(dt * a) for a in base_a])
-        self.floor_engaged = np.zeros(len(scenarios), dtype=bool)
-        self.tail_bound = (SPECTRAL_TAIL_BOUND if self.explicit or self.nonlinear
-                           else math.inf)
+        self.tail_bound = SPECTRAL_TAIL_BOUND if self.nonlinear else math.inf
 
     def select(self, keep) -> "_GeneralizedStepper":
         """The stepper of the rows `keep` only."""
         return _GeneralizedStepper([self.scenarios[i] for i in keep])
-
-    def frozen_rate(self, v: np.ndarray) -> np.ndarray:
-        """a(v): the guiding potentials plus, in explicit mode, the coupling
-        terms with S extracted from v; marks in `floor_engaged` each row
-        whose extraction hit the amplitude floor."""
-        if not self.explicit:
-            return self.base_a
-        grid = self.grid
-        lap_s0, lap_s1, trust, engaged = _extract_action_terms(v, grid, self.z)
-        self.floor_engaged |= engaged
-        vc0, vc1 = np.empty_like(lap_s0), np.empty_like(lap_s1)
-        for j, scenario in enumerate(self.scenarios):
-            vc0[j], vc1[j] = self._couplings(scenario, lap_s0[j], lap_s1[j])
-        coeff = self.kinetic_coeff
-        c0 = trust * (vc0 - coeff * lap_s1)
-        c1 = trust * (vc1 + coeff * lap_s0)
-        # (1/iz) * [c0 + i*c1] = (c1 - i*c0)/z
-        return self.base_a + (c1 - 1j * c0) / self.z
-
-    def _couplings(self, scenario: WaveScenario, lap_s0, lap_s1):
-        """(Vc0, Vc1) of one row: the closure rule or the stored potentials."""
-        pot = scenario.potentials
-        if pot.mode == SYMMETRIC_CLOSURE:
-            return closure_couplings(lap_s0, lap_s1, scenario.params)
-        return pot.vc_values(0, self.grid), pot.vc_values(1, self.grid)
 
     def asymmetry_rate(self, v: np.ndarray) -> np.ndarray:
         """i nu W(v) / z, the mass-asymmetry term as a rate."""
         return self.asymmetry_coeff * _asymmetry_potential(v, self.grid)
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:
-        """Pointwise substep, S frozen at substep start: the exact solution
-        exp(a dt) u of du/dt = a u, or with the mass-asymmetry potential the
-        exponential midpoint of du/dt = r(u) u, r(u) = a + i nu W(u) / z."""
-        if not self.explicit and not self.nonlinear:
-            return self.linear_base * v
-        a = self.frozen_rate(v)
+        """Pointwise substep: the exact solution exp(a dt) u of du/dt = a u,
+        or with the mass-asymmetry potential the exponential midpoint of
+        du/dt = r(u) u, r(u) = a + i nu W(u) / z."""
         if not self.nonlinear:
-            return np.exp(self.dt * a) * v
+            return self.linear_base * v
+        a = self.base_a
         mid = np.exp((0.5 * self.dt) * (a + self.asymmetry_rate(v))) * v
         return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
 
@@ -390,12 +311,11 @@ def _tail_fraction(u: np.ndarray, grid: Grid1D) -> np.ndarray:
 def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> tuple:
     """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
     stack v, with adjacent kinetic half-steps merged. A stack holds rows of
-    one kind, and its FFT calls per step do not grow with P: 2 for a linear
-    stack, 6 for a mass-asymmetric one (two gradients), 6 for an
-    explicit-closure one (two Laplacians) and 10 for an explicit
-    mass-asymmetric one, plus one pair per call. A single run is a (1, N)
-    stack. Returns the full Strang state after the last step and each
-    row's `_tail_fraction`, read from the spectrum before the last `ifft`.
+    one nonlinear term, and its FFT calls per step do not grow with P: 2
+    for a linear stack and 6 for a mass-asymmetric one (two gradients),
+    plus one pair per call. A single run is a (1, N) stack. Returns the
+    full Strang state after the last step and each row's `_tail_fraction`,
+    read from the spectrum before the last `ifft`.
 
     Each row is bitwise equal to that row stepped alone, because a batched
     FFT row equals the 1-D transform of the row. The multipliers' operand
@@ -419,10 +339,9 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
     norm has underflowed to zero (no diagnostic or inverse map is defined
     there), and at one whose spectral tail fraction exceeds the stepper's
     `tail_bound` and then (by one FFT) SPECTRAL_TAIL_GROWTH times its share
-    at t = 0; rows are checked at snapshot steps only, after each row's
-    `floor_engaged` flag has passed to its run. The other rows go on
-    with the stepper of the rows left (`stepper.select`, needed only for
-    P > 1), which is bitwise safe because every segment already starts
+    at t = 0; rows are checked at snapshot steps only. The other rows go
+    on with the stepper of the rows left (`stepper.select`, needed only
+    for P > 1), which is bitwise safe because every segment already starts
     from the full Strang state.
     """
     grid, dt, v0 = stepper.grid, stepper.dt, v
@@ -438,7 +357,6 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
         bounded = np.max(np.abs(v), axis=-1) <= OVERFLOW_THRESHOLD
         keep = []
         for row, run_index in enumerate(alive):
-            runs[run_index].floor_engaged |= bool(stepper.floor_engaged[row])
             snap = Snapshot(step * dt, ComplexField(v[row].copy(), grid))
             if not bounded[row]:
                 cause = "blow-up"
@@ -472,8 +390,8 @@ def _runs_or_raise(results: list) -> list:
 
 def evolve_many(scenarios) -> list:
     """Integrate many scenarios; those that share the grid, dt, n_steps,
-    snapshot cadence and row kind (closure mode and nonlinear term) step
-    together as one (P, N) stack.
+    snapshot cadence and nonlinear term step together as one (P, N) stack;
+    closure modes share a stack, since both step the closure rule.
 
     Returns, in input order, each scenario's WaveRun or the BlowUpError,
     carrying its partial WaveRun, that stopped it (see `evolve`); a row that
@@ -483,7 +401,7 @@ def evolve_many(scenarios) -> list:
     results = [None] * len(scenarios)
     stacks = {}
     for index, s in enumerate(scenarios):
-        key = (s.grid, s.dt, s.n_steps, s.snapshot_every, _row_kind(s))
+        key = (s.grid, s.dt, s.n_steps, s.snapshot_every, s.nonlinear_active)
         stacks.setdefault(key, []).append(index)
     for (_, dt, n_steps, snapshot_every, _), indices in stacks.items():
         stack = [scenarios[index] for index in indices]
@@ -520,7 +438,6 @@ class _ReferenceStepper:
             grid, z / (2.0 * mass), dt)
         # exp(-i Vg0 dt / z) in `evolve`'s operation order: the symmetric limit is bitwise
         self.phase = np.exp(dt * (-1j * vg0 / z))
-        self.floor_engaged = np.zeros(1, dtype=bool)
         self.tail_bound = math.inf
 
     def pointwise(self, v: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@
 change that drops one must fail here, not only in a benchmark run.
 
 The harness files are parsed, not imported, so this needs nothing on the
-path beyond the package.
+path beyond the package. The one exception is `inputs.py`, which imports
+only the standard library and is loaded by its path.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -97,3 +99,35 @@ def test_verify_criteria_match_the_harness():
     names = _assigned_literal(BENCHMARKS / "layers.py", "CRITERIA")
     assert len(names) == 12
     assert tuple(CRITERIA) == names
+
+
+def test_wave_mode_reads_scenario_fields():
+    # layers.wave_mode names a run's stepper path from these two
+    from dualwave.hamilton_jacobi import EXPLICIT
+    from dualwave.wavesolver import WaveScenario
+
+    assert EXPLICIT == "explicit"
+    assert "closure_mode" in {f.name for f in dataclasses.fields(WaveScenario)}
+    assert isinstance(WaveScenario.nonlinear_active, property)
+
+
+def _load_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs",
+                                                  BENCHMARKS / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_mix_configs_load_and_expand(tmp_path, seed):
+    from dualwave.cli import load_config
+    from dualwave.scenarios import expand
+
+    inputs = _load_inputs()
+    for cfg in inputs.run_mix_configs(seed):
+        path = tmp_path / f"{cfg['label']}.ini"
+        path.write_text(inputs.render_ini(cfg))
+        spec, grid, _ = load_config(str(path))
+        expand(spec, grid)
+        assert spec.name == cfg["label"]

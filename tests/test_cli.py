@@ -79,8 +79,7 @@ UNDERFLOW_STEP = next(step for step in range(0, 1201, 100)
 UNDERFLOW = f"norm underflowed to zero at step {UNDERFLOW_STEP}"
 
 
-# stored coupling potentials, which only explicit closure with explicit
-# potentials reads
+# stored coupling potentials, which no wave run takes
 STORED_VC_INI = ("[grid]\nn = 256\nx_min = -10\nx_max = 10\n"
                  "[scenario]\nkind = wave\nlabel = vc\n"
                  "initial_type = gaussian\ninitial_sigma = 0.5\n"
@@ -123,14 +122,13 @@ HJ_LINEAR_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                  "[integration]\ndt = 1e-3\nn_steps = 20\n")
 
 
-# a mode-8 plane wave under explicit closure with no stored couplings: the
-# uncancelled coupling terms amplify rounding noise at high wavenumber
-EXPLICIT_PLANE_INI = ("[params]\nzeta = {zeta}\n"
-                      "[scenario]\nkind = wave\nlabel = explicit_plane\n"
-                      "initial_type = plane_wave\ninitial_mode = 8\n"
-                      "closure_mode = explicit\n"
-                      "[integration]\ndt = 1e-5\nn_steps = {n_steps}\n"
-                      "snapshot_every = 250\n")
+# a Gaussian that does not vanish at the periodic edges, under the
+# mass-asymmetry term at masses (1, m1)
+ASYM_EDGE_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+                 "[params]\nm0 = 1.0\nm1 = {m1}\n"
+                 "[scenario]\nkind = wave\nlabel = asym_edge\n"
+                 "initial_type = gaussian\ninitial_sigma = 1.0\n"
+                 "[integration]\ndt = 4e-3\nn_steps = {n_steps}\nsnapshot_every = 200\n")
 
 
 class TestRun:
@@ -174,6 +172,11 @@ class TestRun:
         (STORED_VC_INI.replace("label = vc\n", "label = vc\nclosure_mode = explicit\n"
                                "potential_mode = symmetric_closure\n"), []),
         (HJ_VC_INI.replace("= explicit", "= symmetric_closure"), []),
+        (WAVE_INI.replace("kind = wave\n", "kind = wave\nclosure_mode = explicit\n"), []),
+        (STORED_VC_INI.replace("label = vc\n", "label = vc\nclosure_mode = explicit\n"),
+         []),
+        ("[scenario]\nname = free_gaussian_symmetric\n"
+         "[params]\nm0 = 1e-306\nm1 = 1e-306\n", []),
         ("[grid]\nx_min = -1e308\nx_max = 1e308\n"
          "[scenario]\nname = hj_free_particle\n", []),
         ("[grid]\nx_min = 0\nx_max = 1e-310\n"
@@ -185,15 +188,19 @@ class TestRun:
             "hj_mass_key_beyond_channels", "hbar_zero",
             "hbar_negative_with_zeta", "hj_hbar_zero_with_zeta",
             "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials",
-            "hj_stored_vc_with_closure_potentials", "grid_length_overflows",
-            "grid_nyquist_overflows"])
+            "hj_stored_vc_with_closure_potentials", "explicit_with_zero_couplings",
+            "explicit_with_stored_couplings", "kinetic_rate_overflows",
+            "grid_length_overflows", "grid_nyquist_overflows"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
             cfg.write_text(ini)
             flags = ["--config", str(cfg)]
         out = tmp_path / "out"
-        assert main(["run", *flags, "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # as outside the test suite
+            assert main(["run", *flags, "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
@@ -208,24 +215,23 @@ class TestRun:
         snaps = read_lines(tmp_path / "hj_caustic_snapshots.csv")
         assert snaps[0] == "t,x,S0,S1"
 
-    @pytest.mark.parametrize("zeta, n_steps, step", [(2.0, 1500, 750),
-                                                     (1.0, 6000, 2500)])
-    def test_explicit_instability_stops_on_spectral_tail(self, tmp_path, capsys,
-                                                         zeta, n_steps, step):
-        # the high-wavenumber share of the spectrum passes the bound while
-        # the norm still reads 1; at zeta = 2 the run used to exit 0 with
-        # norm 2.5e19, below the overflow guard
-        cfg = tmp_path / "explicit.ini"
-        cfg.write_text(EXPLICIT_PLANE_INI.format(zeta=zeta, n_steps=n_steps))
+    @pytest.mark.parametrize("m1, n_steps, step", [(20.0, 4000, 3800),
+                                                   (5.0, 4400, 4000)])
+    def test_mass_asymmetric_row_stops_on_spectral_tail(self, tmp_path, capsys,
+                                                         m1, n_steps, step):
+        # the high-wavenumber share of the spectrum grows from 3.4e-9 and
+        # passes the bound while the norm still holds
+        cfg = tmp_path / "asym.ini"
+        cfg.write_text(ASYM_EDGE_INI.format(m1=m1, n_steps=n_steps))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("blow-up: partial output")
-        trailer = read_lines(tmp_path / "explicit_plane_summary.csv")[-1]
+        trailer = read_lines(tmp_path / "asym_edge_summary.csv")[-1]
         match = re.fullmatch(r"# spectral tail (\S+) at step (\d+)", trailer)
         assert match and int(match[2]) == step
-        assert 1e-12 < float(match[1]) < 1e-6
-        rows = parse_csv(tmp_path / "explicit_plane_summary.csv")
-        assert len(rows) == step // 250
+        assert 3.4e-5 < float(match[1]) < 1e-3
+        rows = parse_csv(tmp_path / "asym_edge_summary.csv")
+        assert len(rows) == step // 200
         assert np.max(np.abs(rows[:, 1] - 1.0)) < 1e-9
 
     def test_norm_underflow_exits_3_with_partial_output(self, tmp_path, capsys):
@@ -241,54 +247,13 @@ class TestRun:
         assert np.all(rows[:, 1] > 0.0)
         assert np.all(np.isfinite(parse_csv(tmp_path / "underflow_snapshots.csv")))
 
-    @pytest.mark.parametrize("command, last", [
-        (["run"], "blow-up: partial output written to "),
-        (["sweep", "--param", "lambda_Vg1", "--values", "1000"],
-         "sweep aborted: blow-up at step 100"),
-    ])
-    def test_amplitude_floor_warning_is_one_line(self, tmp_path, capsys,
-                                                 command, last):
-        cfg = tmp_path / "explicit.ini"
-        cfg.write_text(UNDERFLOW_INI.replace(
-            "label = underflow\n", "label = underflow\nclosure_mode = explicit\n"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")  # as outside the test suite
-            code = main([command[0], "--config", str(cfg), *command[1:],
-                         "--out", str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
-        assert err[0] == "warning: amplitude floor engaged"
-        assert err[1].startswith(last)
-
-    def test_explicit_closure_norm_underflow_warns_once(self, tmp_path, capsys):
-        # the extraction floor of a decayed state must not underflow to
-        # zero (0/0 in the trust window, log(0) in S1)
-        cfg = tmp_path / "explicit.ini"
-        cfg.write_text(UNDERFLOW_INI.replace(
-            "label = underflow\n", "label = underflow\nclosure_mode = explicit\n"
-            "potential_mode = symmetric_closure\n"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")  # as outside the test suite
-            code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == 3
-        assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
-        assert err[0] == "warning: amplitude floor engaged"
-        assert err[1].startswith("blow-up: partial output written to ")
-        summary = read_lines(tmp_path / "underflow_summary.csv")
-        assert summary[-1] == f"# {UNDERFLOW}"
-
     @pytest.mark.parametrize("hbar, keys", [
         ("5e-324", "vg0_type = harmonic\nvg0_omega = 1.0\n"),
         ("5e-324", ""),
-        ("1e-300", "closure_mode = explicit\nvc0_type = harmonic\nvc0_omega = 1e10\n"),
-    ], ids=["harmonic_vg0", "zero_vg", "stored_vc0"])
+    ], ids=["harmonic_vg0", "zero_vg"])
     def test_non_finite_potential_rate_exits_2(self, tmp_path, capsys, hbar, keys):
         # at a subnormal hbar max|Vg| / zeta overflows, and with Vg = 0 the
-        # complex division by zeta still gives NaN; explicit closure divides
-        # the stored couplings by zeta too
+        # complex division by zeta still gives NaN
         cfg = tmp_path / "tiny_hbar.ini"
         cfg.write_text(RATE_INI.format(hbar=hbar, keys=keys))
         out = tmp_path / "out"

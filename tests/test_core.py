@@ -126,10 +126,9 @@ class TestBlowUpError:
 
     def test_partial_wave_run(self):
         psi = ComplexField(np.exp(1j * GRID_2PI.x), GRID_2PI)
-        run = WaveRun([Snapshot(0.0, psi), Snapshot(0.5, psi)], floor_engaged=True)
+        run = WaveRun([Snapshot(0.0, psi), Snapshot(0.5, psi)])
         back = self._round_trip(run)
         assert [s.t for s in back.snapshots] == [0.0, 0.5]
-        assert back.floor_engaged
         np.testing.assert_array_equal(back.final.psi.values, psi.values)
 
     def test_partial_hj_trajectory(self):

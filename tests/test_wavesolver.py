@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -59,9 +60,17 @@ def plane_wave(mode=8, grid=GRID):
 def rhs_stepper(psi, params, pot, **changes):
     """The one-row stepper of a zero-step scenario: its kinetic coefficient
     and rates are the terms of the generalized equation's right-hand side,
-    dpsi/dt = i kinetic_coeff lap psi + (a + i nu W / z) psi."""
+    dpsi/dt = i c lap psi + (a + i nu W / z) psi."""
     return _GeneralizedStepper([WaveScenario(
         psi0=psi, params=params, potentials=pot, dt=1e-6, n_steps=0, **changes)])
+
+
+def kinetic_coeff(stepper):
+    """c of the stepper's full kinetic propagator exp(-i c k^2 dt), read back
+    at the Nyquist wavenumber, where c k^2 dt stays below pi at dt = 1e-6."""
+    n = stepper.grid.n_points // 2
+    k = stepper.grid.wavenumbers[n]
+    return -np.angle(stepper.kinetic_full[0, n]) / (k * k * stepper.dt)
 
 
 def bracket(v):
@@ -79,8 +88,8 @@ class TestGeneralizedRhs:
         psi = unit_gaussian(sigma=math.sqrt(0.5))
         stepper = rhs_stepper(psi, P_SYM, pot)
         assert not stepper.nonlinear
-        assert stepper.kinetic_coeff[0, 0] == 0.5
-        potential_term = stepper.frozen_rate(psi.values[None])[0] * psi.values
+        assert kinetic_coeff(stepper) == pytest.approx(0.5, rel=1e-12)
+        potential_term = stepper.base_a[0] * psi.values
         expected = vg0.values * psi.values / 1j
         assert np.max(np.abs(potential_term - expected)) < 1e-12
 
@@ -103,14 +112,12 @@ class TestGeneralizedRhs:
         v = psi.values[None]
         p = DualParams(masses=(1.0, 1.5))
         pot = PotentialSet.zeros(GRID, 2)
-        on = rhs_stepper(psi, p, pot, closure_mode=EXPLICIT,
-                         nonlinear_term=NONLINEAR_ON)
-        off = rhs_stepper(psi, p, pot, closure_mode=EXPLICIT,
-                          nonlinear_term=NONLINEAR_OFF)
+        on = rhs_stepper(psi, p, pot, nonlinear_term=NONLINEAR_ON)
+        off = rhs_stepper(psi, p, pot, nonlinear_term=NONLINEAR_OFF)
         # switching the term on adds the asymmetry rate and nothing else
         assert on.nonlinear and not off.nonlinear
-        assert np.array_equal(on.frozen_rate(v), off.frozen_rate(v))
-        assert on.kinetic_coeff[0, 0] == off.kinetic_coeff[0, 0]
+        assert np.array_equal(on.base_a, off.base_a)
+        assert np.array_equal(on.kinetic_full, off.kinetic_full)
         nu = 0.25 * p.residual_inv_mass
         expected = nu * (-(k ** 2) * psi.values) / 1j
         assert np.max(np.abs(on.asymmetry_rate(v)[0] * psi.values
@@ -119,16 +126,16 @@ class TestGeneralizedRhs:
     def test_mass_symmetric_kills_nonlinear_term(self):
         _, psi = plane_wave()
         on = rhs_stepper(psi, P_SYM, PotentialSet.zeros(GRID, 2),
-                         closure_mode=EXPLICIT, nonlinear_term=NONLINEAR_ON)
+                         nonlinear_term=NONLINEAR_ON)
         assert not np.any(on.asymmetry_rate(psi.values[None]))
 
     def test_real_gaussian_symmetric_mode_pure_kinetic(self):
         psi = unit_gaussian()
         stepper = rhs_stepper(psi, P_SYM, PotentialSet.zeros(GRID, 2))
-        assert not np.any(stepper.frozen_rate(psi.values[None]))
+        assert not np.any(stepper.base_a)
         lap = spectral_derivative_values(psi.values, GRID, 2)
         expected = (-(1.0 / (4 * P_SYM.reduced_mass)) * lap) / 1j
-        kinetic_term = 1j * stepper.kinetic_coeff[0, 0] * lap
+        kinetic_term = 1j * kinetic_coeff(stepper) * lap
         assert np.max(np.abs(kinetic_term - expected)) < 1e-10
 
 
@@ -370,7 +377,8 @@ class TestLoopDriver:
     @pytest.mark.parametrize("name, changes, per_step", [
         ("harmonic_ground_symmetric", {}, 2),
         ("residual_mass_plane_wave", {}, 6),
-        ("free_gaussian_symmetric", {"closure_mode": EXPLICIT}, 6),
+        ("free_gaussian_symmetric", {"closure_mode": EXPLICIT}, 2),
+        ("residual_mass_plane_wave", {"closure_mode": EXPLICIT}, 6),
     ])
     def test_fft_calls_per_step(self, fft_counter, name, changes, per_step):
         scenario = expand(builtin_by_name(name), GRID).scenario
@@ -391,19 +399,19 @@ class TestLoopDriver:
         (("nonlinear", "linear"), 8),
         (("nonlinear", "linear") * 4, 8),  # a sweep of m1 over four values
         (("explicit",) * 3, 6),
-        (("linear", "nonlinear", "explicit"), 14),
-        (("explicit", "nonlinear", "linear") * 2, 14),
+        (("linear", "nonlinear", "explicit"), 8),
+        (("explicit", "nonlinear", "linear") * 2, 8),
     ])
     def test_fft_calls_per_step_of_a_stack(self, fft_counter, kinds, per_step):
-        """Each row kind forms its own stack, and a stack's counts do not
-        grow with its number of rows: 2 linear, 6 mass-asymmetric, 6
-        explicit; a call that mixes kinds sums one stack per kind."""
+        """Linear and mass-asymmetric rows form their own stacks, and a
+        stack's counts do not grow with its number of rows: 2 linear, 6
+        mass-asymmetric; an explicit-closure row steps in its analytic
+        twin's stack, and a call that mixes kinds sums one stack per kind."""
         base = expand(builtin_by_name("residual_mass_plane_wave"), GRID).scenario
         closure = PotentialSet(vg=base.potentials.vg, mode=SYMMETRIC_CLOSURE)
         changes = {"linear": {"nonlinear_term": NONLINEAR_OFF},
                    "nonlinear": {},
-                   "explicit": {"nonlinear_term": NONLINEAR_OFF,
-                                "closure_mode": EXPLICIT, "potentials": closure}}
+                   "explicit": {"closure_mode": EXPLICIT, "potentials": closure}}
         stack = [dataclasses.replace(
             base, params=DualParams(masses=(1.0, 1.1 + 0.1 * i)), **changes[kind])
             for i, kind in enumerate(kinds)]
@@ -445,7 +453,7 @@ class TestStackedRows:
             (packet, P_SYM, growing, {}),
             (packet, asym2, zeros, {}),
             (wave, asym2, zeros, {"nonlinear_term": NONLINEAR_OFF}),
-            (wave, sym2, zeros, {"closure_mode": EXPLICIT}),
+            (wave, sym2, closure, {"closure_mode": EXPLICIT}),
             (packet, asym1, closure, {"closure_mode": EXPLICIT}),
             (wave, sym2, harmonic, {}),
         ]
@@ -470,25 +478,6 @@ class TestStackedRows:
         failed = [r for r in results if isinstance(r, BlowUpError)]
         assert [(err.step, len(err.partial.snapshots)) for err in failed] == [(50, 2)]
         assert all(len(r.snapshots) == 4 for r in results if isinstance(r, WaveRun))
-
-    def test_floor_flag_is_set_per_row(self):
-        """In one explicit-closure stack only the rows whose extraction hits
-        the amplitude floor report it, a blown-up row on its partial run."""
-        closure = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
-        growing = PotentialSet((RealField.zeros(GRID),
-                                RealField(np.full(GRID.n_points, 1e5), GRID)),
-                               None, SYMMETRIC_CLOSURE)
-        _, wave = plane_wave()
-        rows = [(unit_gaussian(), closure), (wave, closure), (unit_gaussian(), growing)]
-        stack = [WaveScenario(psi0=psi, params=P_SYM, potentials=pot, dt=1e-5,
-                              n_steps=60, snapshot_every=25, closure_mode=EXPLICIT)
-                 for psi, pot in rows]
-        gaussian, plane, blown = evolve_many(stack)
-        assert isinstance(blown, BlowUpError)
-        assert [gaussian.floor_engaged, plane.floor_engaged,
-                blown.partial.floor_engaged] == [True, False, True]
-        assert not evolve(dataclasses.replace(
-            stack[0], closure_mode=SYMMETRIC_CLOSURE)).floor_engaged
 
     def test_rows_of_other_stepping_form_their_own_stack(self):
         base = expand(builtin_by_name("plane_wave_dispersion"), GRID).scenario
@@ -657,6 +646,29 @@ def test_scenario_validation():
                      n_steps=1, nonlinear_term="maybe")
 
 
+@pytest.mark.parametrize("mode, stored, closure_mode, accepted", [
+    (SYMMETRIC_CLOSURE, False, EXPLICIT, True),
+    (EXPLICIT, False, SYMMETRIC_CLOSURE, True),
+    (EXPLICIT, False, EXPLICIT, False),
+    (EXPLICIT, True, EXPLICIT, False),
+    (EXPLICIT, True, SYMMETRIC_CLOSURE, False),
+], ids=["explicit_with_closure_rule", "analytic", "explicit_with_zero_couplings",
+        "explicit_with_stored_couplings", "analytic_with_stored_couplings"])
+def test_wave_coupling_is_the_closure_rule(mode, stored, closure_mode, accepted):
+    """Explicit closure needs the closure-rule potentials, and no wave run
+    takes stored couplings: explicit coupling without the rule is ill-posed."""
+    zeros = tuple(RealField.zeros(GRID) for _ in range(2))
+    pot = PotentialSet(zeros, zeros if stored else None, mode)
+    scenario = functools.partial(WaveScenario, psi0=unit_gaussian(), params=P_SYM,
+                                 potentials=pot, dt=1e-3, n_steps=1,
+                                 closure_mode=closure_mode)
+    if accepted:
+        scenario()
+    else:
+        with pytest.raises(ConfigurationError, match="closure rule"):
+            scenario()
+
+
 def test_stepping_checks_build_no_schedule():
     """Integration and WaveScenario check dt, n_steps and the cadence
     without the list of recorded steps, which at 10**6 steps takes ~36 MB."""
@@ -712,20 +724,21 @@ class TestSpectralTail:
     def test_tail_held_from_t0_is_not_growth(self):
         linear = self.edge_gaussian(n_steps=8, snapshot_every=4)
         for changes in ({}, {"nonlinear_term": NONLINEAR_ON},
-                        {"closure_mode": EXPLICIT}):
+                        {"params": DualParams(masses=(1.0, 20.0))}):
             run = evolve(dataclasses.replace(linear, **changes))
             assert len(run.snapshots) == 3
 
-    def test_explicit_row_stops_once_its_tail_grows(self):
-        # the explicit-closure instability grows the share from 3.4e-9 to
-        # 4.9e-5 by step 650, while the norm has moved by 6e-4 only
-        linear = self.edge_gaussian(n_steps=2000, snapshot_every=50)
-        assert len(evolve(linear).snapshots) == 41
+    def test_mass_asymmetric_row_stops_once_its_tail_grows(self):
+        # the mass-asymmetry term at masses (1, 20) grows the share from
+        # 3.4e-9 to 1.2e-4 by step 3800, while the norm holds to 1e-12
+        row = dataclasses.replace(self.edge_gaussian(n_steps=4000, snapshot_every=200),
+                                  params=DualParams(masses=(1.0, 20.0)), dt=4e-3)
         assert len(evolve(dataclasses.replace(
-            linear, nonlinear_term=NONLINEAR_ON)).snapshots) == 41
+            row, nonlinear_term=NONLINEAR_OFF)).snapshots) == 21
         with pytest.raises(BlowUpError,
-                           match=r"^spectral tail \S+ at step 650$") as err:
-            evolve(dataclasses.replace(linear, closure_mode=EXPLICIT))
+                           match=r"^spectral tail \S+ at step 3800$") as err:
+            evolve(row)
         tail = float(str(err.value).split()[2])
-        assert 3.4e-5 < tail < 1e-4
-        assert abs(err.value.partial.snapshots[-1].norm - 1.0) < 1e-3
+        assert 3.4e-5 < tail < 1e-3
+        norms = [snap.norm for snap in err.value.partial.snapshots]
+        assert max(abs(n - norms[0]) for n in norms) < 1e-12

@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate, snapshot_steps
-from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_run
+from dualwave.diagnostics import (
+    norm_rate,
+    overlap_phase,
+    phase_shift,
+    summarize_run,
+    unwrapped_rate,
+)
 from dualwave.hamilton_jacobi import evolve_hj, participation_metric
 from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
@@ -42,7 +48,7 @@ from dualwave.scenarios import (
     builtin_by_name,
     expand,
 )
-from dualwave.wavesolver import NONLINEAR_OFF, WaveScenario, evolve, evolve_many
+from dualwave.wavesolver import NONLINEAR_OFF, evolve, evolve_many
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -104,21 +110,34 @@ def _wave_tables(expanded: ExpandedWave):
             (("t", "norm", "energy", "drift_rate", "continuity_residual"), summary))
 
 
+class _HJRecord:
+    """The record an HJ run gives `evolve_hj`: the samples its snapshot CSV
+    writes and each gradient stack's summary row (t, max|dS|, participation
+    integral), taken as the stack arrives; no stack is kept."""
+
+    def __init__(self, grid: Grid1D):
+        self.grid = grid
+        self.times, self.samples, self.summary = [], [], []
+
+    def add(self, t, samples, gradients):
+        self.times.append(t)
+        self.samples.append(samples)
+        self.summary.append((t, float(np.max(np.abs(gradients))),
+                             integrate(participation_metric(gradients), self.grid)))
+
+
 def _hj_tables(expanded: ExpandedHJ):
     integ = expanded.integration
-    traj, comments, code = _solve(
-        evolve_hj, expanded.channels, expanded.potentials, expanded.params,
-        integ.dt, integ.n_steps, integ.snapshot_every)
     grid = expanded.channels.grid
+    record, comments, code = _solve(
+        evolve_hj, expanded.channels, expanded.potentials, expanded.params,
+        integ.dt, integ.n_steps, integ.snapshot_every, _HJRecord(grid))
     n_ch = expanded.channels.n_channels
     snapshots = (np.column_stack((np.full(grid.n_points, t), grid.x, *samples))
-                 for t, samples in zip(traj.times, traj.samples))
-    summary = [(t, float(np.max(np.abs(grads))),
-                integrate(participation_metric(grads), grid))
-               for t, grads in zip(traj.times, traj.gradients)]
+                 for t, samples in zip(record.times, record.samples))
     return (code, comments,
             (("t", "x") + tuple(f"S{i}" for i in range(n_ch)), snapshots),
-            (("t", "max_abs_grad", "participation_integral"), np.array(summary)))
+            (("t", "max_abs_grad", "participation_integral"), np.array(record.summary)))
 
 
 def _oscillator_tables(expanded: ExpandedOscillator):
@@ -366,25 +385,51 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
     if param == "zeta":
         return dataclasses.replace(spec, zeta=value)
     if param == "dt":
-        if value <= 0:
-            raise ConfigurationError(
-                f"sweep value for dt must be positive, got {value}")
         total_t = spec.integration.dt * spec.integration.n_steps
-        n_steps = max(1, int(round(total_t / value)))
+        steps = total_t / value if value > 0 else 0.0
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ConfigurationError(
+                f"sweep value for dt must give a finite positive step count "
+                f"round({total_t:g} / dt), got {value}")
+        n_steps = round(steps)
         return dataclasses.replace(spec, integration=Integration(
             value, n_steps, max(1, n_steps // 10)))
     raise ConfigurationError(
         f"unknown sweep parameter {param!r}; choose from {', '.join(SWEEP_PARAMS)}")
 
 
-def _sweep_point(scenario: WaveScenario, run, off):
-    """The diagnostics row of one sweep point from its run and, when the
-    mass-asymmetry term is active, its run with that term off."""
+class _FinalState:
+    """The record of a sweep point's asymmetry-off re-run: its last snapshot."""
+
+    final = None
+
+    def add(self, snap):
+        self.final = snap
+
+
+class _SweepRecord(_FinalState):
+    """The record of a sweep point's run: what its row reads, the first and
+    last snapshot and each snapshot's overlap phase with the first, psi0."""
+
+    def __init__(self):
+        self.first, self.phases = None, []
+
+    def add(self, snap):
+        if self.first is None:
+            self.first = snap
+        self.phases.append(overlap_phase(self.first.psi, snap.psi))
+        self.final = snap
+
+
+def _sweep_point(run: _SweepRecord, off):
+    """The diagnostics row of one sweep point from the record of its run
+    and, when the mass-asymmetry term is active, that of its run with the
+    term off; the rates are `diagnostics.norm_rate` and `phase_rate`."""
     t_end = run.final.t
     drift = phase = 0.0
     if t_end > 0:
-        drift = norm_rate(run.snapshots[0], run.final)
-        phase = phase_rate(run, scenario.psi0)
+        drift = norm_rate(run.first, run.final)
+        phase = unwrapped_rate(run.phases, run.first.t, t_end)
     shift = 0.0 if off is None else phase_shift(off, run)
     return t_end, run.final.norm, drift, phase, shift
 
@@ -406,10 +451,11 @@ def cmd_sweep(args) -> int:
         scenarios.append(expanded.scenario)
 
     # every point and every asymmetry-off re-run in one call, so runs that
-    # share their stepping advance as one stack
+    # share their stepping advance as one stack; each keeps only what its row reads
     offs = [dataclasses.replace(s, nonlinear_term=NONLINEAR_OFF)
             for s in scenarios if s.nonlinear_active]
-    runs = evolve_many(scenarios + offs)
+    runs = evolve_many(scenarios + offs, [_SweepRecord() for _ in scenarios]
+                       + [_FinalState() for _ in offs])
     off_runs = iter(runs[len(scenarios):])
     pairs = [(run, next(off_runs) if s.nonlinear_active else None)
              for s, run in zip(scenarios, runs)]
@@ -421,7 +467,7 @@ def cmd_sweep(args) -> int:
         if failed:
             failures.append((values[i], failed[0]))
         else:
-            rows.append((args.param, values[i], *_sweep_point(scenarios[i], run, off)))
+            rows.append((args.param, values[i], *_sweep_point(run, off)))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{base.name}_sweep_{args.param}.csv"
     _write_csv(path,

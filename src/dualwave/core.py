@@ -22,7 +22,8 @@ class BlowUpError(RuntimeError):
 
     Attributes:
         step: index of the step at which the overflow/caustic was detected.
-        partial: whatever trajectory prefix was completed before detection.
+        partial: the output recorded before detection: a wave or HJ run's
+            record, an oscillator run's state rows.
     """
 
     def __init__(self, message, step, partial=None):

@@ -86,11 +86,21 @@ def norm_rate(a, b) -> float:
     return (math.log(b.norm) - math.log(a.norm)) / (b.t - a.t)
 
 
+def overlap_phase(psi0: ComplexField, psi: ComplexField) -> float:
+    """arg <psi0|psi>, the phase of a state's overlap with psi0."""
+    return float(np.angle(np.vdot(psi0.values, psi.values)))
+
+
+def unwrapped_rate(phases, t0: float, t1: float) -> float:
+    """Rate of the unwrapped phase from its samples at t0, ..., t1."""
+    phases = np.unwrap(phases)
+    return (phases[-1] - phases[0]) / (t1 - t0)
+
+
 def phase_rate(run, psi0) -> float:
     """Rate of the unwrapped phase of <psi0|psi(t)> over a whole WaveRun."""
-    phases = np.unwrap([float(np.angle(np.vdot(psi0.values, s.psi.values)))
-                        for s in run.snapshots])
-    return (phases[-1] - phases[0]) / (run.final.t - run.snapshots[0].t)
+    return unwrapped_rate([overlap_phase(psi0, s.psi) for s in run.snapshots],
+                          run.snapshots[0].t, run.final.t)
 
 
 def phase_shift(off_run, on_run) -> float:

@@ -36,7 +36,7 @@ Laplacian that makes it the Schrodinger equation for psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,29 +188,40 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, pot: PotentialSet,
 
 @dataclass
 class HJTrajectory:
-    """Recorded times, (n_ch, N) channel samples slope*x + periodic, gradients."""
+    """The default record of `evolve_hj`, which keeps every recorded step:
+    times, (n_ch, N) channel samples slope*x + periodic, gradient stacks."""
 
-    times: list
-    samples: list
-    gradients: list
+    times: list = field(default_factory=list)
+    samples: list = field(default_factory=list)
+    gradients: list = field(default_factory=list)
+
+    def add(self, t: float, samples: np.ndarray, gradients: np.ndarray):
+        self.times.append(t)
+        self.samples.append(samples)
+        self.gradients.append(gradients)
 
 
 def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
-              dt: float, n_steps: int, snapshot_every: int = 1) -> HJTrajectory:
-    """RK4 time integration of the coupled channel equations, recording
-    the state at the steps of `core.snapshot_steps`.
+              dt: float, n_steps: int, snapshot_every: int = 1,
+              record=None):
+    """RK4 time integration of the coupled channel equations, giving the
+    time, channel samples and gradient stack at each step of
+    `core.snapshot_steps`, t = 0 included, to `record.add` and returning
+    the record; by default a new HJTrajectory, which keeps them all. A
+    caller that reads less passes a record that keeps less.
 
     Each RK4 stage is one batched rfft/irfft pair (`_hj_rhs_values`); the
     stage at a new state gives the caustic check its gradients and is the
     next step's k1, so a step makes 8 FFT calls in either potential mode.
-    A recorded step keeps that stage's gradients, so it costs no transform.
+    A recorded step is given that stage's gradients, so it costs no
+    transform.
 
     Raises ConfigurationError when p.masses does not hold one mass per
     channel or when the potentials alone overflow the RK4 stage sum. Aborts
     with BlowUpError("caustic/blow-up detected at step s") when any channel
     gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go non-finite; the
-    exception carries the partial HJTrajectory so far. The check runs at
-    every step, not only at the recorded ones.
+    exception carries the record as given every recorded step before the
+    stop. The check runs at every step, not only at the recorded ones.
     """
     steps = snapshot_steps(dt, n_steps, snapshot_every)
     grid, n_ch = S0.grid, S0.n_channels
@@ -224,6 +235,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
                                  "the RK4 stage sum 6 max|Vg + Vc|")
     slopes = np.reshape(S0.slopes, (-1, 1))
     ramps = slopes * grid.x
+    record = HJTrajectory() if record is None else record
 
     def rhs(v):
         return _hj_rhs_values(v, slopes, pot, p, grid)
@@ -232,7 +244,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     with np.errstate(over="ignore", invalid="ignore"):
         v = S0.values_stack()
         k1, grads = rhs(v)
-        traj = HJTrajectory(times=[0.0], samples=[ramps + v], gradients=[grads])
+        record.add(0.0, ramps + v, grads)
         for start, stop in zip(steps, steps[1:]):
             for step in range(start + 1, stop + 1):
                 k2, _ = rhs(v + 0.5 * dt * k1)
@@ -245,11 +257,9 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
                     bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
                 if bad:
                     raise BlowUpError(f"caustic/blow-up detected at step {step}",
-                                      step=step, partial=traj)
-            traj.times.append(stop * dt)
-            traj.samples.append(ramps + v)
-            traj.gradients.append(grads)
-    return traj
+                                      step=step, partial=record)
+            record.add(stop * dt, ramps + v, grads)
+    return record
 
 
 def participation_metric(gradients: np.ndarray) -> np.ndarray:

@@ -39,8 +39,9 @@ every multiplier product is kept (`K * fft(v)` and `u *= K`, not
 
 FFT counts hold per stack, not per row: a step costs 2 FFT calls, plus 4
 in a mass-asymmetric stack (two gradients), so 2 or 6, whatever P is.
-`evolve` and the reference solver share this loop driver, which records
-each snapshot's state, but assemble their multipliers separately. The
+`evolve` and the reference solver share this loop driver, which gives
+each snapshot's state to a per-run record (a `WaveRun` keeps them all),
+but assemble their multipliers separately. The
 equation's terms are written once, in the stepper that steps them.
 
 `closure_mode = explicit` is accepted only with `potential_mode =
@@ -66,7 +67,7 @@ the Laplacian back, and with it the equation is well posed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -203,9 +204,13 @@ class Snapshot:
 
 @dataclass
 class WaveRun:
-    """Snapshots of one trajectory at the configured cadence."""
+    """Snapshots of one trajectory at the configured cadence: the default
+    record of `_integrate`, which keeps every snapshot it is given."""
 
-    snapshots: list
+    snapshots: list = field(default_factory=list)
+
+    def add(self, snap: Snapshot):
+        self.snapshots.append(snap)
 
     @property
     def final(self) -> Snapshot:
@@ -329,11 +334,13 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> tuple:
     return np.fft.ifft(u), _tail_fraction(u, stepper.grid)
 
 
-def _integrate(stepper, v: np.ndarray, steps: list) -> list:
+def _integrate(stepper, v: np.ndarray, steps: list, records: list) -> list:
     """Step the (P, N) stack v through the segments between consecutive
-    recorded `steps` (`core.snapshot_steps`), with a snapshot at each;
-    returns for each row its WaveRun, or the BlowUpError, carrying the
-    partial WaveRun, that stopped it.
+    recorded `steps` (`core.snapshot_steps`) and give row p's Snapshot at
+    each recorded step, t = 0 included, to `records[p].add`; returns for
+    each row its record, or the BlowUpError that stopped it, carrying that
+    record as given every snapshot before the stop. A record keeps what
+    its caller reads: `WaveRun` keeps every snapshot.
 
     A row stops on overflow or a non-finite state, at a snapshot whose
     norm has underflowed to zero (no diagnostic or inverse map is defined
@@ -345,10 +352,10 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
     from the full Strang state.
     """
     grid, dt, v0 = stepper.grid, stepper.dt, v
-    runs = [WaveRun(snapshots=[Snapshot(0.0, ComplexField(row.copy(), grid))])
-            for row in v]
-    results = list(runs)
-    alive = list(range(len(runs)))
+    for record, row in zip(records, v):
+        record.add(Snapshot(0.0, ComplexField(row.copy(), grid)))
+    results = list(records)
+    alive = list(range(len(records)))
     for start, step in zip(steps, steps[1:]):
         # the snapshot check below reports any overflow or NaN as a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
@@ -366,11 +373,11 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
                     _tail_fraction(np.fft.fft(v0[run_index]), grid)):
                 cause = f"spectral tail {tail[row]:.2e}"
             else:
-                runs[run_index].snapshots.append(snap)
+                records[run_index].add(snap)
                 keep.append(row)
                 continue
             results[run_index] = BlowUpError(
-                f"{cause} at step {step}", step=step, partial=runs[run_index])
+                f"{cause} at step {step}", step=step, partial=records[run_index])
         if len(keep) < len(alive):
             if not keep:
                 break
@@ -381,23 +388,26 @@ def _integrate(stepper, v: np.ndarray, steps: list) -> list:
 
 
 def _runs_or_raise(results: list) -> list:
-    """The WaveRuns of `results`; raises the first BlowUpError among them."""
+    """The records of `results`; raises the first BlowUpError among them."""
     for result in results:
         if isinstance(result, BlowUpError):
             raise result
     return results
 
 
-def evolve_many(scenarios) -> list:
+def evolve_many(scenarios, records=None) -> list:
     """Integrate many scenarios; those that share the grid, dt, n_steps,
     snapshot cadence and nonlinear term step together as one (P, N) stack;
     closure modes share a stack, since both step the closure rule.
 
-    Returns, in input order, each scenario's WaveRun or the BlowUpError,
-    carrying its partial WaveRun, that stopped it (see `evolve`); a row that
-    stops leaves its stack and the others go on. Every run is bitwise equal
-    to `evolve` of its scenario alone.
+    `records[i]` receives scenario i's snapshots (`_integrate`); by default
+    each is a new WaveRun. Returns, in input order, each scenario's record
+    or the BlowUpError, carrying its partial record, that stopped it (see
+    `evolve`); a row that stops leaves its stack and the others go on.
+    Every run is bitwise equal to `evolve` of its scenario alone.
     """
+    if records is None:
+        records = [WaveRun() for _ in scenarios]
     results = [None] * len(scenarios)
     stacks = {}
     for index, s in enumerate(scenarios):
@@ -407,7 +417,8 @@ def evolve_many(scenarios) -> list:
         stack = [scenarios[index] for index in indices]
         runs = _integrate(_GeneralizedStepper(stack),
                           np.stack([s.psi0.values for s in stack]),
-                          snapshot_steps(dt, n_steps, snapshot_every))
+                          snapshot_steps(dt, n_steps, snapshot_every),
+                          [records[index] for index in indices])
         for index, run in zip(indices, runs):
             results[index] = run
     return results
@@ -461,7 +472,7 @@ def schrodinger_reference(psi0: ComplexField, vg0, mass: float,
     grid = psi0.grid
     vg0_values = np.zeros(grid.n_points) if vg0 is None else vg0.values
     stepper = _ReferenceStepper(grid, vg0_values, mass, zeta, dt)
-    return _runs_or_raise(_integrate(stepper, psi0.values[None], steps))[0]
+    return _runs_or_raise(_integrate(stepper, psi0.values[None], steps, [WaveRun()]))[0]
 
 
 # --------------------------------------------------------------------------

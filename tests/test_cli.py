@@ -11,13 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualwave.cli import _sweep_point, _sweep_value_spec, load_config, main
+from dualwave.cli import _hj_tables, _sweep_value_spec, load_config, main
 from dualwave.core import BlowUpError, snapshot_steps
-from dualwave.diagnostics import phase_shift, summarize_run
+from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
-from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
+from dualwave.scenarios import DEFAULT_GRID, Integration, builtin_by_name, expand
 from dualwave.wavesolver import NONLINEAR_OFF, NONLINEAR_ON, evolve
 
 def read_lines(path):
@@ -544,27 +544,56 @@ class TestSweep:
         assert [row[:2] for row in cells] == [["lambda_Vg1", "0.5"]]
         assert_canonical(row[1:] for row in cells)
 
-    @pytest.mark.parametrize("name, param, values", [
-        ("residual_mass_plane_wave", "m1", (1.5, 1.0, 1.1)),
-        ("plane_wave_dispersion", "zeta", (1.0, 2.0)),
-        ("norm_drift_constant_Vg1", "lambda_Vg1", (0.25, 0.5)),
-        ("plane_wave_dispersion", "dt", (1e-3, 5e-4)),
-    ])
-    def test_rows_equal_single_runs(self, tmp_path, name, param, values):
-        """The stacked sweep writes the cells that one-row runs give."""
-        code = main(["sweep", "--scenario", name, "--param", param,
+    @pytest.mark.parametrize("name, param, values, integration", [
+        ("residual_mass_plane_wave", "m1", (1.5, 1.0, 1.1), None),
+        ("plane_wave_dispersion", "zeta", (1.0, 2.0), None),
+        ("norm_drift_constant_Vg1", "lambda_Vg1", (0.25, 0.5), None),
+        ("plane_wave_dispersion", "dt", (1e-3, 5e-4), None),
+        ("residual_mass_plane_wave", "m1", (1.5, 1.0, 1.2), Integration(2e-5, 200, 1)),
+    ], ids=["residual_mass_plane_wave-m1-values0", "plane_wave_dispersion-zeta-values1",
+            "norm_drift_constant_Vg1-lambda_Vg1-values2", "plane_wave_dispersion-dt-values3",
+            "residual_mass_plane_wave-m1-dense"])
+    def test_rows_equal_single_runs(self, tmp_path, name, param, values, integration):
+        """The stacked sweep writes the cells that one-row runs give, read
+        through the WaveRun functions of `diagnostics`."""
+        spec = builtin_by_name(name)
+        source = ["--scenario", name]
+        if integration is not None:
+            spec = dataclasses.replace(spec, integration=integration)
+            cfg = tmp_path / "dense.ini"
+            cfg.write_text(f"[scenario]\nname = {name}\n[integration]\n"
+                           f"dt = {integration.dt!r}\nn_steps = {integration.n_steps}\n"
+                           f"snapshot_every = {integration.snapshot_every}\n")
+            source = ["--config", str(cfg)]
+        code = main(["sweep", *source, "--param", param,
                      "--values", ",".join(map(repr, values)),
                      "--out", str(tmp_path)])
         assert code == 0
         expected = []
         for value in sorted(values):
-            spec = _sweep_value_spec(builtin_by_name(name), param, value)
-            scenario = expand(spec, DEFAULT_GRID).scenario
-            off = (evolve(dataclasses.replace(scenario, nonlinear_term=NONLINEAR_OFF))
-                   if scenario.nonlinear_active else None)
-            row = _sweep_point(scenario, evolve(scenario), off)
-            expected.append([param] + ["%.17g" % c for c in (value, *row)])
-        assert data_cells(tmp_path / f"{name}_sweep_{param}.csv") == expected
+            scenario = expand(_sweep_value_spec(spec, param, value), DEFAULT_GRID).scenario
+            run = evolve(scenario)
+            shift = (phase_shift(evolve(dataclasses.replace(
+                scenario, nonlinear_term=NONLINEAR_OFF)), run)
+                if scenario.nonlinear_active else 0.0)
+            row = (value, run.final.t, run.final.norm,
+                   norm_rate(run.snapshots[0], run.final),
+                   phase_rate(run, scenario.psi0), shift)
+            expected.append([param] + ["%.17g" % c for c in row])
+        assert data_cells(tmp_path / f"{spec.name}_sweep_{param}.csv") == expected
+
+    def test_dense_sweep_keeps_no_snapshots(self, tmp_path, traced_peak):
+        """Each point's run keeps only what its row reads, so a sweep's
+        memory does not grow with its snapshot count: 8 runs of 201
+        snapshots would hold 8 * 201 * 1024 complex values, 26 MB."""
+        cfg = tmp_path / "dense.ini"
+        cfg.write_text("[scenario]\nname = residual_mass_plane_wave\n[integration]\n"
+                       "dt = 2e-5\nn_steps = 200\nsnapshot_every = 1\n")
+        code, peak = traced_peak(main, [
+            "sweep", "--config", str(cfg), "--param", "m1",
+            "--values", "1.1,1.2,1.35,1.5", "--out", str(tmp_path)])
+        assert code == 0
+        assert peak < 4e6
 
     def test_zeta_sweep_doubles_phase_rate(self, tmp_path):
         code = main(["sweep", "--scenario", "plane_wave_dispersion",
@@ -597,9 +626,12 @@ class TestSweep:
     @pytest.mark.parametrize("param, values", [
         ("dt", "0"),
         ("dt", "nan"),
+        ("dt", "5e-324"),
+        ("dt", "3"),
         ("zeta", "inf"),
         ("zeta", "1.0,abc"),
-    ], ids=["dt_zero", "dt_nan", "zeta_inf", "value_not_number"])
+    ], ids=["dt_zero", "dt_nan", "dt_subnormal", "dt_above_total_time",
+            "zeta_inf", "value_not_number"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, param, values):
         code = main(["sweep", "--scenario", "plane_wave_dispersion",
                      "--param", param, "--values", values,
@@ -664,6 +696,23 @@ class TestByteContract:
         summary = summarize_run(run, scenario.potentials.vg_values(0, scenario.grid),
                                 2.0 * scenario.params.reduced_mass, scenario.params.zeta)
         assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"), summary)
+
+    def test_hj_run_keeps_no_gradient_stacks(self, traced_peak):
+        """A dense HJ run holds the samples its snapshot CSV writes and
+        reduces each gradient stack, which takes as many bytes, to its
+        summary row as it arrives: what the run's tables hold beyond the
+        samples is far below what the stacks would take. (The CSV writer
+        then holds one block at a time.)"""
+        spec = builtin_by_name("hj_free_particle")
+        spec = dataclasses.replace(spec, integration=dataclasses.replace(
+            spec.integration, snapshot_every=1))
+        expanded = expand(spec, DEFAULT_GRID)
+        records = spec.integration.n_steps + 1
+        samples_bytes = (records * expanded.channels.n_channels
+                         * DEFAULT_GRID.n_points * 8)
+        (code, *_), peak = traced_peak(_hj_tables, expanded)
+        assert code == 0
+        assert peak - samples_bytes < samples_bytes / 4
 
     @pytest.mark.parametrize("caustic", [False, True], ids=["free", "caustic"])
     def test_hj_run(self, tmp_path, caustic):

@@ -182,7 +182,7 @@ def _number(section, key: str, kind=float, default=None):
         value = kind(section[key])
         if math.isfinite(value):
             return value
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
         pass
     what = "an integer" if kind is int else "a finite number"
     raise ConfigurationError(f"config key {key!r} needs {what}, got {section[key]!r}")

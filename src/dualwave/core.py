@@ -55,8 +55,9 @@ class Integration:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 0:
-            raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
+        # beyond 2**53, step * dt no longer gives each step its own time
+        if not 0 <= self.n_steps <= 2 ** 53:
+            raise ConfigurationError(f"n_steps must be in [0, 2**53], got {self.n_steps}")
         if self.snapshot_every < 1:
             raise ConfigurationError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}")

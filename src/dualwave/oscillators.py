@@ -6,8 +6,11 @@ Three routes to the same damped trajectory:
   mirror y (energy lost by x is absorbed by y),
 * a single coordinate with an exponentially time-dependent Lagrangian and
   a non-conserved Hamiltonian,
-* a complex coordinate z = x + iy whose real/imaginary sectors are tuned
-  by a velocity coupling into one damped and one anti-damped oscillator.
+* a complex coordinate z = x + iy. With Dekker's own-velocity coupling
+  its real and imaginary sectors obey the doubled system's two equations,
+  so the `dekker` row steps `bateman_rhs` and differs only in its summary,
+  where the imaginary sector's energy is negative-definite
+  (`dekker_energies`).
 
 All three share the fixed-step RK4 integrator below, and all three must
 reproduce the closed-form damped solution for the physical coordinate.
@@ -97,39 +100,6 @@ def ck_hamiltonian(state: np.ndarray, t: float, p: OscParams) -> float:
     return pc ** 2 / (2.0 * p.mass * egt) + 0.5 * p.stiffness * x ** 2 * egt
 
 
-def bateman_velocity_coupling(gamma: float, a: float, adot: float,
-                              b: float, bdot: float) -> float:
-    """Own-velocity coupling gamma*adot: yields exact damping/anti-damping."""
-    return gamma * adot
-
-
-def dekker_complex_rhs(state, p: OscParams, coupling=None) -> tuple:
-    """Real/imaginary sector equations of the complex coordinate z = x + iy.
-
-    Both sectors keep the restoring force -omega^2 of the complex-Lagrangian
-    pair (the sign flips of the imaginary sector's kinetic and potential
-    terms cancel in its equation of motion). The tunable coupling enters
-    with opposite signs and exchanged arguments,
-
-        xddot = -omega^2 x - coupling(gamma, x, xdot, y, ydot)
-        yddot = -omega^2 y + coupling(gamma, y, ydot, x, xdot)
-
-    so swapping the sectors and flipping the coupling's sign swaps the
-    trajectories exactly. The default coupling damps x and anti-damps y at
-    the rate gamma, matching the doubled-system structure.
-    """
-    if coupling is None:
-        coupling = bateman_velocity_coupling
-    x, xdot, y, ydot = state
-    w2 = p.omega ** 2
-    return (
-        xdot,
-        -w2 * x - coupling(p.gamma, x, xdot, y, ydot),
-        ydot,
-        -w2 * y + coupling(p.gamma, y, ydot, x, xdot),
-    )
-
-
 def dekker_energies(state: np.ndarray, p: OscParams) -> tuple:
     """Sector energies (E_x, E_y) of the complex pair; E_y is negative-definite.
 
@@ -169,7 +139,7 @@ FORMALISMS = {
         lambda s, t, p: (mechanical_energy(s[0], s[1], p),
                          ck_hamiltonian(s, t, p))),
     "dekker": Formalism(
-        dekker_complex_rhs, _DOUBLED, ("energy_x", "energy_y"),
+        bateman_rhs, _DOUBLED, ("energy_x", "energy_y"),
         lambda s, t, p: dekker_energies(s, p)),
 }
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dualwave.cli import _hj_tables, _sweep_value_spec, load_config, main
-from dualwave.core import BlowUpError, snapshot_steps
+from dualwave.core import BlowUpError, ConfigurationError, snapshot_steps
 from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction
@@ -181,6 +181,12 @@ class TestRun:
          "[scenario]\nname = hj_free_particle\n", []),
         ("[grid]\nx_min = 0\nx_max = 1e-310\n"
          "[scenario]\nname = free_gaussian_symmetric\n", []),
+        ("[scenario]\nname = free_gaussian_symmetric\n[integration]\n"
+         "dt = 1e-3\nn_steps = 1000000000000000000000000000000\n", []),
+        ("[scenario]\nname = bateman_damped\n[integration]\n"
+         "dt = 1e-3\nn_steps = 4611686018427387904\n", []),
+        ("[scenario]\nname = bateman_damped\n[integration]\n"
+         "dt = 1e-3\nn_steps = 1" + "0" * 400 + "\n", []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -190,7 +196,8 @@ class TestRun:
             "stored_vc_with_symmetric_closure", "stored_vc_with_closure_potentials",
             "hj_stored_vc_with_closure_potentials", "explicit_with_zero_couplings",
             "explicit_with_stored_couplings", "kinetic_rate_overflows",
-            "grid_length_overflows", "grid_nyquist_overflows"])
+            "grid_length_overflows", "grid_nyquist_overflows", "n_steps_1e30",
+            "oscillator_n_steps_2_62", "n_steps_beyond_float_range"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -612,6 +619,11 @@ class TestSweep:
         lines = read_lines(tmp_path / "plane_wave_dispersion_sweep_dt.csv")
         t_ends = [float(line.split(",")[2]) for line in lines[1:]]
         assert t_ends == pytest.approx([0.5, 0.5])
+
+    def test_dt_value_giving_more_than_2_53_steps_is_rejected(self):
+        # checked on the spec: a sweep that took it would never end
+        with pytest.raises(ConfigurationError, match=r"2\*\*53"):
+            _sweep_value_spec(builtin_by_name("plane_wave_dispersion"), "dt", 1e-300)
 
     def test_empty_values_exit_2(self, tmp_path):
         assert main(["sweep", "--scenario", "plane_wave_dispersion",

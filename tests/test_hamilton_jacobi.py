@@ -174,6 +174,28 @@ class TestEvolve:
         assert 0.8 <= t_blow <= 1.0
         assert len(info.value.partial.samples) >= 1
 
+    def test_explicit_coupling_is_ill_posed_under_refinement(self):
+        """With zero couplings and a varying S1 the explicit pair grows at
+        |q| |dS1/dx| / m in the wavenumber q, so each grid doubling stops it
+        earlier; the closure rule's Laplacian makes the same data run on.
+        dt * k_max^2 is 2.048 on the finest grid, inside RK4's bound 2.8."""
+        dt, n_steps = 5e-4, 2000
+
+        def run(n, mode):
+            grid = Grid1D(n, -np.pi, np.pi)
+            ch = ActionChannels((RealField(0.3 * np.sin(grid.x), grid),
+                                 RealField(1.0 - np.cos(grid.x), grid)))
+            return evolve_hj(ch, PotentialSet.zeros(grid, 2, mode), P_EQUAL,
+                             dt, n_steps, n_steps)
+
+        stops = []
+        for n in (32, 64, 128):
+            with pytest.raises(BlowUpError) as info:
+                run(n, EXPLICIT)
+            stops.append(info.value.step)
+        assert stops[0] > stops[1] > stops[2]
+        assert run(128, SYMMETRIC_CLOSURE).times[-1] == pytest.approx(1.0)
+
     def test_symmetric_closure_mode_runs(self):
         s0, s1 = smooth_pair()
         pot = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)

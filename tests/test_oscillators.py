@@ -5,14 +5,12 @@ import pytest
 
 from dualwave.core import BlowUpError, ConfigurationError, snapshot_steps
 from dualwave.oscillators import (
+    FORMALISMS,
     OscParams,
     bateman_rhs,
-    bateman_velocity_coupling,
     caldirola_kanai_rhs,
     ck_hamiltonian,
     damped_oscillator_solution,
-    dekker_complex_rhs,
-    dekker_energies,
     integrate_rk4,
     mechanical_energy,
 )
@@ -108,47 +106,18 @@ class TestCaldirolaKanai:
 
 class TestDekker:
     def test_decoupled_shos_opposite_energies(self):
+        # at gamma = 0 the Dekker row's sectors are two uncoupled oscillators
+        dekker = FORMALISMS["dekker"]
         dt = 1e-3
         n = 10000
-        no_coupling = lambda gamma, a, adot, b, bdot: 0.0
-        traj = integrate_rk4(
-            lambda s: dekker_complex_rhs(s, DAMPED, no_coupling),
-            np.array([1.0, 0.0, 0.5, 0.2]), dt, n)
-        e0 = dekker_energies(traj[0], DAMPED)
+        traj = integrate_rk4(lambda s: dekker.rhs(s, UNDAMPED),
+                             np.array([1.0, 0.0, 0.5, 0.2]), dt, n)
+        e0 = dekker.summary_row(traj[0], 0.0, UNDAMPED)
         assert e0[0] > 0 and e0[1] < 0
         for idx in range(0, n + 1, 1000):
-            ex, ey = dekker_energies(traj[idx], DAMPED)
+            ex, ey = dekker.summary_row(traj[idx], idx * dt, UNDAMPED)
             assert abs(ex - e0[0]) < 1e-8
             assert abs(ey - e0[1]) < 1e-8
-
-    def test_damped_sector_envelope(self):
-        # default coupling must reproduce the exp(-gamma t/2) envelope over
-        # 10 periods; checked against the closed form and a dt/10 reference
-        dt = 1e-3
-        n = int(round(10 * 2 * math.pi / dt))
-        traj = integrate_rk4(lambda s: dekker_complex_rhs(s, DAMPED),
-                             np.array([1.0, 0.0, 1.0, 0.0]), dt, n)
-        t = np.arange(n + 1) * dt
-        exact = damped_oscillator_solution(t, DAMPED)
-        envelope = np.exp(-0.5 * DAMPED.gamma * t)
-        assert np.max(np.abs(traj[:, 0] - exact)) < 0.02 * np.max(envelope)
-        ref = integrate_rk4(lambda s: dekker_complex_rhs(s, DAMPED),
-                            np.array([1.0, 0.0, 1.0, 0.0]), dt / 10, 10 * n)
-        assert abs(traj[-1, 0] - ref[-1, 0]) < 1e-8
-
-    def test_exchange_swaps_trajectories_bitwise(self):
-        dt = 1e-3
-        n = 2000
-        flipped = lambda gamma, a, adot, b, bdot: -bateman_velocity_coupling(
-            gamma, a, adot, b, bdot)
-        fwd = integrate_rk4(lambda s: dekker_complex_rhs(s, DAMPED),
-                            np.array([1.0, 0.3, -0.5, 0.2]), dt, n)
-        swp = integrate_rk4(lambda s: dekker_complex_rhs(s, DAMPED, flipped),
-                            np.array([-0.5, 0.2, 1.0, 0.3]), dt, n)
-        assert np.array_equal(fwd[:, 0], swp[:, 2])
-        assert np.array_equal(fwd[:, 1], swp[:, 3])
-        assert np.array_equal(fwd[:, 2], swp[:, 0])
-        assert np.array_equal(fwd[:, 3], swp[:, 1])
 
 
 class TestIntegrateRK4:
@@ -208,8 +177,10 @@ class TestIntegrateRK4:
         with pytest.raises(ValueError):
             integrate_rk4(lambda s: s, np.array([1.0]), 0.0, 10)
 
-    @pytest.mark.parametrize("dt, n_steps", [(math.nan, 10), (math.inf, 10), (0.1, -1)],
-                             ids=["dt_nan", "dt_inf", "n_steps_negative"])
+    @pytest.mark.parametrize("dt, n_steps", [(math.nan, 10), (math.inf, 10), (0.1, -1),
+                                             (0.1, 2 ** 53 + 1)],
+                             ids=["dt_nan", "dt_inf", "n_steps_negative",
+                                  "n_steps_beyond_2_53"])
     def test_rejects_stepping_no_run_can_use(self, dt, n_steps):
         with pytest.raises(ConfigurationError):
             integrate_rk4(lambda s: s, np.array([1.0]), dt, n_steps)
@@ -233,18 +204,11 @@ def array_rk4(rhs, state0, dt, n_steps):
     return traj
 
 
-def flipped_coupling(gamma, a, adot, b, bdot):
-    return -bateman_velocity_coupling(gamma, a, adot, b, bdot)
-
-
 class TestFloatLoopMatchesArrayReference:
     @pytest.mark.parametrize("rhs, state0", [
         (lambda s: bateman_rhs(s, DAMPED), [1.0, 0.3, -0.5, 0.2]),
         (lambda s: caldirola_kanai_rhs(s, DAMPED), [1.0, -0.4]),
-        (lambda s: dekker_complex_rhs(s, DAMPED), [1.0, 0.3, -0.5, 0.2]),
-        (lambda s: dekker_complex_rhs(s, DAMPED, flipped_coupling),
-         [-0.5, 0.2, 1.0, 0.3]),
-    ], ids=["bateman", "ck", "dekker", "dekker_flipped"])
+    ], ids=["bateman", "ck"])
     def test_bitwise_equal(self, rhs, state0):
         traj = integrate_rk4(rhs, np.array(state0), 1e-3, 3000)
         ref = array_rk4(rhs, np.array(state0), 1e-3, 3000)
@@ -275,10 +239,9 @@ class TestCrossFormalism:
                             np.array([1.0, 0.0, 0.0, 0.0]), dt, n)
         ck = integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED),
                            np.array([1.0, 0.0]), dt, n)
-        dek = integrate_rk4(lambda s: dekker_complex_rhs(s, DAMPED),
-                            np.array([1.0, 0.0, 0.0, 0.0]), dt, n)
         assert np.max(np.abs(bat[:, 0] - ck[:, 0])) < 1e-8
-        assert np.max(np.abs(bat[:, 0] - dek[:, 0])) < 1e-8
+        # the Dekker row steps the doubled pair's equations themselves
+        assert FORMALISMS["dekker"].rhs is bateman_rhs
 
 
 def test_underdamped_flag_and_omega():

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 records the blow-up step in a trailing '#' comment line, and a sweep's CSV
 holds every finished point and one '#' line per failed point). A wave
 run's coupling is the closure rule: `closure_mode = explicit` without
-`potential_mode = symmetric_closure`, or a stored `vc<i>`, exits 2.
+`potential_mode = symmetric_closure` exits 2.
 
 Every run writes two CSV files, `<name>_snapshots.csv` and
 `<name>_summary.csv`. Floats are serialized with 17 significant digits so
@@ -229,6 +229,9 @@ def load_config(path: str):
     if not parser.has_section("scenario"):
         raise ConfigurationError("config file is missing the [scenario] section")
     scen = parser["scenario"]
+    for match in filter(None, (re.match(r"vc(\d+)_", key) for key in scen)):
+        raise ConfigurationError(f"config key {match.string!r}: no stored coupling "
+                                 f"potentials exist; set vg{match[1]}_* keys instead")
 
     integ = None
     if parser.has_section("integration"):
@@ -316,13 +319,12 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
                  "nonlinear_term": scen.get("nonlinear", "auto")}
     else:
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
-    # one guiding and one coupling potential per channel, for both kinds
+    # one guiding potential per channel, for both kinds
     potentials = {}
-    for prefix in ("vg", "vc"):
-        for i in range(n_channels):
-            desc = _parse_descriptor(scen, f"{prefix}{i}")
-            if desc is not None:
-                potentials[f"{prefix}{i}"] = desc
+    for i in range(n_channels):
+        desc = _parse_descriptor(scen, f"vg{i}")
+        if desc is not None:
+            potentials[f"vg{i}"] = desc
     if "potential_mode" in scen:
         potentials["mode"] = scen["potential_mode"]
     return ScenarioSpec(name=name, kind=kind, integration=integ, initial=initial,

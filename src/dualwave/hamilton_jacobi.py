@@ -5,11 +5,11 @@ The system action S0 and N >= 1 environment actions S1..SN evolve under
     dS0/dt = -[ (grad S0)^2/2m0 - sum_n (grad Sn)^2/2m_n + Vg0 + Vc0 ]
     dSn/dt = -[ grad S0 . grad Sn/2m0 + grad S0 . grad Sn/2m_n + Vgn + Vcn ]
 
-The coupling potentials Vc are the stored ones in `explicit` potential
-mode and the closure rule in `symmetric_closure` mode (`PotentialSet`).
-The right-hand side is written once, in `_hj_rhs_values`, which evaluates
-it on the (N + 1, n_points) channel stack that `evolve_hj` steps by RK4.
-The masses m0..mN are those of the run's DualParams, one per channel.
+The coupling potentials Vc are the closure rule (`closure_couplings`) in
+`symmetric_closure` mode and zero in `explicit` mode. The right-hand side
+is written once, in `_hj_rhs_values`, which evaluates it on the
+(N + 1, n_points) channel stack that `evolve_hj` steps by RK4. The masses
+m0..mN are those of the run's DualParams, one per channel.
 
 Each channel is stored as a periodic sample array plus an optional linear
 slope, S_i(x) = slope_i * x + periodic_i(x). Only the periodic part is
@@ -20,17 +20,18 @@ cross, gradients blow up and evolve_hj raises BlowUpError with the partial
 trajectory instead of switching to a viscosity solution.
 
 Explicit coupling without the closure rule is ill-posed, as on the wave
-route (see `wavesolver`). With one environment channel, m0 == m1 == m and
-stored or zero couplings, the pair is one complex equation for
-u = S0 + i S1,
+route (see `wavesolver`). With one environment channel and m0 == m1 == m
+the explicit pair is one complex equation for u = S0 + i S1,
 
-    u_t = -(u_x)^2 / 2m - (Vg0 + Vc0) - i (Vg1 + Vc1)
+    u_t = -(u_x)^2 / 2m - Vg0 - i Vg1
 
 the wave route's L = ln psi = i u / zeta. Linearized, the mode exp(iqx)
-grows at |q| |dS1/dx| / m, without bound in q wherever S1 varies. An S1
-that starts uniform with Vg1 + Vc1 == 0 stays uniform, and S0 then follows
-the real HJ equation. The closure rule adds (i zeta / 2m) u_xx, the
-Laplacian that makes it the Schrodinger equation for psi.
+grows at |q| |dSn/dx| / m for each environment channel n, without bound in
+q wherever an Sn has a gradient. An Sn with slope 0, uniform samples and a
+uniform Vgn stays uniform, Sn(t) = Sn(0) - Vgn t, and S0 then follows the
+real HJ equation; `scenarios.expand` accepts only such explicit configs.
+The closure rule adds (i zeta / 2m) u_xx, the Laplacian that makes it the
+Schrodinger equation for psi.
 """
 
 from __future__ import annotations
@@ -98,49 +99,35 @@ class ActionChannels:
 
 @dataclass(frozen=True)
 class PotentialSet:
-    """Guiding potentials per channel plus coupling potentials or a closure rule.
+    """Guiding potentials per channel plus the coupling mode.
 
-    In `symmetric_closure` mode the coupling potentials are recomputed from
-    the current action fields on every evaluation (Vc0 = (zeta/4m) lap S1,
-    Vc1 = -(zeta/4m) lap S0, zero for higher channels), so stored vc arrays
-    are rejected: the rule would ignore them. In `explicit` mode the stored
-    vc arrays are used as given (missing vc means zero coupling).
+    In `symmetric_closure` mode the coupling potentials are the closure
+    rule, recomputed from the current action fields on every evaluation
+    (Vc0 = (zeta/4m) lap S1, Vc1 = -(zeta/4m) lap S0, zero for higher
+    channels). In `explicit` mode there are none; where that mode is well
+    posed a coupling would be a second guiding potential (module docstring).
     """
 
     vg: tuple
-    vc: tuple | None = None
     mode: str = EXPLICIT
 
     def __post_init__(self):
         if self.mode not in (EXPLICIT, SYMMETRIC_CLOSURE):
             raise ValueError(f"unknown potential mode {self.mode!r}")
-        if self.vc is not None and self.mode == SYMMETRIC_CLOSURE:
-            raise ConfigurationError(
-                "stored coupling potentials vc<i> are used only with "
-                "potential_mode = explicit")
         object.__setattr__(self, "vg", tuple(self.vg))
-        if self.vc is not None:
-            object.__setattr__(self, "vc", tuple(self.vc))
 
     @classmethod
     def zeros(cls, grid, n_channels, mode=EXPLICIT) -> "PotentialSet":
-        return cls(tuple(RealField.zeros(grid) for _ in range(n_channels)),
-                   None, mode)
+        return cls(tuple(RealField.zeros(grid) for _ in range(n_channels)), mode)
 
     def vg_values(self, i: int, grid) -> np.ndarray:
         if i < len(self.vg):
             return self.vg[i].values
         return np.zeros(grid.n_points)
 
-    def vc_values(self, i: int, grid) -> np.ndarray:
-        if self.vc is not None and i < len(self.vc):
-            return self.vc[i].values
-        return np.zeros(grid.n_points)
-
     def max_abs(self, grid, n_channels: int) -> float:
-        """max(|Vg_i|, |Vc_i|) over the first n_channels channels."""
-        return max(float(np.max(np.abs(values(i, grid))))
-                   for values in (self.vg_values, self.vc_values)
+        """max|Vg_i| over the first n_channels channels."""
+        return max(float(np.max(np.abs(self.vg_values(i, grid))))
                    for i in range(n_channels))
 
 
@@ -178,11 +165,11 @@ def _hj_rhs_values(values_2d: np.ndarray, slopes, pot: PotentialSet,
         out[n] = cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
     for n in range(n_ch):
         out[n] += pot.vg_values(n, grid)
-    # only the channels that have coupling potentials add them
-    vc = (closure_couplings(derivs[n_ch], derivs[n_ch + 1], p) if closure
-          else [f.values for f in pot.vc or ()])
-    for row, vc_row in zip(out, vc):
-        row += vc_row
+    # only the closure rule adds coupling potentials, to S0 and S1
+    if closure:
+        vc0, vc1 = closure_couplings(derivs[n_ch], derivs[n_ch + 1], p)
+        out[0] += vc0
+        out[1] += vc1
     return -out, grads
 
 
@@ -228,11 +215,11 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     if len(p.masses) != n_ch:
         raise ConfigurationError(
             f"{n_ch} action channels need {n_ch} masses, got {len(p.masses)}")
-    # the stage sum k1 + 2 k2 + 2 k3 + k4 adds Vg + Vc six times per channel
+    # the stage sum k1 + 2 k2 + 2 k3 + k4 adds Vg six times per channel
     vmax = pot.max_abs(grid, n_ch)
-    if not math.isfinite(6.0 * vmax * (1.0 if pot.vc is None else 2.0)):
-        raise ConfigurationError(f"potential max(|Vg|, |Vc|) = {vmax:g} overflows "
-                                 "the RK4 stage sum 6 max|Vg + Vc|")
+    if not math.isfinite(6.0 * vmax):
+        raise ConfigurationError(f"potential max|Vg| = {vmax:g} overflows "
+                                 "the RK4 stage sum 6 max|Vg|")
     slopes = np.reshape(S0.slopes, (-1, 1))
     ramps = slopes * grid.x
     record = HJTrajectory() if record is None else record

@@ -186,17 +186,9 @@ def expand_action_channel(desc, grid: Grid1D):
 
 
 def _expand_potentials(spec: ScenarioSpec, grid: Grid1D, n_channels: int) -> PotentialSet:
-    pots = spec.potentials
-    mass0 = spec.masses[0]
-    vg = tuple(expand_potential(pots.get(f"vg{i}"), grid, mass0)
+    vg = tuple(expand_potential(spec.potentials.get(f"vg{i}"), grid, spec.masses[0])
                for i in range(n_channels))
-    mode = pots.get("mode", EXPLICIT)
-    vc_descs = [pots.get(f"vc{i}") for i in range(n_channels)]
-    if any(d is not None for d in vc_descs):
-        vc = tuple(expand_potential(d, grid, mass0) for d in vc_descs)
-    else:
-        vc = None
-    return PotentialSet(vg=vg, vc=vc, mode=mode)
+    return PotentialSet(vg=vg, mode=spec.potentials.get("mode", EXPLICIT))
 
 
 def expand(spec: ScenarioSpec, grid: Grid1D = DEFAULT_GRID):
@@ -250,6 +242,17 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
                 f"{len(spec.masses)} masses (set m2, m3, ... in [params])")
         channels = ActionChannels(tuple(fields), tuple(slopes))
         pot = _expand_potentials(spec, grid, len(fields))
+        # explicit coupling is well posed only while every environment
+        # gradient stays zero (`hamilton_jacobi` module docstring)
+        for n in range(1, len(fields)):
+            values, vg = fields[n].values, pot.vg[n].values
+            flaw = ("a slope" if slopes[n] != 0.0 else
+                    "non-uniform samples" if np.any(values != values[0]) else
+                    f"a non-uniform vg{n}" if np.any(vg != vg[0]) else None)
+            if flaw and pot.mode == EXPLICIT:
+                raise ConfigurationError(f"explicit coupling is ill-posed with {flaw} "
+                                         f"on environment channel {n}; use "
+                                         "potential_mode = symmetric_closure")
         return ExpandedHJ(channels=channels, potentials=pot,
                           params=spec.dual_params(),
                           integration=spec.integration)

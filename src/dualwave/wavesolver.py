@@ -51,12 +51,12 @@ explicit run is the analytic run bit for bit, and it is stepped as one.
 
 Explicit coupling without the closure rule is ill-posed, and
 `WaveScenario` rejects it. Let L = ln psi, so S0 = z Im L and
-S1 = -z Re L, and let c = z/4m. With stored or zero coupling potentials
-the state-dependent terms -(z/4m) lap S1 and +(z/4m) lap S0 add -i c L_xx
+S1 = -z Re L, and let c = z/4m. With zero coupling potentials the
+state-dependent terms -(z/4m) lap S1 and +(z/4m) lap S0 add -i c L_xx
 to L_t, which cancels the second-derivative part of the kinetic term and
 leaves, at m0 == m1,
 
-    L_t = i c (L_x)^2 + (Vg1 + Vc1 - i (Vg0 + Vc0)) / z
+    L_t = i c (L_x)^2 + (Vg1 - i Vg0) / z
 
 Linearized about a state, the mode exp(iqx) grows at 2c |q| |d/dx ln|psi||:
 the rate has no bound in q wherever |psi| varies, so no grid converges and
@@ -99,14 +99,14 @@ NONLINEAR_AUTO = "auto"
 
 # Relative amplitude floor of the mass-asymmetry potential
 # W = |grad psi|^2 / |psi|^2: its denominator is floored at
-# (SLAVED_AMPLITUDE_FLOOR max|psi|)^2. Where |psi| falls to the spectral
+# (W_DENOMINATOR_FLOOR max|psi|)^2. Where |psi| falls to the spectral
 # rounding level (~1e-13 relative per step, accumulating over thousands of
 # steps) gradient and amplitude are both rounding noise, and their bare
 # ratio would give those samples a phase rate up to z k_max^2 / 4 mbar.
 # The floor sits well above that level, so there W is the squared noise
 # gradient over the floor and stays small. The one-shot inverse map clamps
 # at the tighter madelung.AMPLITUDE_FLOOR (1e-12).
-SLAVED_AMPLITUDE_FLOOR = 1e-8
+W_DENOMINATOR_FLOOR = 1e-8
 
 # Largest share of spectral power above 2/3 of the Nyquist wavenumber, where
 # products alias (Orszag's 2/3 rule), that a snapshot of a row whose rate is a
@@ -141,10 +141,6 @@ class WaveScenario:
             raise ConfigurationError(
                 "closure_mode = explicit needs potential_mode = symmetric_closure: "
                 "explicit coupling without the closure rule is ill-posed")
-        if pot.vc is not None:
-            raise ConfigurationError(
-                "wave runs take no stored coupling potentials vc0/vc1; "
-                "their coupling is the closure rule")
         # the stepper divides the guiding potentials by zeta, as complex
         # numbers, which gives NaN once 1/zeta overflows even where they
         # are 0, and multiplies the rate by dt
@@ -231,8 +227,8 @@ def _stacked(values):
 
 def _asymmetry_potential(v: np.ndarray, grid: Grid1D) -> np.ndarray:
     """W = |grad psi|^2 / |psi|^2, the denominator floored at
-    (SLAVED_AMPLITUDE_FLOOR max|psi|)^2, for each row of v along its last axis."""
-    eps = SLAVED_AMPLITUDE_FLOOR
+    (W_DENOMINATOR_FLOOR max|psi|)^2, for each row of v along its last axis."""
+    eps = W_DENOMINATOR_FLOOR
     grad = spectral_derivative_values(v, grid, 1)
     rho = v.real * v.real + v.imag * v.imag
     return (grad.real * grad.real + grad.imag * grad.imag) / np.maximum(

@@ -79,7 +79,7 @@ UNDERFLOW_STEP = next(step for step in range(0, 1201, 100)
 UNDERFLOW = f"norm underflowed to zero at step {UNDERFLOW_STEP}"
 
 
-# stored coupling potentials, which no wave run takes
+# leftover stored coupling potentials, which no config takes
 STORED_VC_INI = ("[grid]\nn = 256\nx_min = -10\nx_max = 10\n"
                  "[scenario]\nkind = wave\nlabel = vc\n"
                  "initial_type = gaussian\ninitial_sigma = 0.5\n"
@@ -87,12 +87,16 @@ STORED_VC_INI = ("[grid]\nn = 256\nx_min = -10\nx_max = 10\n"
                  "[integration]\ndt = 1e-3\nn_steps = 100\nsnapshot_every = 50\n")
 
 
-# an hj config with a stored coupling potential: S0 = 0.5 x - (0.125 + 5) t
-HJ_VC_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
-             "[scenario]\nkind = hj\nlabel = hjvc\n"
-             "channel0_type = linear\nchannel0_slope = 0.5\nchannel1_type = zero\n"
-             "vc0_type = constant\nvc0_v0 = 5\npotential_mode = explicit\n"
-             "[integration]\ndt = 1e-3\nn_steps = 20\n")
+# explicit coupling on its well-posed domain: a uniform environment under
+# a constant vg1 gives S1 = 0.75 t, and S0 = 0.5 x - (0.125 + 5) t
+HJ_UNIFORM_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
+                  "[scenario]\nkind = hj\nlabel = hjvg\n"
+                  "channel0_type = linear\nchannel0_slope = 0.5\nchannel1_type = zero\n"
+                  "vg0_type = constant\nvg0_v0 = 5\n"
+                  "vg1_type = constant\nvg1_v0 = -0.75\npotential_mode = explicit\n"
+                  "[integration]\ndt = 1e-3\nn_steps = 20\n")
+# the same run with its vg0 written as the deleted stored coupling vc0
+HJ_VC_INI = HJ_UNIFORM_INI.replace("vg0_", "vc0_")
 
 
 # a growing imaginary potential of 1e6: its multiplier exp(dt Vg1) = e^1000
@@ -120,6 +124,23 @@ HJ_LINEAR_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                  "channel0_type = linear\nchannel0_slope = 0.5\n"
                  "channel1_type = zero\n{keys}"
                  "[integration]\ndt = 1e-3\nn_steps = 20\n")
+
+
+# environment data that explicit coupling cannot step: each replaces the
+# zero channel1 of HJ_LINEAR_INI, and each runs under the closure rule
+ILL_POSED_HJ_CHANNELS = {
+    "slope": "channel1_type = linear\nchannel1_slope = 0.2\n",
+    "quadratic": "channel1_type = quadratic\nchannel1_coeff = 0.1\n",
+    "harmonic_vg1": "channel1_type = zero\nvg1_type = harmonic\nvg1_omega = 1.0\n",
+    "quadratic_channel2": "channel1_type = zero\nchannel2_type = quadratic\n"
+                          "channel2_coeff = 0.1\n",
+}
+
+
+def ill_posed_hj_ini(case, mode="explicit"):
+    ini = HJ_LINEAR_INI.format(keys=f"potential_mode = {mode}\n").replace(
+        "channel1_type = zero\n", ILL_POSED_HJ_CHANNELS[case])
+    return ini + "[params]\nm2 = 1.0\n" if case == "quadratic_channel2" else ini
 
 
 # a Gaussian that does not vanish at the periodic edges, under the
@@ -187,6 +208,8 @@ class TestRun:
          "dt = 1e-3\nn_steps = 4611686018427387904\n", []),
         ("[scenario]\nname = bateman_damped\n[integration]\n"
          "dt = 1e-3\nn_steps = 1" + "0" * 400 + "\n", []),
+        *((ill_posed_hj_ini(case), []) for case in ILL_POSED_HJ_CHANNELS),
+        (WAVE_INI.replace("kind = wave\n", "kind = wave\nvc0_type = none\n"), []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -197,7 +220,9 @@ class TestRun:
             "hj_stored_vc_with_closure_potentials", "explicit_with_zero_couplings",
             "explicit_with_stored_couplings", "kinetic_rate_overflows",
             "grid_length_overflows", "grid_nyquist_overflows", "n_steps_1e30",
-            "oscillator_n_steps_2_62", "n_steps_beyond_float_range"])
+            "oscillator_n_steps_2_62", "n_steps_beyond_float_range",
+            *(f"hj_explicit_{case}" for case in ILL_POSED_HJ_CHANNELS),
+            "bare_vc0_type_key"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -212,6 +237,13 @@ class TestRun:
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ILL_POSED_HJ_CHANNELS)
+    def test_ill_posed_explicit_data_runs_under_closure_rule(self, tmp_path, case):
+        # the data that explicit mode rejects are valid hj data
+        cfg = tmp_path / "hjv.ini"
+        cfg.write_text(ill_posed_hj_ini(case, "symmetric_closure"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_caustic_run_exits_3_and_flags_summary(self, tmp_path):
         code = main(["run", "--scenario", "hj_caustic", "--out", str(tmp_path)])
@@ -417,7 +449,7 @@ class TestConfigFile:
         cfg.write_text(
             "[scenario]\nkind = hj\nlabel = hj_three\n"
             "channel0_type = linear\nchannel0_slope = 0.5\n"
-            "channel1_type = zero\nchannel2_type = linear\nchannel2_slope = 0.2\n"
+            "channel1_type = zero\nchannel2_type = linear\nchannel2_slope = 0.0\n"
             "[params]\nm0 = 1.0\nm1 = 2.0\nm2 = 0.5\n"
             "[integration]\ndt = 1e-3\nn_steps = 20\n"
             f"[output]\npath = {tmp_path / 'out'}\n")
@@ -425,16 +457,18 @@ class TestConfigFile:
         snaps = read_lines(tmp_path / "out" / "hj_three_snapshots.csv")
         assert snaps[0] == "t,x,S0,S1,S2"
 
-    def test_hj_stored_coupling_potential(self, tmp_path):
-        # the hj kind reads vc<i> and potential_mode as the wave kind does
-        cfg = tmp_path / "hjvc.ini"
-        cfg.write_text(HJ_VC_INI)
+    def test_hj_explicit_uniform_environment_closed_form(self, tmp_path):
+        # a uniform environment under a constant vg1 stays uniform,
+        # S1 = -vg1 t, and S0 follows the real HJ equation under vg0
+        cfg = tmp_path / "hjvg.ini"
+        cfg.write_text(HJ_UNIFORM_INI)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        rows = parse_csv(tmp_path / "hjvc_snapshots.csv")
+        rows = parse_csv(tmp_path / "hjvg_snapshots.csv")
         final = rows[rows[:, 0] == rows[-1, 0]]
         assert final[0, 0] == pytest.approx(0.02, abs=1e-15)
         exact = 0.5 * final[:, 1] - (0.125 + 5.0) * final[:, 0]
         assert np.max(np.abs(final[:, 2] - exact)) < 1e-12
+        assert np.max(np.abs(final[:, 3] - 0.75 * final[:, 0])) < 1e-15
 
     def test_channel_mass_mismatch_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "hj3bad.ini"
@@ -859,7 +893,9 @@ class TestReadmeSchema:
             keys = f"{prefix}_type = {kind}\n" + README_TYPE_KEYS.get(
                 prefix, {}).get(kind, "")
             if prefix == "channel1":
-                ini = HJ_LINEAR_INI.format(keys="").replace(
+                # an environment channel with a gradient needs the closure rule
+                ini = HJ_LINEAR_INI.format(
+                    keys="potential_mode = symmetric_closure\n").replace(
                     "channel1_type = zero\n", keys)
             else:
                 ini = ("[grid]\nn = 128\nx_min = -8\nx_max = 8\n"

@@ -64,7 +64,7 @@ class TestDualRhs:
         s0, _ = smooth_pair()
         vg0 = RealField(0.1 * GRID.x ** 2, GRID)
         vg1 = RealField(np.full(256, 0.7), GRID)
-        pot = PotentialSet((vg0, vg1), None)
+        pot = PotentialSet((vg0, vg1))
         ch = ActionChannels((s0, RealField.zeros(GRID)))
         (ds0, ds1), (g0, _) = _hj_rhs_values(
             ch.values_stack(), np.reshape(ch.slopes, (-1, 1)), pot,
@@ -157,7 +157,7 @@ class TestEvolve:
 
     def test_uniform_potential_lowers_action_uniformly(self):
         pot = PotentialSet((RealField(np.full(256, 2.0), GRID),
-                            RealField.zeros(GRID)), None)
+                            RealField.zeros(GRID)))
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)))
         traj = evolve_hj(ch, pot, P_EQUAL, 1e-3, 500, snapshot_every=500)
         assert np.max(np.abs(traj.samples[-1][0] + 2.0 * 0.5)) < 1e-12
@@ -175,26 +175,37 @@ class TestEvolve:
         assert len(info.value.partial.samples) >= 1
 
     def test_explicit_coupling_is_ill_posed_under_refinement(self):
-        """With zero couplings and a varying S1 the explicit pair grows at
-        |q| |dS1/dx| / m in the wavenumber q, so each grid doubling stops it
-        earlier; the closure rule's Laplacian makes the same data run on.
+        """With zero couplings and a varying environment channel Sn the
+        explicit pair grows at |q| |dSn/dx| / m in the wavenumber q, so each
+        grid doubling stops it earlier; the closure rule's Laplacian makes
+        the same (S0, S1) data run on. A third channel S2 = 1 - cos x beside
+        S1 = 0 stops at the same steps as S1 = 1 - cos x: it takes S1's place.
         dt * k_max^2 is 2.048 on the finest grid, inside RK4's bound 2.8."""
         dt, n_steps = 5e-4, 2000
 
-        def run(n, mode):
+        def run(n, mode, environment):
             grid = Grid1D(n, -np.pi, np.pi)
-            ch = ActionChannels((RealField(0.3 * np.sin(grid.x), grid),
-                                 RealField(1.0 - np.cos(grid.x), grid)))
-            return evolve_hj(ch, PotentialSet.zeros(grid, 2, mode), P_EQUAL,
+            fields = [0.3 * np.sin(grid.x)] + [f(grid.x) for f in environment]
+            ch = ActionChannels(tuple(RealField(f, grid) for f in fields))
+            return evolve_hj(ch, PotentialSet.zeros(grid, len(fields), mode),
+                             DualParams(masses=(1.0,) * len(fields)),
                              dt, n_steps, n_steps)
 
-        stops = []
-        for n in (32, 64, 128):
-            with pytest.raises(BlowUpError) as info:
-                run(n, EXPLICIT)
-            stops.append(info.value.step)
+        def bump(x):
+            return 1.0 - np.cos(x)
+
+        def explicit_stops(environment):
+            stops = []
+            for n in (32, 64, 128):
+                with pytest.raises(BlowUpError) as info:
+                    run(n, EXPLICIT, environment)
+                stops.append(info.value.step)
+            return stops
+
+        stops = explicit_stops((bump,))
         assert stops[0] > stops[1] > stops[2]
-        assert run(128, SYMMETRIC_CLOSURE).times[-1] == pytest.approx(1.0)
+        assert explicit_stops((np.zeros_like, bump)) == stops
+        assert run(128, SYMMETRIC_CLOSURE, (bump,)).times[-1] == pytest.approx(1.0)
 
     def test_symmetric_closure_mode_runs(self):
         s0, s1 = smooth_pair()
@@ -217,7 +228,7 @@ def per_channel_rhs(v, S, pot, p):
             spectral_derivative_values(v[1], grid, 2), p)
         vc = [vc0, vc1] + [np.zeros(grid.n_points)] * (n_ch - 2)
     else:
-        vc = [pot.vc_values(i, grid) for i in range(n_ch)]
+        vc = [np.zeros(grid.n_points)] * n_ch
     out = np.empty_like(v)
     env_kinetic = np.zeros(grid.n_points)
     for n in range(1, n_ch):

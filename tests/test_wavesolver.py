@@ -84,7 +84,7 @@ class TestGeneralizedRhs:
     def test_symmetric_closure_reduces_to_schrodinger_rhs(self):
         # i dpsi/dt = -(1/2) lap psi + Vg0 psi at m0 = m1 = 1, zeta = 1
         vg0 = RealField(0.5 * GRID.x ** 2, GRID)
-        pot = PotentialSet((vg0, RealField.zeros(GRID)), None)
+        pot = PotentialSet((vg0, RealField.zeros(GRID)))
         psi = unit_gaussian(sigma=math.sqrt(0.5))
         stepper = rhs_stepper(psi, P_SYM, pot)
         assert not stepper.nonlinear
@@ -153,7 +153,7 @@ class TestStepSplitstep:
         k, psi = plane_wave()
         v0 = 0.5
         pot = PotentialSet((RealField(np.full(GRID.n_points, v0), GRID),
-                            RealField.zeros(GRID)), None)
+                            RealField.zeros(GRID)))
         dt, n = 2e-4, 5000
         scenario = WaveScenario(psi0=psi, params=P_SYM, potentials=pot,
                                 dt=dt, n_steps=n, snapshot_every=n)
@@ -220,7 +220,7 @@ class TestEvolve:
         # so growth exp(40 t) from amplitude ~0.9 trips it at t = 0.71
         psi = unit_gaussian()
         pot = PotentialSet((RealField.zeros(GRID),
-                            RealField(np.full(GRID.n_points, 40.0), GRID)), None)
+                            RealField(np.full(GRID.n_points, 40.0), GRID)))
         scenario = WaveScenario(psi0=psi, params=P_SYM, potentials=pot,
                                 dt=1e-3, n_steps=1000, snapshot_every=10)
         with pytest.raises(BlowUpError) as info:
@@ -233,7 +233,7 @@ class TestEvolve:
         # through the FFTs, to NaN before the first snapshot step; the
         # snapshot check reports it, with no NumPy RuntimeWarning on the way
         pot = PotentialSet((RealField.zeros(GRID),
-                            RealField(np.full(GRID.n_points, 1e5), GRID)), None)
+                            RealField(np.full(GRID.n_points, 1e5), GRID)))
         scenario = WaveScenario(psi0=unit_gaussian(), params=P_SYM,
                                 potentials=pot, dt=1e-3, n_steps=200,
                                 snapshot_every=100)
@@ -438,9 +438,9 @@ class TestStackedRows:
         zeros = PotentialSet.zeros(GRID, 2)
         closure = PotentialSet.zeros(GRID, 2, mode=SYMMETRIC_CLOSURE)
         harmonic = PotentialSet((RealField(0.5 * x ** 2, GRID), RealField.zeros(GRID)),
-                                None, SYMMETRIC_CLOSURE)
+                                SYMMETRIC_CLOSURE)
         growing = PotentialSet((RealField.zeros(GRID),
-                                RealField(np.full(GRID.n_points, 1e5), GRID)), None)
+                                RealField(np.full(GRID.n_points, 1e5), GRID)))
         _, wave = plane_wave()
         packet = unit_gaussian(k=2.0)
         sym2 = DualParams(masses=(1.0, 1.0), zeta=2.0)
@@ -621,7 +621,7 @@ def test_plane_wave_under_constant_potentials_is_exact(zeta, vg0, vg1, closure_m
 
     k, psi = plane_wave()
     params = DualParams(masses=(1.0, 1.0), zeta=zeta)
-    pot = PotentialSet((constant(vg0), constant(vg1)), None, mode=SYMMETRIC_CLOSURE)
+    pot = PotentialSet((constant(vg0), constant(vg1)), mode=SYMMETRIC_CLOSURE)
     run = evolve(WaveScenario(psi0=psi, params=params, potentials=pot, dt=1e-3,
                               n_steps=500, snapshot_every=500,
                               closure_mode=closure_mode))
@@ -646,19 +646,15 @@ def test_scenario_validation():
                      n_steps=1, nonlinear_term="maybe")
 
 
-@pytest.mark.parametrize("mode, stored, closure_mode, accepted", [
-    (SYMMETRIC_CLOSURE, False, EXPLICIT, True),
-    (EXPLICIT, False, SYMMETRIC_CLOSURE, True),
-    (EXPLICIT, False, EXPLICIT, False),
-    (EXPLICIT, True, EXPLICIT, False),
-    (EXPLICIT, True, SYMMETRIC_CLOSURE, False),
-], ids=["explicit_with_closure_rule", "analytic", "explicit_with_zero_couplings",
-        "explicit_with_stored_couplings", "analytic_with_stored_couplings"])
-def test_wave_coupling_is_the_closure_rule(mode, stored, closure_mode, accepted):
-    """Explicit closure needs the closure-rule potentials, and no wave run
-    takes stored couplings: explicit coupling without the rule is ill-posed."""
-    zeros = tuple(RealField.zeros(GRID) for _ in range(2))
-    pot = PotentialSet(zeros, zeros if stored else None, mode)
+@pytest.mark.parametrize("mode, closure_mode, accepted", [
+    (SYMMETRIC_CLOSURE, EXPLICIT, True),
+    (EXPLICIT, SYMMETRIC_CLOSURE, True),
+    (EXPLICIT, EXPLICIT, False),
+], ids=["explicit_with_closure_rule", "analytic", "explicit_with_zero_couplings"])
+def test_wave_coupling_is_the_closure_rule(mode, closure_mode, accepted):
+    """Explicit closure needs the closure-rule potentials: explicit coupling
+    without the rule is ill-posed."""
+    pot = PotentialSet.zeros(GRID, 2, mode)
     scenario = functools.partial(WaveScenario, psi0=unit_gaussian(), params=P_SYM,
                                  potentials=pot, dt=1e-3, n_steps=1,
                                  closure_mode=closure_mode)

@@ -103,7 +103,7 @@ def _wave_tables(expanded: ExpandedWave):
                 v.real * v.real + v.imag * v.imag,
                 inv.s0.values, inv.s1.values))
 
-    summary = summarize_run(run, scenario.potentials.vg_values(0, scenario.grid),
+    summary = summarize_run(run, scenario.potentials.values[0],
                             scenario.params.kinetic_mass, scenario.params.zeta)
     return (code, comments,
             (("t", "x", "re_psi", "im_psi", "rho", "S0", "S1"), snapshots()),
@@ -201,6 +201,14 @@ def _parse_descriptor(section, prefix: str):
     return desc
 
 
+class _ConfigParser(configparser.ConfigParser):
+    """Records in `keys_read` each (section, key) that a rule reads."""
+
+    def get(self, section, option, **kwargs):  # section[key] reads through this
+        self.keys_read.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 def load_config(path: str):
     """Parse a run configuration file into (ScenarioSpec, Grid1D, out_dir).
 
@@ -208,9 +216,11 @@ def load_config(path: str):
     [scenario], [integration], [output]; a scenario is either a builtin
     `name` or a custom `kind` plus flat descriptor keys like
     `initial_type = gaussian`, `initial_sigma = 0.5`,
-    `vg0_type = harmonic`, `vg0_omega = 1.0`.
+    `vg0_type = harmonic`, `vg0_omega = 1.0`. Any other section, and any
+    key that the scenario does not read, is a configuration error.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _ConfigParser(interpolation=None)
+    parser.keys_read = set()
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as err:
@@ -218,6 +228,10 @@ def load_config(path: str):
             f"cannot parse config file {path!r}: {err}".splitlines()[0]) from None
     if not read:
         raise ConfigurationError(f"cannot read config file {path!r}")
+    for name in parser.sections():
+        if name not in ("grid", "params", "scenario", "integration", "output"):
+            raise ConfigurationError(f"config section [{name}] is none of [grid], "
+                                     "[params], [scenario], [integration], [output]")
 
     grid_sec = parser["grid"] if parser.has_section("grid") else {}
     grid = Grid1D(
@@ -229,9 +243,6 @@ def load_config(path: str):
     if not parser.has_section("scenario"):
         raise ConfigurationError("config file is missing the [scenario] section")
     scen = parser["scenario"]
-    for match in filter(None, (re.match(r"vc(\d+)_", key) for key in scen)):
-        raise ConfigurationError(f"config key {match.string!r}: no stored coupling "
-                                 f"potentials exist; set vg{match[1]}_* keys instead")
 
     integ = None
     if parser.has_section("integration"):
@@ -262,16 +273,10 @@ def load_config(path: str):
         masses = list(spec.masses)
         n_channels = (len(spec.initial.get("channels", ())) if spec.kind == KIND_HJ
                       else 2)
-        for key in psec:
-            if key.startswith("m") and key[1:].isdecimal():
-                idx = int(key[1:])
-                if idx >= n_channels:
-                    raise ConfigurationError(
-                        f"mass key {key!r} names no channel: the scenario has "
-                        f"{n_channels} channels, m0..m{n_channels - 1}")
-                while len(masses) <= idx:
-                    masses.append(1.0)
-                masses[idx] = _number(psec, key)
+        for i in range(n_channels):
+            if f"m{i}" in psec:
+                masses += [1.0] * (i + 1 - len(masses))
+                masses[i] = _number(psec, f"m{i}")
         spec = dataclasses.replace(
             spec, masses=tuple(masses),
             hbar=_number(psec, "hbar", float, spec.hbar),
@@ -284,6 +289,11 @@ def load_config(path: str):
         fmt = osec.get("format", "csv")
         if fmt != "csv":
             raise ConfigurationError(f"unsupported output format {fmt!r}")
+    unread = [(name, key) for name in parser.sections() for key in parser[name]
+              if (name, key) not in parser.keys_read]
+    if unread:
+        raise ConfigurationError("config key {1!r} in [{0}] is not read by scenario "
+                                 "{2!r}".format(*unread[0], spec.name))
     return spec, grid, out_dir
 
 
@@ -306,9 +316,6 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
         while f"channel{i}_type" in scen:
             channels.append(_parse_descriptor(scen, f"channel{i}"))
             i += 1
-        if len(channels) < 2:
-            raise ConfigurationError(
-                "hj scenario needs channel0_type and channel1_type keys")
         initial, n_channels, modes = {"channels": channels}, len(channels), {}
     elif kind == "wave":
         initial = _parse_descriptor(scen, "initial")
@@ -320,11 +327,8 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
     else:
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
     # one guiding potential per channel, for both kinds
-    potentials = {}
-    for i in range(n_channels):
-        desc = _parse_descriptor(scen, f"vg{i}")
-        if desc is not None:
-            potentials[f"vg{i}"] = desc
+    potentials = {f"vg{i}": desc for i in range(n_channels)
+                  if (desc := _parse_descriptor(scen, f"vg{i}")) is not None}
     if "potential_mode" in scen:
         potentials["mode"] = scen["potential_mode"]
     return ScenarioSpec(name=name, kind=kind, integration=integ, initial=initial,
@@ -379,7 +383,7 @@ def _sweep_value_spec(spec: ScenarioSpec, param: str, value: float) -> ScenarioS
         raise ConfigurationError(f"sweep value for {param} must be finite, got {value}")
     if param == "m1":
         return dataclasses.replace(
-            spec, masses=(spec.masses[0], value) + spec.masses[2:])
+            spec, masses=(spec.masses[0], value))
     if param == "lambda_Vg1":
         potentials = dict(spec.potentials)
         potentials["vg1"] = {"type": "constant", "v0": -value}

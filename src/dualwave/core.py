@@ -68,7 +68,11 @@ def snapshot_steps(dt: float, n_steps: int, snapshot_every: int) -> list:
     e = snapshot_every, the last always included; raises ConfigurationError
     for a step size, step count or snapshot cadence no run can use."""
     Integration(dt, n_steps, snapshot_every)
-    return [*range(0, n_steps, snapshot_every), n_steps]
+    try:
+        return [*range(0, n_steps, snapshot_every), n_steps]
+    except MemoryError:
+        raise ConfigurationError(f"the schedule of {n_steps} steps at snapshot_every "
+                                 f"= {snapshot_every} cannot be allocated") from None
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class ActionChannels:
     def __post_init__(self):
         channels = tuple(self.channels)
         if len(channels) < 2:
-            raise ValueError("need at least two channels (system + environment)")
+            raise ConfigurationError("need at least two channels (system + environment)")
         grid = channels[0].grid
         if any(ch.grid != grid for ch in channels):
             raise ValueError("all channels must share one grid")
@@ -99,10 +99,12 @@ class ActionChannels:
 
 @dataclass(frozen=True)
 class PotentialSet:
-    """Guiding potentials per channel plus the coupling mode.
+    """One guiding potential Vg per action channel, plus the coupling mode.
 
-    In `symmetric_closure` mode the coupling potentials are the closure
-    rule, recomputed from the current action fields on every evaluation
+    `values` is the (n_ch, N) stack of the Vg samples, built once; the HJ
+    rate adds it to every channel's row at once. In
+    `symmetric_closure` mode the coupling potentials are the closure rule,
+    recomputed from the current action fields on every evaluation
     (Vc0 = (zeta/4m) lap S1, Vc1 = -(zeta/4m) lap S0, zero for higher
     channels). In `explicit` mode there are none; where that mode is well
     posed a coupling would be a second guiding potential (module docstring).
@@ -115,20 +117,15 @@ class PotentialSet:
         if self.mode not in (EXPLICIT, SYMMETRIC_CLOSURE):
             raise ValueError(f"unknown potential mode {self.mode!r}")
         object.__setattr__(self, "vg", tuple(self.vg))
+        object.__setattr__(self, "values", np.stack([vg.values for vg in self.vg]))
 
     @classmethod
     def zeros(cls, grid, n_channels, mode=EXPLICIT) -> "PotentialSet":
         return cls(tuple(RealField.zeros(grid) for _ in range(n_channels)), mode)
 
-    def vg_values(self, i: int, grid) -> np.ndarray:
-        if i < len(self.vg):
-            return self.vg[i].values
-        return np.zeros(grid.n_points)
-
-    def max_abs(self, grid, n_channels: int) -> float:
-        """max|Vg_i| over the first n_channels channels."""
-        return max(float(np.max(np.abs(self.vg_values(i, grid))))
-                   for i in range(n_channels))
+    def max_abs(self) -> float:
+        """max|Vg_i| over every channel."""
+        return float(np.max(np.abs(self.values)))
 
 
 def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
@@ -138,39 +135,39 @@ def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
     return coeff * lap_s1, -coeff * lap_s0
 
 
-def _hj_rhs_values(values_2d: np.ndarray, slopes, pot: PotentialSet,
-                   p: DualParams, grid: Grid1D) -> tuple:
-    """Time derivatives of the channel stack and the gradients they use.
+def _hj_rhs_values(values_2d: np.ndarray, slopes: np.ndarray, two_m: np.ndarray,
+                   pot: PotentialSet, p: DualParams, grid: Grid1D) -> tuple:
+    """Time derivatives of the (n_ch, N) channel stack and the gradients
+    g_i they use, given the (n_ch, 1) columns of the slopes and of 2 m_i.
+    The rate is assembled over the stack, row 0 g0^2/2m0 - sum_n gn^2/2mn
+    and row n >= 1 g0 gn/2m0 + g0 gn/2mn, plus the Vg stack and the closure
+    couplings (rows 0 and 1), then negated.
 
-    One rfft of the (n_ch, N) stack and one irfft of the stacked spectra
-    times the derivative multipliers give every channel gradient and, under
-    the closure rule, lap S0 and lap S1; each row equals the 1-D transform
-    of that channel bit for bit.
+    One rfft of the stack and one irfft of the stacked spectra times the
+    derivative multipliers give every channel gradient and, under the
+    closure rule, lap S0 and lap S1; each row equals the 1-D transform of
+    that channel bit for bit.
     """
-    n_ch, masses = values_2d.shape[0], p.masses
+    n_ch = values_2d.shape[0]
     closure = pot.mode == SYMMETRIC_CLOSURE
     spectra = np.fft.rfft(values_2d)
     mult = grid.derivative_multipliers
     derivs = np.fft.irfft(np.concatenate(
         (spectra * mult[1, True], spectra[:2 * closure] * mult[2, True])),
         n=grid.n_points)
-    grads = np.reshape(slopes, (-1, 1)) + derivs[:n_ch]
-    env_kinetic = grads[1] * grads[1] / (2.0 * masses[1])
-    for n in range(2, n_ch):
-        env_kinetic = env_kinetic + grads[n] * grads[n] / (2.0 * masses[n])
+    grads = slopes + derivs[:n_ch]
+    kinetic = grads * grads / two_m
+    cross = grads[0] * grads[1:]
     out = np.empty_like(values_2d)
-    out[0] = grads[0] * grads[0] / (2.0 * masses[0]) - env_kinetic
-    for n in range(1, n_ch):
-        cross = grads[0] * grads[n]
-        out[n] = cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
-    for n in range(n_ch):
-        out[n] += pot.vg_values(n, grid)
+    np.subtract(kinetic[0], kinetic[1:].sum(axis=0), out=out[0])
+    np.add(cross / two_m[0, 0], cross / two_m[1:], out=out[1:])
+    out += pot.values
     # only the closure rule adds coupling potentials, to S0 and S1
     if closure:
         vc0, vc1 = closure_couplings(derivs[n_ch], derivs[n_ch + 1], p)
         out[0] += vc0
         out[1] += vc1
-    return -out, grads
+    return np.negative(out, out=out), grads
 
 
 @dataclass
@@ -203,8 +200,8 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     A recorded step is given that stage's gradients, so it costs no
     transform.
 
-    Raises ConfigurationError when p.masses does not hold one mass per
-    channel or when the potentials alone overflow the RK4 stage sum. Aborts
+    Raises ConfigurationError unless p.masses and pot.vg hold one entry
+    per channel, or when the potentials alone overflow the RK4 stage sum. Aborts
     with BlowUpError("caustic/blow-up detected at step s") when any channel
     gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go non-finite; the
     exception carries the record as given every recorded step before the
@@ -212,20 +209,22 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     """
     steps = snapshot_steps(dt, n_steps, snapshot_every)
     grid, n_ch = S0.grid, S0.n_channels
-    if len(p.masses) != n_ch:
+    if not len(p.masses) == len(pot.vg) == n_ch:
         raise ConfigurationError(
-            f"{n_ch} action channels need {n_ch} masses, got {len(p.masses)}")
+            f"{n_ch} action channels need one mass and one guiding potential "
+            f"each, got {len(p.masses)} masses and {len(pot.vg)} potentials")
     # the stage sum k1 + 2 k2 + 2 k3 + k4 adds Vg six times per channel
-    vmax = pot.max_abs(grid, n_ch)
+    vmax = pot.max_abs()
     if not math.isfinite(6.0 * vmax):
         raise ConfigurationError(f"potential max|Vg| = {vmax:g} overflows "
                                  "the RK4 stage sum 6 max|Vg|")
     slopes = np.reshape(S0.slopes, (-1, 1))
+    two_m = np.reshape([2.0 * m for m in p.masses], (-1, 1))  # 2 * 1e308: inf, unwarned
     ramps = slopes * grid.x
     record = HJTrajectory() if record is None else record
 
     def rhs(v):
-        return _hj_rhs_values(v, slopes, pot, p, grid)
+        return _hj_rhs_values(v, slopes, two_m, pot, p, grid)
 
     # the finiteness and gradient check below reports any overflow as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,9 +249,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
 
 
 def participation_metric(gradients: np.ndarray) -> np.ndarray:
-    """Gram field W(x) = sum_{mu>=1} (dS_mu)^2 of one recorded gradient stack.
-
-    In 1D the metric is a single non-negative scalar field; the system
-    channel (row 0) is excluded from the sum.
-    """
-    return sum((g * g for g in gradients[1:]), np.zeros(gradients.shape[1]))
+    """Gram field W(x) = sum_{mu>=1} (dS_mu)^2 of one recorded gradient stack:
+    the sum over the environment rows, the system row 0 excluded. In 1D the
+    metric is a single non-negative scalar field."""
+    return np.sum(gradients[1:] * gradients[1:], axis=0)

@@ -228,19 +228,10 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
         return ExpandedWave(scenario=scenario)
 
     if spec.kind == KIND_HJ:
-        descs = spec.initial.get("channels")
-        if not descs or len(descs) < 2:
-            raise ConfigurationError("hj scenario needs at least two channels")
-        fields, slopes = [], []
-        for desc in descs:
-            f, s = expand_action_channel(desc, grid)
-            fields.append(f)
-            slopes.append(s)
-        if len(spec.masses) < len(fields):
-            raise ConfigurationError(
-                f"scenario defines {len(fields)} channels but only "
-                f"{len(spec.masses)} masses (set m2, m3, ... in [params])")
-        channels = ActionChannels(tuple(fields), tuple(slopes))
+        pairs = [expand_action_channel(desc, grid)
+                 for desc in spec.initial.get("channels") or ()]
+        fields, slopes = [f for f, _ in pairs], [s for _, s in pairs]
+        channels = ActionChannels(fields, slopes)
         pot = _expand_potentials(spec, grid, len(fields))
         # explicit coupling is well posed only while every environment
         # gradient stays zero (`hamilton_jacobi` module docstring)

@@ -149,7 +149,7 @@ def crit_harmonic_stationarity(cache):
     amp0 = np.abs(run.snapshots[0].psi.values)
     amp_dev = max(float(np.max(np.abs(np.abs(s.psi.values) - amp0)))
                   for s in run.snapshots)
-    vg0, params = scenario.potentials.vg_values(0, scenario.grid), scenario.params
+    vg0, params = scenario.potentials.values[0], scenario.params
     energy_dev = max(abs(energy(s.psi, vg0, params.kinetic_mass, params.zeta) - 0.5)
                      for s in run.snapshots)
     return [_lt("harmonic_stationarity[amplitude]", amp_dev, 1e-7),

@@ -136,6 +136,10 @@ class WaveScenario:
             raise ConfigurationError(
                 f"unknown nonlinear_term {self.nonlinear_term!r}")
         pot = self.potentials
+        if len(self.params.masses) != 2 or len(pot.vg) != 2:
+            raise ConfigurationError(
+                "a wave run needs masses (m0, m1) and potentials (Vg0, Vg1), got "
+                f"{len(self.params.masses)} and {len(pot.vg)}")
         # the closure rule is the only wave coupling (module docstring)
         if self.closure_mode == EXPLICIT and pot.mode != SYMMETRIC_CLOSURE:
             raise ConfigurationError(
@@ -145,7 +149,7 @@ class WaveScenario:
         # numbers, which gives NaN once 1/zeta overflows even where they
         # are 0, and multiplies the rate by dt
         z = self.params.zeta
-        rate = pot.max_abs(self.grid, 2) / z
+        rate = pot.max_abs() / z
         if not (math.isfinite(self.dt * rate) and math.isfinite(1.0 / z)):
             raise ConfigurationError(
                 f"potential rate max|Vg| / zeta = {rate:g} at zeta = {z:g} "
@@ -273,8 +277,7 @@ class _GeneralizedStepper:
         self.asymmetry_coeff = _stacked(
             [1j * (0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
         # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
-        base_a = [(s.potentials.vg_values(1, grid)
-                   - 1j * s.potentials.vg_values(0, grid)) / z
+        base_a = [(s.potentials.values[1] - 1j * s.potentials.values[0]) / z
                   for s, z in zip(scenarios, zs)]
         self.base_a = _stacked(base_a)
         # a strongly growing Vg1 overflows to inf, which the snapshot check reports

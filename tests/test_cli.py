@@ -210,6 +210,14 @@ class TestRun:
          "dt = 1e-3\nn_steps = 1" + "0" * 400 + "\n", []),
         *((ill_posed_hj_ini(case), []) for case in ILL_POSED_HJ_CHANNELS),
         (WAVE_INI.replace("kind = wave\n", "kind = wave\nvc0_type = none\n"), []),
+        ("[scenario]\nname = free_gaussian_symmetric\n"
+         "vg0_type = harmonic\nvg0_omega = 3.0\n", []),
+        (WAVE_INI.replace("initial_sigma = 0.5\n", "intial_sigma = 2.0\n"
+                          "vg2_type = harmonic\n"), []),
+        (HJ_LINEAR_INI.format(keys="nonlinear = on\n"), []),
+        ("[grdi]\nn = 64\n" + WAVE_INI, []),
+        ("[scenario]\nname = bateman_damped\n[integration]\ndt = 1e-3\n"
+         "n_steps = 9007199254740992\nsnapshot_every = 1\n", []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -222,7 +230,8 @@ class TestRun:
             "grid_length_overflows", "grid_nyquist_overflows", "n_steps_1e30",
             "oscillator_n_steps_2_62", "n_steps_beyond_float_range",
             *(f"hj_explicit_{case}" for case in ILL_POSED_HJ_CHANNELS),
-            "bare_vc0_type_key"])
+            "bare_vc0_type_key", "builtin_with_unread_vg0", "misspelt_initial_key",
+            "hj_with_nonlinear_key", "unknown_section", "schedule_beyond_memory"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -478,7 +487,9 @@ class TestConfigFile:
             "[integration]\ndt = 1e-3\nn_steps = 5\n"
             f"[output]\npath = {tmp_path / 'out'}\n")
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "masses" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "masses" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("nonlinear", ["on", "off"])
     def test_continuity_residual_uses_flux_mass(self, tmp_path, nonlinear):
@@ -669,6 +680,17 @@ class TestSweep:
                      "--param", "mystery", "--values", "1.0",
                      "--out", str(tmp_path)]) == 2
 
+    def test_schedule_beyond_memory_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "long.ini"
+        cfg.write_text("[scenario]\nname = plane_wave_dispersion\n[integration]\n"
+                       "dt = 1e-3\nn_steps = 9007199254740992\nsnapshot_every = 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--param", "zeta",
+                     "--values", "1.0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("param, values", [
         ("dt", "0"),
         ("dt", "nan"),
@@ -739,7 +761,7 @@ class TestByteContract:
                 inv.s0.values, inv.s1.values)))
         assert_bitwise(parse_csv(tmp_path / f"{name}_snapshots.csv"),
                        np.vstack(blocks))
-        summary = summarize_run(run, scenario.potentials.vg_values(0, scenario.grid),
+        summary = summarize_run(run, scenario.potentials.values[0],
                                 2.0 * scenario.params.reduced_mass, scenario.params.zeta)
         assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"), summary)
 

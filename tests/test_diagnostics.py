@@ -69,7 +69,7 @@ class TestRmsWidth:
 
 
 def vg0_of(scenario):
-    return scenario.potentials.vg_values(0, GRID)
+    return scenario.potentials.values[0]
 
 
 class TestReports:

@@ -31,10 +31,15 @@ def smooth_pair(grid=GRID):
     return RealField(s0, grid), RealField(s1, grid)
 
 
+def two_m(p):
+    """The (n_ch, 1) column 2 m_i that evolve_hj builds once per run."""
+    return np.reshape([2.0 * m for m in p.masses], (-1, 1))
+
+
 def hj_rhs(S, pot, p):
     """The rows of `_hj_rhs_values`, the right-hand side evolve_hj steps."""
     out, _ = _hj_rhs_values(S.values_stack(), np.reshape(S.slopes, (-1, 1)),
-                            pot, p, S.grid)
+                            two_m(p), pot, p, S.grid)
     return list(out)
 
 
@@ -46,7 +51,14 @@ class TestActionChannels:
     def test_mass_count_must_match(self):
         # the channel masses are the run's DualParams masses, one per channel
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)))
-        with pytest.raises(ConfigurationError, match="need 2 masses, got 3"):
+        with pytest.raises(ConfigurationError, match="got 3 masses and 2 potentials"):
+            evolve_hj(ch, PotentialSet.zeros(GRID, 2),
+                      DualParams(masses=(1.0, 1.0, 1.0)), 1e-3, 1)
+
+    def test_potential_count_must_match(self):
+        # one guiding potential per channel; a missing one is not zero-filled
+        ch = ActionChannels((RealField.zeros(GRID),) * 3)
+        with pytest.raises(ConfigurationError, match="got 3 masses and 2 potentials"):
             evolve_hj(ch, PotentialSet.zeros(GRID, 2),
                       DualParams(masses=(1.0, 1.0, 1.0)), 1e-3, 1)
 
@@ -66,9 +78,9 @@ class TestDualRhs:
         vg1 = RealField(np.full(256, 0.7), GRID)
         pot = PotentialSet((vg0, vg1))
         ch = ActionChannels((s0, RealField.zeros(GRID)))
+        p = DualParams(masses=(1.0, 2.0))
         (ds0, ds1), (g0, _) = _hj_rhs_values(
-            ch.values_stack(), np.reshape(ch.slopes, (-1, 1)), pot,
-            DualParams(masses=(1.0, 2.0)), GRID)
+            ch.values_stack(), np.reshape(ch.slopes, (-1, 1)), two_m(p), pot, p, GRID)
         assert np.max(np.abs(ds0 + (g0 ** 2 / 2.0 + vg0.values))) < 1e-12
         assert np.max(np.abs(ds1 + vg1.values)) < 1e-14
 
@@ -234,11 +246,11 @@ def per_channel_rhs(v, S, pot, p):
     for n in range(1, n_ch):
         env_kinetic = env_kinetic + grads[n] * grads[n] / (2.0 * masses[n])
     out[0] = -(grads[0] * grads[0] / (2.0 * masses[0]) - env_kinetic
-               + pot.vg_values(0, grid) + vc[0])
+               + pot.values[0] + vc[0])
     for n in range(1, n_ch):
         cross = grads[0] * grads[n]
         out[n] = -(cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
-                   + pot.vg_values(n, grid) + vc[n])
+                   + pot.values[n] + vc[n])
     return out
 
 
@@ -291,6 +303,50 @@ class TestBatchedStages:
 
         # set-up and snapshot work cancel in the difference
         assert count(6) - count(3) == 3 * 8
+
+
+class TestChannelIdentities:
+    """The environment channels enter the rate symmetrically: S0 loses
+    sum_n (dSn)^2/2mn and each Sn gains dS0 dSn (1/2m0 + 1/2mn). So a zero
+    channel changes nothing, equal-mass channels rotate freely, and K equal
+    channels of one mass act as one channel sqrt(K) S of that mass. Each run
+    steps S0 = 0.3 sin x, S1 = 1 - cos x under the closure rule."""
+
+    GRID = Grid1D(64, -np.pi, np.pi)
+    X = GRID.x
+    S0, S1 = 0.3 * np.sin(X), 1.0 - np.cos(X)
+    A, B = 0.2 * np.cos(X), 0.1 * np.sin(2.0 * X)
+
+    def final(self, environment, masses):
+        """The last samples of 1000 steps of 5e-4 of (S0, S1, *environment)."""
+        fields = (self.S0, self.S1, *environment)
+        ch = ActionChannels(tuple(RealField(f, self.GRID) for f in fields))
+        pot = PotentialSet.zeros(self.GRID, len(fields), SYMMETRIC_CLOSURE)
+        traj = evolve_hj(ch, pot, DualParams(masses=(1.0, 1.0, *masses)), 5e-4, 1000, 1000)
+        return traj.samples[-1]
+
+    def test_zero_channel_changes_nothing(self):
+        alone = self.final((), ())
+        extra = self.final((np.zeros_like(self.X),), (2.0,))
+        assert extra[:2].tobytes() == alone.tobytes()
+        assert np.all(extra[2] == 0.0)
+
+    def test_equal_mass_channels_rotate_freely(self):
+        c, s = np.cos(0.7), np.sin(0.7)
+        plain = self.final((self.A, self.B), (1.5, 1.5))
+        rotated = self.final((c * self.A - s * self.B, s * self.A + c * self.B),
+                             (1.5, 1.5))
+        assert np.max(np.abs(rotated[:2] - plain[:2])) < 1e-12
+        assert np.max(np.abs(rotated[2] - (c * plain[2] - s * plain[3]))) < 1e-12
+        assert np.max(np.abs(rotated[3] - (s * plain[2] + c * plain[3]))) < 1e-12
+
+    def test_equal_channels_act_as_one_scaled_channel(self):
+        three = self.final((self.A,) * 3, (1.5,) * 3)
+        one = self.final((np.sqrt(3.0) * self.A,), (1.5,))
+        assert np.max(np.abs(one[:2] - three[:2])) < 1e-12
+        assert np.max(np.abs(one[2] - np.sqrt(3.0) * three[2:])) < 1e-12
+        # and the channel acts on S0: it moves S0 by 0.023 by t = 0.5
+        assert np.max(np.abs(one[0] - self.final((), ())[0])) > 1e-3
 
 
 def recorded_metric(ch):

@@ -646,6 +646,14 @@ def test_scenario_validation():
                      n_steps=1, nonlinear_term="maybe")
 
 
+@pytest.mark.parametrize("masses, n_vg", [((1.0, 1.0, 1.0), 2), ((1.0, 1.0), 1)],
+                         ids=["three_masses", "one_vg"])
+def test_wave_run_has_exactly_two_channels(masses, n_vg):
+    with pytest.raises(ConfigurationError, match=r"masses \(m0, m1\) and potentials"):
+        WaveScenario(psi0=unit_gaussian(), params=DualParams(masses=masses),
+                     potentials=PotentialSet.zeros(GRID, n_vg), dt=1e-3, n_steps=1)
+
+
 @pytest.mark.parametrize("mode, closure_mode, accepted", [
     (SYMMETRIC_CLOSURE, EXPLICIT, True),
     (EXPLICIT, SYMMETRIC_CLOSURE, True),

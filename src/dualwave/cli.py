@@ -144,7 +144,7 @@ def _oscillator_tables(expanded: ExpandedOscillator):
     integ, params = expanded.integration, expanded.params
     table = FORMALISMS[expanded.formalism]
     traj, comments, code = _solve(
-        integrate_rk4, lambda s: table.rhs(s, params), expanded.state0,
+        integrate_rk4, table.rhs(params), expanded.state0,
         integ.dt, integ.n_steps, integ.snapshot_every)
     steps = snapshot_steps(integ.dt, integ.n_steps, integ.snapshot_every)
     times = np.array(steps[:len(traj)]) * integ.dt

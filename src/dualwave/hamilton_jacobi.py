@@ -5,11 +5,14 @@ The system action S0 and N >= 1 environment actions S1..SN evolve under
     dS0/dt = -[ (grad S0)^2/2m0 - sum_n (grad Sn)^2/2m_n + Vg0 + Vc0 ]
     dSn/dt = -[ grad S0 . grad Sn/2m0 + grad S0 . grad Sn/2m_n + Vgn + Vcn ]
 
-The coupling potentials Vc are the closure rule (`closure_couplings`) in
-`symmetric_closure` mode and zero in `explicit` mode. The right-hand side
-is written once, in `_hj_rhs_values`, which evaluates it on the
-(N + 1, n_points) channel stack that `evolve_hj` steps by RK4. The masses
-m0..mN are those of the run's DualParams, one per channel.
+The coupling potentials Vc are the closure rule in `symmetric_closure`
+mode, Vc0 = (zeta/4m) lap S1 and Vc1 = -(zeta/4m) lap S0 with m the
+reduced mass, and zero in `explicit` mode. The right-hand side is written
+once, in `_hj_rhs`, as dS0/dt = sum_i a_i (grad S_i)^2 - Vg0 - Vc0 and
+dSn/dt = b_n grad S0 grad Sn - Vgn - Vcn with coefficients computed once
+per run, a = (-1/2m0, +1/2m1, ..., +1/2mN) and b_n = -(1/2m0 + 1/2mn), on
+the (N + 1, n_points) channel stack that `evolve_hj` steps by RK4. The
+masses m0..mN are those of the run's DualParams, one per channel.
 
 Each channel is stored as a periodic sample array plus an optional linear
 slope, S_i(x) = slope_i * x + periodic_i(x). Only the periodic part is
@@ -128,46 +131,90 @@ class PotentialSet:
         return float(np.max(np.abs(self.values)))
 
 
-def closure_couplings(lap_s0: np.ndarray, lap_s1: np.ndarray, p: DualParams):
-    """The closure rule (Vc0, Vc1) = ((zeta/4m) lap S1, -(zeta/4m) lap S0):
-    the coupling potentials that cancel the wave equation's Laplacian terms."""
-    coeff = p.zeta / (2.0 * p.kinetic_mass)
-    return coeff * lap_s1, -coeff * lap_s0
+def _hj_rhs(slopes, pot: PotentialSet, p: DualParams, grid: Grid1D):
+    """The right-hand side `evolve_hj` steps: rate(v) gives the time
+    derivative of the (n_ch, N) channel stack v and the gradients
+    g_i = slope_i + d/dx v_i it used. Every coefficient fixed for the run
+    is computed here, once:
 
+        a   = (-1/2m0, +1/2m1, ..., +1/2mN)
+        b_n = -(1/2m0 + 1/2mn)                 for n >= 1
+        c   = zeta / (2 kinetic_mass)          (closure rule only)
 
-def _hj_rhs_values(values_2d: np.ndarray, slopes: np.ndarray, two_m: np.ndarray,
-                   pot: PotentialSet, p: DualParams, grid: Grid1D) -> tuple:
-    """Time derivatives of the (n_ch, N) channel stack and the gradients
-    g_i they use, given the (n_ch, 1) columns of the slopes and of 2 m_i.
-    The rate is assembled over the stack, row 0 g0^2/2m0 - sum_n gn^2/2mn
-    and row n >= 1 g0 gn/2m0 + g0 gn/2mn, plus the Vg stack and the closure
-    couplings (rows 0 and 1), then negated.
+    and each stage writes the rate in this operation order, the channel sum
+    reduced in channel order (a BLAS product's order depends on the CPU):
+
+        row 0       = sum_i a_i (g_i g_i) - Vg0  [- c lap S1]
+        rows n >= 1 = (g0 gn) b_n         - Vgn  [+ c lap S0, row 1 only]
+
+    Each coefficient is broadcast to full rows once: a same-shape product
+    costs less than a (n_ch, 1) column broadcast.
 
     One rfft of the stack and one irfft of the stacked spectra times the
     derivative multipliers give every channel gradient and, under the
     closure rule, lap S0 and lap S1; each row equals the 1-D transform of
     that channel bit for bit.
+
+    Raises ConfigurationError unless p.masses and pot.vg hold one entry per
+    channel, or when some 1/(2 m_i) or c leaves the float range: times a
+    zero gradient it would give NaN, a blow-up that only the configuration
+    caused.
     """
-    n_ch = values_2d.shape[0]
+    n_ch, n = len(slopes), grid.n_points
+    if not len(p.masses) == len(pot.vg) == n_ch:
+        raise ConfigurationError(
+            f"{n_ch} action channels need one mass and one guiding potential "
+            f"each, got {len(p.masses)} masses and {len(pot.vg)} potentials")
+    inv = [1.0 / (2.0 * m) for m in p.masses]
+    if not all(map(math.isfinite, inv)):
+        raise ConfigurationError(f"masses {p.masses}: some 1/(2 m_i) leaves the "
+                                 "float range; raise the masses")
     closure = pot.mode == SYMMETRIC_CLOSURE
-    spectra = np.fft.rfft(values_2d)
-    mult = grid.derivative_multipliers
-    derivs = np.fft.irfft(np.concatenate(
-        (spectra * mult[1, True], spectra[:2 * closure] * mult[2, True])),
-        n=grid.n_points)
-    grads = slopes + derivs[:n_ch]
-    kinetic = grads * grads / two_m
-    cross = grads[0] * grads[1:]
-    out = np.empty_like(values_2d)
-    np.subtract(kinetic[0], kinetic[1:].sum(axis=0), out=out[0])
-    np.add(cross / two_m[0, 0], cross / two_m[1:], out=out[1:])
-    out += pot.values
-    # only the closure rule adds coupling potentials, to S0 and S1
     if closure:
-        vc0, vc1 = closure_couplings(derivs[n_ch], derivs[n_ch + 1], p)
-        out[0] += vc0
-        out[1] += vc1
-    return np.negative(out, out=out), grads
+        # kinetic_mass is 0 where 1/m0 + 1/m1 overflows though each 1/(2 m_i) does not
+        km = p.kinetic_mass
+        c = p.zeta / (2.0 * km) if km > 0.0 else math.inf
+        if not math.isfinite(c):
+            raise ConfigurationError(
+                f"closure coefficient zeta / (2 kinetic_mass) at zeta = {p.zeta:g} and "
+                f"masses {p.masses} leaves the float range; lower zeta or raise the masses")
+
+    def rows(column):
+        return np.repeat(np.reshape(column, (-1, 1)), n, axis=1)
+
+    slope_rows = rows(slopes)
+    a = rows([-inv[0], *inv[1:]])
+    b = rows([-(inv[0] + w) for w in inv[1:]])
+    neg_vg = -pot.values
+    mult1 = grid.derivative_multipliers[1, True]
+    if closure:
+        mult2 = grid.derivative_multipliers[2, True]
+        coupling = rows((c, -c))
+
+    def rate(v):
+        spectra = np.fft.rfft(v)
+        if closure:
+            spectra = np.concatenate((spectra * mult1, spectra[:2] * mult2))
+        else:
+            spectra *= mult1
+        derivs = np.fft.irfft(spectra, n=n)
+        # a new array, so a recorded stack keeps no Laplacian rows alive
+        grads = derivs[:n_ch] + slope_rows
+        out = np.empty_like(v)
+        terms = grads * grads
+        terms *= a
+        np.add.reduce(terms, axis=0, out=out[0])
+        np.multiply(grads[1:], grads[0], out=out[1:])
+        out[1:] *= b
+        out += neg_vg
+        # only the closure rule adds coupling potentials, to S0 and S1
+        if closure:
+            lap = derivs[n_ch:]
+            lap *= coupling
+            out[:2] += lap[::-1]
+        return out, grads
+
+    return rate
 
 
 @dataclass
@@ -194,54 +241,54 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     the record; by default a new HJTrajectory, which keeps them all. A
     caller that reads less passes a record that keeps less.
 
-    Each RK4 stage is one batched rfft/irfft pair (`_hj_rhs_values`); the
-    stage at a new state gives the caustic check its gradients and is the
-    next step's k1, so a step makes 8 FFT calls in either potential mode.
-    A recorded step is given that stage's gradients, so it costs no
-    transform.
+    Each RK4 stage is one batched rfft/irfft pair of the rate `_hj_rhs`
+    builds once per run; the stage at a new state gives the caustic check
+    its gradients and is the next step's k1, so a step makes 8 FFT calls in
+    either potential mode. A recorded step is given that stage's gradients,
+    so it costs no transform. The stage states and the update
+    v + (dt/6)(k1 + 2 k2 + 2 k3 + k4) are formed in place, in that
+    formula's operation order.
 
-    Raises ConfigurationError unless p.masses and pot.vg hold one entry
-    per channel, or when the potentials alone overflow the RK4 stage sum. Aborts
-    with BlowUpError("caustic/blow-up detected at step s") when any channel
-    gradient exceeds GRADIENT_BLOWUP_THRESHOLD or fields go non-finite; the
+    Raises ConfigurationError where `_hj_rhs` does, or when the potentials
+    alone overflow the RK4 stage sum. Aborts with
+    BlowUpError("caustic/blow-up detected at step s") when any channel
+    gradient exceeds GRADIENT_BLOWUP_THRESHOLD or is not finite, which
+    covers non-finite fields: one non-finite sample makes its channel's
+    whole gradient row NaN (its zero mode times the multiplier 0). The
     exception carries the record as given every recorded step before the
     stop. The check runs at every step, not only at the recorded ones.
     """
     steps = snapshot_steps(dt, n_steps, snapshot_every)
-    grid, n_ch = S0.grid, S0.n_channels
-    if not len(p.masses) == len(pot.vg) == n_ch:
-        raise ConfigurationError(
-            f"{n_ch} action channels need one mass and one guiding potential "
-            f"each, got {len(p.masses)} masses and {len(pot.vg)} potentials")
+    grid = S0.grid
+    rate = _hj_rhs(S0.slopes, pot, p, grid)
     # the stage sum k1 + 2 k2 + 2 k3 + k4 adds Vg six times per channel
     vmax = pot.max_abs()
     if not math.isfinite(6.0 * vmax):
         raise ConfigurationError(f"potential max|Vg| = {vmax:g} overflows "
                                  "the RK4 stage sum 6 max|Vg|")
-    slopes = np.reshape(S0.slopes, (-1, 1))
-    two_m = np.reshape([2.0 * m for m in p.masses], (-1, 1))  # 2 * 1e308: inf, unwarned
-    ramps = slopes * grid.x
+    ramps = np.reshape(S0.slopes, (-1, 1)) * grid.x
     record = HJTrajectory() if record is None else record
+    h, sixth = 0.5 * dt, dt / 6.0
 
-    def rhs(v):
-        return _hj_rhs_values(v, slopes, two_m, pot, p, grid)
-
-    # the finiteness and gradient check below reports any overflow as a blow-up
+    # the gradient check below reports any overflow as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         v = S0.values_stack()
-        k1, grads = rhs(v)
+        stage = np.empty_like(v)
+        k1, grads = rate(v)
         record.add(0.0, ramps + v, grads)
         for start, stop in zip(steps, steps[1:]):
             for step in range(start + 1, stop + 1):
-                k2, _ = rhs(v + 0.5 * dt * k1)
-                k3, _ = rhs(v + 0.5 * dt * k2)
-                k4, _ = rhs(v + dt * k3)
-                v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                bad = not np.all(np.isfinite(v))
-                if not bad:
-                    k1, grads = rhs(v)
-                    bad = float(np.max(np.abs(grads))) > GRADIENT_BLOWUP_THRESHOLD
-                if bad:
+                k2, _ = rate(np.add(v, np.multiply(k1, h, out=stage), out=stage))
+                k3, _ = rate(np.add(v, np.multiply(k2, h, out=stage), out=stage))
+                k4, _ = rate(np.add(v, np.multiply(k3, dt, out=stage), out=stage))
+                k2 *= 2.0
+                k2 += k1
+                k2 += np.multiply(k3, 2.0, out=k3)
+                k2 += k4
+                k2 *= sixth
+                v += k2
+                k1, grads = rate(v)
+                if not float(np.max(np.abs(grads))) <= GRADIENT_BLOWUP_THRESHOLD:
                     raise BlowUpError(f"caustic/blow-up detected at step {step}",
                                       step=step, partial=record)
             record.add(stop * dt, ramps + v, grads)

@@ -14,6 +14,8 @@ Three routes to the same damped trajectory:
 
 All three share the fixed-step RK4 integrator below, and all three must
 reproduce the closed-form damped solution for the physical coordinate.
+A right-hand side `rhs(p)` reads gamma and omega^2 once per run and
+returns the function of the state that every RK4 stage calls.
 """
 
 from __future__ import annotations
@@ -56,30 +58,36 @@ class OscParams:
         return math.sqrt(self.omega ** 2 - 0.25 * self.gamma ** 2)
 
 
-def bateman_rhs(state, p: OscParams) -> tuple:
+def bateman_rhs(p: OscParams):
     """Doubled-system equations: x damped, its mirror y anti-damped.
 
-    state = (x, xdot, y, ydot); returns the time derivative
-    (xdot, -gamma*xdot - omega^2*x, ydot, +gamma*ydot - omega^2*y).
+    Returns rhs(state) for state = (x, xdot, y, ydot), the time derivative
+    (xdot, -gamma*xdot - omega^2*x, ydot, +gamma*ydot - omega^2*y), with
+    gamma and omega^2 = p.omega ** 2 read once, here, not at every stage.
     """
-    x, xdot, y, ydot = state
-    w2 = p.omega ** 2
-    return (
-        xdot,
-        -p.gamma * xdot - w2 * x,
-        ydot,
-        p.gamma * ydot - w2 * y,
-    )
+    gamma, w2 = p.gamma, p.omega ** 2
+
+    def rhs(state):
+        x, xdot, y, ydot = state
+        return (xdot, -gamma * xdot - w2 * x, ydot, gamma * ydot - w2 * y)
+
+    return rhs
 
 
-def caldirola_kanai_rhs(state, p: OscParams) -> tuple:
+def caldirola_kanai_rhs(p: OscParams):
     """Physical-coordinate equation of the time-dependent-Lagrangian route.
 
-    state = (x, xdot); generates xddot + gamma*xdot + omega^2*x = 0, the
-    same damped ODE as the x sector of the doubled system.
+    Returns rhs(state) for state = (x, xdot), which generates
+    xddot + gamma*xdot + omega^2*x = 0, the same damped ODE as the x sector
+    of the doubled system; gamma and omega^2 are read once, here.
     """
-    x, xdot = state
-    return (xdot, -p.gamma * xdot - p.omega ** 2 * x)
+    gamma, w2 = p.gamma, p.omega ** 2
+
+    def rhs(state):
+        x, xdot = state
+        return (xdot, -gamma * xdot - w2 * x)
+
+    return rhs
 
 
 def ck_canonical_momentum(state: np.ndarray, t: float, p: OscParams) -> float:
@@ -117,9 +125,10 @@ def mechanical_energy(x, xdot, p: OscParams):
 
 
 class Formalism(NamedTuple):
-    """What a run of one formalism needs: its right-hand side rhs(state, p),
-    the state columns, and the summary columns after t with the function
-    summary_row(state, t, p) that fills them."""
+    """What a run of one formalism needs: its right-hand side rhs(p), which
+    binds the run's constants and returns f(state), the state columns, and
+    the summary columns after t with the function summary_row(state, t, p)
+    that fills them."""
 
     rhs: Callable
     columns: tuple
@@ -165,7 +174,9 @@ def integrate_rk4(rhs, state0, dt: float, n_steps: int,
 
     The state is stepped as a list of Python floats (`rhs` returns a float
     sequence): far cheaper than NumPy arrays at 2 or 4 components, and the
-    same bits, since the operation order is the array formula's.
+    same bits, since the operation order is the array formula's. `rhs`
+    takes the state alone; a formalism's `rhs(p)` binds its constants once
+    per run.
 
     Returns the trajectory at the steps of `core.snapshot_steps`, the
     initial state first (every step at snapshot_every = 1). Raises
@@ -188,8 +199,8 @@ def integrate_rk4(rhs, state0, dt: float, n_steps: int,
             k4 = rhs([s + dt * k for s, k in zip(state, k3)])
             state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
                      for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            if not all(math.isfinite(s) and abs(s) <= OVERFLOW_THRESHOLD
-                       for s in state):
+            # False for NaN as well as for inf and overflow
+            if not all(abs(s) <= OVERFLOW_THRESHOLD for s in state):
                 traj[row] = state  # kept only when `step` is recorded
                 raise BlowUpError(f"blow-up at step {step}", step=step,
                                   partial=traj[: row + (step == stop)])

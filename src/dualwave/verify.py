@@ -228,14 +228,14 @@ def crit_oscillator_oracles(cache):
     for label, table in FORMALISMS.items():
         # x0 = 1 and, for a doubled state, y0 = 1, both at rest
         state0 = [1.0, 0.0, 1.0, 0.0][:len(table.columns)]
-        traj = integrate_rk4(lambda s: table.rhs(s, p), state0, dt, n)
+        traj = integrate_rk4(table.rhs(p), state0, dt, n)
         dev = float(np.max(np.abs(traj[:, 0] - exact)))
         out.append(_lt(f"oscillator_oracles[{label}]", dev, 1e-6))
 
     # finite-difference the energy series at a finer step: the anti-damped
     # sector's growing third derivative dominates the differencing error
     dt_fd = 5e-4
-    traj_fd = integrate_rk4(lambda s: bateman_rhs(s, p),
+    traj_fd = integrate_rk4(bateman_rhs(p),
                             np.array([1.0, 0.0, 1.0, 0.0]), dt_fd,
                             int(round(t_end / dt_fd)))
     ex = mechanical_energy(traj_fd[:, 0], traj_fd[:, 1], p)
@@ -280,7 +280,7 @@ def crit_convergence_orders(cache):
     exact = float(damped_oscillator_solution(t_end, p))
     errs = []
     for dt in (0.02, 0.01):
-        traj = integrate_rk4(lambda s: caldirola_kanai_rhs(s, p),
+        traj = integrate_rk4(caldirola_kanai_rhs(p),
                              np.array([1.0, 0.0]), dt, int(round(t_end / dt)))
         errs.append(abs(traj[-1, 0] - exact))
     out = [_window("convergence_orders[rk4]", errs[0] / errs[1], 12.0, 20.0)]

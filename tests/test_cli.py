@@ -137,6 +137,14 @@ ILL_POSED_HJ_CHANNELS = {
 }
 
 
+# HJ_LINEAR_INI with a focusing (coeff -0.5) or flat (coeff 0) S0 and a
+# subnormal m0, whose 1/(2 m0) overflows: a blow-up at step 1 and a NaN
+# rate where the gradient is 0
+TINY_M0_HJ_INI = HJ_LINEAR_INI.format(keys="").replace(
+    "channel0_type = linear\nchannel0_slope = 0.5\n",
+    "channel0_type = quadratic\nchannel0_coeff = {coeff}\n") + "[params]\nm0 = 1e-310\n"
+
+
 def ill_posed_hj_ini(case, mode="explicit"):
     ini = HJ_LINEAR_INI.format(keys=f"potential_mode = {mode}\n").replace(
         "channel1_type = zero\n", ILL_POSED_HJ_CHANNELS[case])
@@ -218,6 +226,11 @@ class TestRun:
         ("[grdi]\nn = 64\n" + WAVE_INI, []),
         ("[scenario]\nname = bateman_damped\n[integration]\ndt = 1e-3\n"
          "n_steps = 9007199254740992\nsnapshot_every = 1\n", []),
+        (TINY_M0_HJ_INI.format(coeff=-0.5), []),
+        (TINY_M0_HJ_INI.format(coeff=0), []),
+        # each 1/(2 m_i) is finite, but 1/m0 + 1/m1 overflows: closure coefficient inf
+        (HJ_LINEAR_INI.format(keys="potential_mode = symmetric_closure\n")
+         + "[params]\nm0 = 4e-309\nm1 = 4e-309\n", []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -231,7 +244,9 @@ class TestRun:
             "oscillator_n_steps_2_62", "n_steps_beyond_float_range",
             *(f"hj_explicit_{case}" for case in ILL_POSED_HJ_CHANNELS),
             "bare_vc0_type_key", "builtin_with_unread_vg0", "misspelt_initial_key",
-            "hj_with_nonlinear_key", "unknown_section", "schedule_beyond_memory"])
+            "hj_with_nonlinear_key", "unknown_section", "schedule_beyond_memory",
+            "hj_inverse_mass_overflows", "hj_inverse_mass_overflows_at_zero_gradient",
+            "hj_closure_coefficient_overflows"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -829,7 +844,7 @@ class TestByteContract:
         exp = expand(builtin_by_name(name), DEFAULT_GRID)
         integ = exp.integration
         rhs = FORMALISMS[exp.formalism].rhs
-        traj = integrate_rk4(lambda s: rhs(s, exp.params), exp.state0, integ.dt,
+        traj = integrate_rk4(rhs(exp.params), exp.state0, integ.dt,
                              integ.n_steps, integ.snapshot_every)
         steps = snapshot_steps(integ.dt, integ.n_steps, integ.snapshot_every)
         snapshots = tmp_path / f"{name}_snapshots.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualwave.core import (
     BlowUpError,
@@ -14,8 +16,7 @@ from dualwave.hamilton_jacobi import (
     SYMMETRIC_CLOSURE,
     ActionChannels,
     PotentialSet,
-    _hj_rhs_values,
-    closure_couplings,
+    _hj_rhs,
     evolve_hj,
     participation_metric,
 )
@@ -31,16 +32,15 @@ def smooth_pair(grid=GRID):
     return RealField(s0, grid), RealField(s1, grid)
 
 
-def two_m(p):
-    """The (n_ch, 1) column 2 m_i that evolve_hj builds once per run."""
-    return np.reshape([2.0 * m for m in p.masses], (-1, 1))
+def rate_and_gradients(S, pot, p):
+    """The rate and gradient stacks of `_hj_rhs`, the right-hand side
+    evolve_hj steps, at the channel samples of S."""
+    return _hj_rhs(S.slopes, pot, p, S.grid)(S.values_stack())
 
 
 def hj_rhs(S, pot, p):
-    """The rows of `_hj_rhs_values`, the right-hand side evolve_hj steps."""
-    out, _ = _hj_rhs_values(S.values_stack(), np.reshape(S.slopes, (-1, 1)),
-                            two_m(p), pot, p, S.grid)
-    return list(out)
+    """The rows of `_hj_rhs`'s rate at the channel samples of S."""
+    return list(rate_and_gradients(S, pot, p)[0])
 
 
 class TestActionChannels:
@@ -79,8 +79,7 @@ class TestDualRhs:
         pot = PotentialSet((vg0, vg1))
         ch = ActionChannels((s0, RealField.zeros(GRID)))
         p = DualParams(masses=(1.0, 2.0))
-        (ds0, ds1), (g0, _) = _hj_rhs_values(
-            ch.values_stack(), np.reshape(ch.slopes, (-1, 1)), two_m(p), pot, p, GRID)
+        (ds0, ds1), (g0, _) = rate_and_gradients(ch, pot, p)
         assert np.max(np.abs(ds0 + (g0 ** 2 / 2.0 + vg0.values))) < 1e-12
         assert np.max(np.abs(ds1 + vg1.values)) < 1e-14
 
@@ -174,6 +173,19 @@ class TestEvolve:
         traj = evolve_hj(ch, pot, P_EQUAL, 1e-3, 500, snapshot_every=500)
         assert np.max(np.abs(traj.samples[-1][0] + 2.0 * 0.5)) < 1e-12
 
+    def test_fields_leaving_the_float_range_stop_the_run(self):
+        # a uniform Vg0 = 1e305 lowers S0 by 1e305 a step at zero gradient;
+        # at step 8 the zero mode of its 256 samples passes the largest
+        # float, and the non-finite gradients that gives stop the run
+        pot = PotentialSet((RealField(np.full(256, 1e305), GRID),
+                            RealField.zeros(GRID)))
+        ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)))
+        with pytest.raises(BlowUpError) as info:
+            evolve_hj(ch, pot, P_EQUAL, 1.0, 40, snapshot_every=5)
+        assert info.value.step == 8
+        assert info.value.partial.times == [0.0, 5.0]
+        assert info.value.partial.samples[-1][0][0] == pytest.approx(-5e305)
+
     def test_focusing_data_raises_caustic_in_window(self):
         grid = Grid1D(1024, -10.0, 10.0)
         ch = ActionChannels((RealField(-0.5 * grid.x ** 2, grid),
@@ -230,28 +242,46 @@ class TestEvolve:
 
 def per_channel_rhs(v, S, pot, p):
     """Reference right-hand side: one spectral derivative call per channel
-    and per closure Laplacian, in the batched version's operation order."""
-    grid, masses, n_ch = S.grid, p.masses, v.shape[0]
+    and per closure Laplacian, in the batched version's operation order:
+    row 0 sums a_i (g_i g_i) in channel order, a = (-1/2m0, +1/2m1, ...),
+    row n >= 1 is (g0 gn) b_n, b_n = -(1/2m0 + 1/2mn), then each row adds
+    -Vg and, under the closure rule, rows 0 and 1 add -c lap S1 and
+    +c lap S0, c = zeta / (2 kinetic_mass)."""
+    grid, n_ch = S.grid, v.shape[0]
+    inv = [1.0 / (2.0 * m) for m in p.masses]
     grads = [S.slopes[i] + spectral_derivative_values(v[i], grid, 1)
              for i in range(n_ch)]
-    if pot.mode == SYMMETRIC_CLOSURE:
-        vc0, vc1 = closure_couplings(
-            spectral_derivative_values(v[0], grid, 2),
-            spectral_derivative_values(v[1], grid, 2), p)
-        vc = [vc0, vc1] + [np.zeros(grid.n_points)] * (n_ch - 2)
-    else:
-        vc = [np.zeros(grid.n_points)] * n_ch
     out = np.empty_like(v)
-    env_kinetic = np.zeros(grid.n_points)
+    out[0] = grads[0] * grads[0] * -inv[0]
     for n in range(1, n_ch):
-        env_kinetic = env_kinetic + grads[n] * grads[n] / (2.0 * masses[n])
-    out[0] = -(grads[0] * grads[0] / (2.0 * masses[0]) - env_kinetic
-               + pot.values[0] + vc[0])
+        out[0] = out[0] + grads[n] * grads[n] * inv[n]
     for n in range(1, n_ch):
-        cross = grads[0] * grads[n]
-        out[n] = -(cross / (2.0 * masses[0]) + cross / (2.0 * masses[n])
-                   + pot.values[n] + vc[n])
+        out[n] = grads[0] * grads[n] * -(inv[0] + inv[n])
+    out = out + -pot.values
+    if pot.mode == SYMMETRIC_CLOSURE:
+        c = p.zeta / (2.0 * p.kinetic_mass)
+        out[0] = out[0] + spectral_derivative_values(v[1], grid, 2) * -c
+        out[1] = out[1] + spectral_derivative_values(v[0], grid, 2) * c
     return out
+
+
+def divide_form_rhs(S, pot, p):
+    """The rate as the module docstring writes it, one channel at a time,
+    each kinetic term divided by its 2 m_i and the bracket negated, with
+    the closure rule's Vc0 = c lap S1 and Vc1 = -c lap S0."""
+    grid, v, n_ch = S.grid, S.values_stack(), S.n_channels
+    m = p.masses
+    g = [S.slopes[i] + spectral_derivative_values(v[i], grid, 1) for i in range(n_ch)]
+    vc = [np.zeros(grid.n_points) for _ in range(n_ch)]
+    if pot.mode == SYMMETRIC_CLOSURE:
+        c = p.zeta / (2.0 * p.kinetic_mass)
+        vc[0] = c * spectral_derivative_values(v[1], grid, 2)
+        vc[1] = -c * spectral_derivative_values(v[0], grid, 2)
+    env = sum(g[n] ** 2 / (2.0 * m[n]) for n in range(1, n_ch))
+    rows = [-(g[0] ** 2 / (2.0 * m[0]) - env + pot.values[0] + vc[0])]
+    rows += [-(g[0] * g[n] / (2.0 * m[0]) + g[0] * g[n] / (2.0 * m[n])
+               + pot.values[n] + vc[n]) for n in range(1, n_ch)]
+    return np.array(rows)
 
 
 class TestBatchedStages:
@@ -303,6 +333,75 @@ class TestBatchedStages:
 
         # set-up and snapshot work cancel in the difference
         assert count(6) - count(3) == 3 * 8
+
+
+MODES = st.sampled_from([EXPLICIT, SYMMETRIC_CLOSURE])
+SMALL_GRID = Grid1D(64, -np.pi, np.pi)
+
+
+@st.composite
+def channel_stacks(draw, min_channels=2, max_channels=4):
+    """(ActionChannels, Vg stack, masses) of 2-4 smooth channels on
+    SMALL_GRID: a few Fourier modes and a slope per channel, masses in
+    [0.5, 3], and a smooth guiding potential per channel."""
+    n_ch = draw(st.integers(min_channels, max_channels))
+    unit = st.floats(-1.0, 1.0)
+    x = SMALL_GRID.x
+    fields, vgs = [], []
+    for _ in range(n_ch):
+        a, b, c = (draw(unit) for _ in range(3))
+        fields.append(RealField(a * np.sin(x) + b * np.cos(2 * x) + c * np.sin(3 * x),
+                                SMALL_GRID))
+        v0, v1 = draw(unit), draw(unit)
+        vgs.append(v0 + v1 * np.cos(x))
+    slopes = [draw(st.floats(-2.0, 2.0)) for _ in range(n_ch)]
+    masses = tuple(draw(st.floats(0.5, 3.0)) for _ in range(n_ch))
+    return ActionChannels(tuple(fields), slopes), np.array(vgs), masses
+
+
+def vg_set(values, mode):
+    return PotentialSet(tuple(RealField(v, SMALL_GRID) for v in values), mode)
+
+
+class TestRateProperties:
+    """Random 2-4 channel stacks in both potential modes."""
+
+    @given(channel_stacks(), MODES, st.floats(0.5, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_divide_form(self, stack, mode, zeta):
+        # the per-run coefficients change the rounding, not the formula
+        ch, vg, masses = stack
+        pot, p = vg_set(vg, mode), DualParams(masses, zeta)
+        rate = np.array(hj_rhs(ch, pot, p))
+        ref = divide_form_rhs(ch, pot, p)
+        assert np.max(np.abs(rate - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @given(channel_stacks(max_channels=3), MODES, st.floats(0.5, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_channel_leaves_rows_bitwise(self, stack, mode, mass):
+        ch, vg, masses = stack
+        rate, grads = rate_and_gradients(ch, vg_set(vg, mode), DualParams(masses))
+        extra = ActionChannels((*ch.channels, RealField.zeros(SMALL_GRID)),
+                               (*ch.slopes, 0.0))
+        vg_extra = np.vstack((vg, np.zeros(SMALL_GRID.n_points)))
+        rate_x, grads_x = rate_and_gradients(extra, vg_set(vg_extra, mode),
+                                             DualParams((*masses, mass)))
+        assert rate_x[:-1].tobytes() == rate.tobytes()
+        assert grads_x[:-1].tobytes() == grads.tobytes()
+
+    @given(channel_stacks(max_channels=2))
+    @settings(max_examples=40, deadline=None)
+    def test_sector_exchange_flips_row_0(self, stack):
+        # V = 0 in explicit mode: the exchange turns the closure rule's
+        # (Vc0, Vc1) = (c lap S1, -c lap S0) into (-Vc1, -Vc0), which mixes
+        # the rows
+        ch, _, masses = stack
+        pot = PotentialSet.zeros(SMALL_GRID, 2)
+        ds0, ds1 = hj_rhs(ch, pot, DualParams(masses))
+        swapped = ActionChannels(ch.channels[::-1], ch.slopes[::-1])
+        es0, es1 = hj_rhs(swapped, pot, DualParams(masses[::-1]))
+        assert np.max(np.abs(es0 + ds0)) <= 1e-14
+        assert np.max(np.abs(es1 - ds1)) <= 1e-14
 
 
 class TestChannelIdentities:

@@ -22,7 +22,7 @@ UNDAMPED = OscParams(gamma=0.0)
 class TestBateman:
     def test_rhs_formula(self):
         s = np.array([1.0, 2.0, 3.0, 4.0])
-        d = bateman_rhs(s, DAMPED)
+        d = bateman_rhs(DAMPED)(s)
         w2 = DAMPED.omega ** 2
         assert np.allclose(d, [2.0, -0.2 * 2.0 - w2 * 1.0,
                                4.0, +0.2 * 4.0 - w2 * 3.0], rtol=0, atol=0)
@@ -30,7 +30,7 @@ class TestBateman:
     def test_undamped_energy_conserved_100_periods(self):
         T = 2 * math.pi
         dt = T / 1000
-        traj = integrate_rk4(lambda s: bateman_rhs(s, UNDAMPED),
+        traj = integrate_rk4(bateman_rhs(UNDAMPED),
                              np.array([1.0, 0.0, 0.5, 0.3]), dt, 100 * 1000)
         ex = 0.5 * traj[:, 1] ** 2 + 0.5 * traj[:, 0] ** 2
         ey = 0.5 * traj[:, 3] ** 2 + 0.5 * traj[:, 2] ** 2
@@ -40,7 +40,7 @@ class TestBateman:
     def test_damped_sector_matches_closed_form(self):
         dt = 1e-3
         n = 10000
-        traj = integrate_rk4(lambda s: bateman_rhs(s, DAMPED),
+        traj = integrate_rk4(bateman_rhs(DAMPED),
                              np.array([1.0, 0.0, 0.0, 0.0]), dt, n)
         t = np.arange(n + 1) * dt
         assert np.max(np.abs(traj[:, 0] - damped_oscillator_solution(t, DAMPED))) < 1e-6
@@ -50,7 +50,7 @@ class TestBateman:
         # check the damped-equation residual by finite differences
         dt = 5e-4
         n = 20000
-        traj = integrate_rk4(lambda s: bateman_rhs(s, DAMPED),
+        traj = integrate_rk4(bateman_rhs(DAMPED),
                              np.array([0.0, 0.0, 1.0, 0.0]), dt, n)
         y = traj[::-1, 2]
         ydd = (y[2:] - 2 * y[1:-1] + y[:-2]) / dt ** 2
@@ -62,7 +62,7 @@ class TestBateman:
         dt = 1e-3
         n = 10000
         p = DAMPED
-        traj = integrate_rk4(lambda s: bateman_rhs(s, p),
+        traj = integrate_rk4(bateman_rhs(p),
                              np.array([1.0, 0.0, 1.0, 0.0]), dt, n)
         ex = 0.5 * p.mass * traj[:, 1] ** 2 + 0.5 * p.stiffness * traj[:, 0] ** 2
         ey = 0.5 * p.mass * traj[:, 3] ** 2 + 0.5 * p.stiffness * traj[:, 2] ** 2
@@ -81,14 +81,14 @@ class TestCaldirolaKanai:
     def test_hamiltonian_conserved_when_undamped(self):
         dt = 1e-3
         n = 10000
-        traj = integrate_rk4(lambda s: caldirola_kanai_rhs(s, UNDAMPED),
+        traj = integrate_rk4(caldirola_kanai_rhs(UNDAMPED),
                              np.array([1.0, 0.0]), dt, n)
         h = [ck_hamiltonian(traj[i], i * dt, UNDAMPED) for i in range(0, n, 100)]
         assert np.max(np.abs(np.array(h) - h[0])) < 1e-8
 
     def test_hamiltonian_not_conserved_when_damped(self):
         dt = 1e-3
-        traj = integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED),
+        traj = integrate_rk4(caldirola_kanai_rhs(DAMPED),
                              np.array([1.0, 0.0]), dt, 3000)
         h0 = ck_hamiltonian(traj[0], 0.0, DAMPED)
         h1 = ck_hamiltonian(traj[3000], 3.0, DAMPED)
@@ -97,9 +97,9 @@ class TestCaldirolaKanai:
     def test_matches_bateman_x_sector(self):
         dt = 1e-3
         n = 10000
-        ck = integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED),
+        ck = integrate_rk4(caldirola_kanai_rhs(DAMPED),
                            np.array([1.0, 0.0]), dt, n)
-        bat = integrate_rk4(lambda s: bateman_rhs(s, DAMPED),
+        bat = integrate_rk4(bateman_rhs(DAMPED),
                             np.array([1.0, 0.0, 0.0, 0.0]), dt, n)
         assert np.max(np.abs(ck[:, 0] - bat[:, 0])) < 1e-8
 
@@ -110,7 +110,7 @@ class TestDekker:
         dekker = FORMALISMS["dekker"]
         dt = 1e-3
         n = 10000
-        traj = integrate_rk4(lambda s: dekker.rhs(s, UNDAMPED),
+        traj = integrate_rk4(dekker.rhs(UNDAMPED),
                              np.array([1.0, 0.0, 0.5, 0.2]), dt, n)
         e0 = dekker.summary_row(traj[0], 0.0, UNDAMPED)
         assert e0[0] > 0 and e0[1] < 0
@@ -124,22 +124,22 @@ class TestIntegrateRK4:
     def test_sho_period_return(self):
         T = 2 * math.pi
         dt = T / 1000
-        traj = integrate_rk4(lambda s: bateman_rhs(s, UNDAMPED),
+        traj = integrate_rk4(bateman_rhs(UNDAMPED),
                              np.array([1.0, 0.0, 0.0, 0.0]), dt, 1000)
         assert abs(traj[-1, 0] - 1.0) < 1e-9
         assert abs(traj[-1, 1]) < 1e-9
 
     def test_zero_steps_returns_initial(self):
         s0 = np.array([1.0, 2.0])
-        traj = integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED), s0, 0.1, 0)
+        traj = integrate_rk4(caldirola_kanai_rhs(DAMPED), s0, 0.1, 0)
         assert traj.shape == (1, 2)
         assert np.array_equal(traj[0], s0)
 
     def test_fourth_order_convergence_vs_fine_reference(self):
         t_end = 10.0
-        ref = integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED),
+        ref = integrate_rk4(caldirola_kanai_rhs(DAMPED),
                             np.array([1.0, 0.0]), 0.002, 5000)[-1, 0]
-        errs = [abs(integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED),
+        errs = [abs(integrate_rk4(caldirola_kanai_rhs(DAMPED),
                                   np.array([1.0, 0.0]), dt,
                                   int(round(t_end / dt)))[-1, 0] - ref)
                 for dt in (0.02, 0.01)]
@@ -149,7 +149,7 @@ class TestIntegrateRK4:
         # anti-damped sector grows without bound; expect a clean signal
         p = OscParams(gamma=2.0)
         with pytest.raises(BlowUpError) as info:
-            integrate_rk4(lambda s: bateman_rhs(s, p),
+            integrate_rk4(bateman_rhs(p),
                           np.array([0.0, 0.0, 1.0, 0.0]), 0.05, 10 ** 6)
         err = info.value
         assert err.step > 0
@@ -164,7 +164,7 @@ class TestIntegrateRK4:
 
         def blow_up(snapshot_every):
             with pytest.raises(BlowUpError) as info:
-                integrate_rk4(lambda s: bateman_rhs(s, p), [1.0, 0.0, 1.0, 0.0],
+                integrate_rk4(bateman_rhs(p), [1.0, 0.0, 1.0, 0.0],
                               0.01, 3000, snapshot_every)
             return info.value
 
@@ -206,8 +206,8 @@ def array_rk4(rhs, state0, dt, n_steps):
 
 class TestFloatLoopMatchesArrayReference:
     @pytest.mark.parametrize("rhs, state0", [
-        (lambda s: bateman_rhs(s, DAMPED), [1.0, 0.3, -0.5, 0.2]),
-        (lambda s: caldirola_kanai_rhs(s, DAMPED), [1.0, -0.4]),
+        (bateman_rhs(DAMPED), [1.0, 0.3, -0.5, 0.2]),
+        (caldirola_kanai_rhs(DAMPED), [1.0, -0.4]),
     ], ids=["bateman", "ck"])
     def test_bitwise_equal(self, rhs, state0):
         traj = integrate_rk4(rhs, np.array(state0), 1e-3, 3000)
@@ -235,9 +235,9 @@ class TestCrossFormalism:
     def test_all_three_produce_identical_damped_trajectory(self):
         dt = 1e-3
         n = 5000
-        bat = integrate_rk4(lambda s: bateman_rhs(s, DAMPED),
+        bat = integrate_rk4(bateman_rhs(DAMPED),
                             np.array([1.0, 0.0, 0.0, 0.0]), dt, n)
-        ck = integrate_rk4(lambda s: caldirola_kanai_rhs(s, DAMPED),
+        ck = integrate_rk4(caldirola_kanai_rhs(DAMPED),
                            np.array([1.0, 0.0]), dt, n)
         assert np.max(np.abs(bat[:, 0] - ck[:, 0])) < 1e-8
         # the Dekker row steps the doubled pair's equations themselves

@@ -369,7 +369,7 @@ class TestLoopDriver:
                               scenario.psi0.values)
 
         def oscillator(every):
-            return integrate_rk4(lambda s: bateman_rhs(s, OscParams(gamma=0.2)),
+            return integrate_rk4(bateman_rhs(OscParams(gamma=0.2)),
                                  [1.0, 0.0, 1.0, 0.0], dt, n_steps, every)
 
         assert np.array_equal(oscillator(snapshot_every), oscillator(1)[steps])
@@ -504,7 +504,7 @@ class TestSymmetricLimit:
     def test_explicit_closure_cross_check(self):
         # with the closure-rule potentials the numerically computed coupling
         # terms are exactly zero (the stepper subtracts the very products
-        # closure_couplings returns), so the explicit route is the analytic
+        # the closure rule gives), so the explicit route is the analytic
         # cancellation bit for bit: a wiring check, not a second
         # discretization
         analytic = []
@@ -695,7 +695,7 @@ def test_stepping_checks_build_no_schedule():
     lambda dt, every: evolve_hj(
         ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID))),
         PotentialSet.zeros(GRID, 2), P_SYM, dt, 10, every),
-    lambda dt, every: integrate_rk4(lambda s: bateman_rhs(s, OscParams()),
+    lambda dt, every: integrate_rk4(bateman_rhs(OscParams()),
                                     [1.0, 0.0, 1.0, 0.0], dt, 10, every),
 ], ids=["schrodinger_reference", "evolve_hj", "integrate_rk4"])
 def test_public_solvers_check_stepping(solve, dt, snapshot_every):

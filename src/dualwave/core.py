@@ -243,7 +243,13 @@ class DualParams:
 
     @property
     def reduced_mass(self) -> float:
-        return 1.0 / (1.0 / self.m0 + 1.0 / self.m1)
+        """(1/m0 + 1/m1)^-1; raises ConfigurationError where the sum
+        overflows, which would make it 0."""
+        inv = 1.0 / self.m0 + 1.0 / self.m1
+        if not math.isfinite(inv):
+            raise ConfigurationError(f"masses {self.masses}: 1/m0 + 1/m1 leaves the "
+                                     "float range; raise the masses")
+        return 1.0 / inv
 
     @property
     def kinetic_mass(self) -> float:

@@ -145,6 +145,15 @@ TINY_M0_HJ_INI = HJ_LINEAR_INI.format(keys="").replace(
     "channel0_type = quadratic\nchannel0_coeff = {coeff}\n") + "[params]\nm0 = 1e-310\n"
 
 
+# HJ_LINEAR_INI with a focusing S0 under the closure rule at zeta = 1e308:
+# c = zeta / (2 kinetic_mass) = 5e307 is finite, but the closure rate
+# dt c k_max^2 is not, and c lap S0 overflows in the first stage
+HUGE_ZETA_CLOSURE_HJ_INI = HJ_LINEAR_INI.format(
+    keys="potential_mode = symmetric_closure\n").replace(
+    "channel0_type = linear\nchannel0_slope = 0.5\n",
+    "channel0_type = quadratic\nchannel0_coeff = -0.5\n") + "[params]\nzeta = 1e308\n"
+
+
 def ill_posed_hj_ini(case, mode="explicit"):
     ini = HJ_LINEAR_INI.format(keys=f"potential_mode = {mode}\n").replace(
         "channel1_type = zero\n", ILL_POSED_HJ_CHANNELS[case])
@@ -228,9 +237,10 @@ class TestRun:
          "n_steps = 9007199254740992\nsnapshot_every = 1\n", []),
         (TINY_M0_HJ_INI.format(coeff=-0.5), []),
         (TINY_M0_HJ_INI.format(coeff=0), []),
-        # each 1/(2 m_i) is finite, but 1/m0 + 1/m1 overflows: closure coefficient inf
+        # each 1/(2 m_i) is finite, but 1/m0 + 1/m1 overflows: reduced mass 0
         (HJ_LINEAR_INI.format(keys="potential_mode = symmetric_closure\n")
          + "[params]\nm0 = 4e-309\nm1 = 4e-309\n", []),
+        (HUGE_ZETA_CLOSURE_HJ_INI, []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -246,7 +256,7 @@ class TestRun:
             "bare_vc0_type_key", "builtin_with_unread_vg0", "misspelt_initial_key",
             "hj_with_nonlinear_key", "unknown_section", "schedule_beyond_memory",
             "hj_inverse_mass_overflows", "hj_inverse_mass_overflows_at_zero_gradient",
-            "hj_closure_coefficient_overflows"])
+            "hj_closure_coefficient_overflows", "hj_closure_rate_overflows"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -261,6 +271,19 @@ class TestRun:
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("ini", [
+        "[scenario]\nname = free_gaussian_symmetric\n",
+        HJ_LINEAR_INI.format(keys="potential_mode = symmetric_closure\n")],
+        ids=["wave", "hj_closure"])
+    def test_overflowing_inverse_mass_sum_is_named(self, tmp_path, capsys, ini):
+        # each 1/m_i is finite but their sum is not, so the reduced mass would be 0
+        cfg = tmp_path / "masses.ini"
+        cfg.write_text(ini + "[params]\nm0 = 4e-309\nm1 = 4e-309\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: masses (4e-309, 4e-309): 1/m0 + 1/m1 leaves the "
+            "float range; raise the masses\n")
 
     @pytest.mark.parametrize("case", ILL_POSED_HJ_CHANNELS)
     def test_ill_posed_explicit_data_runs_under_closure_rule(self, tmp_path, case):
@@ -755,6 +778,10 @@ OSCILLATOR_SHA256 = {
         "5e56da70976655c0430e058b12e24681e5c149c00bf739a1ef5500a6280fe4e2",
         "f952eb5dfcbb8365edf42d3a4a325a9b2719c7526c934be893d7494e1f8609dd"),
 }
+# and of hj_free_particle's, whose channels are uniform: it makes no FFT call
+HJ_FREE_SHA256 = (
+    "19a37378affb193058c7f0841feabcde3b47181bba42451c98e3e9a034200690",
+    "c0780a7689bcdd775c8127b76dcde65651303e8a13616b7f97f407f4e1539705")
 
 
 class TestByteContract:
@@ -825,17 +852,25 @@ class TestByteContract:
         summary = read_lines(out / f"{spec.name}_summary.csv")
         assert len(parse_csv(out / f"{spec.name}_summary.csv")) == len(traj.times)
         assert summary[-1].startswith("# caustic") == caustic
+        if not caustic:
+            assert (sha256(out / f"{spec.name}_snapshots.csv"),
+                    sha256(out / f"{spec.name}_summary.csv")) == HJ_FREE_SHA256
 
     def test_hj_run_adds_no_fft_to_evolve_hj(self, tmp_path, fft_counter):
-        # the summary's gradients are the ones the solver recorded
+        # the summary's gradients are the ones the solver recorded; a
+        # focusing S0 moves, so the solver's count is not 0
         calls = fft_counter
-        exp = expand(builtin_by_name("hj_free_particle"), DEFAULT_GRID)
+        cfg = tmp_path / "focus.ini"
+        cfg.write_text(CAUSTIC_INI)
+        spec, grid, _ = load_config(str(cfg))
+        exp = expand(spec, grid)
         integ = exp.integration
-        evolve_hj(exp.channels, exp.potentials, exp.params, integ.dt,
-                  integ.n_steps, integ.snapshot_every)
+        with pytest.raises(BlowUpError):
+            evolve_hj(exp.channels, exp.potentials, exp.params, integ.dt,
+                      integ.n_steps, integ.snapshot_every)
         solver_calls, calls[0] = calls[0], 0
-        assert main(["run", "--scenario", "hj_free_particle",
-                     "--out", str(tmp_path)]) == 0
+        assert solver_calls > 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert calls[0] == solver_calls
 
     @pytest.mark.parametrize("name", sorted(OSCILLATOR_SHA256))

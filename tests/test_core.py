@@ -69,6 +69,19 @@ class TestSpectralDerivative:
             for values in (f, f.astype(complex)):
                 assert np.max(np.abs(derivative(values, order))) < 1e-13
 
+    def test_uniform_stack_derivative_is_exactly_zero(self):
+        # evolve_hj steps uniform channels without a transform: on every
+        # power-of-two grid their spectral derivatives are 0, bit for bit
+        values = [0.0, 1.0, -1.0, 0.1, -0.3, 1.0 / 3.0, math.pi, -2.5e-300,
+                  5e-324, 1e-15, 7.5, -123.456, 2.0 ** 53 + 2.0, 1e17, -6e22,
+                  1e100, -3.7e150, 1e200, -1e250, 1e300, -1e300, 4.2e-200, 0.7]
+        for k in range(1, 15):
+            grid = Grid1D(2 ** k, -3.0, 5.0)
+            for a, b in zip(values, values[::-1]):
+                stack = np.array([[a], [b]]) * np.ones(grid.n_points)
+                for order in (1, 2):
+                    assert np.all(spectral_derivative_values(stack, grid, order) == 0.0)
+
     def test_second_derivative_of_mode(self):
         f = np.exp(3j * GRID_2PI.x)
         err = np.max(np.abs(derivative(f, 2) + 9.0 * f)) / 9.0

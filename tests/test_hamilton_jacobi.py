@@ -17,6 +17,7 @@ from dualwave.hamilton_jacobi import (
     ActionChannels,
     PotentialSet,
     _hj_rhs,
+    _inert_rows,
     evolve_hj,
     participation_metric,
 )
@@ -285,8 +286,9 @@ def divide_form_rhs(S, pot, p):
 
 
 class TestBatchedStages:
-    """Each RK4 stage is one rfft of the channel stack and one irfft of the
-    stacked derivative spectra; the caustic check's stage is the next k1."""
+    """Each RK4 stage is one rfft of the stack of moving channels and one
+    irfft of the stacked derivative spectra; the caustic check's stage is
+    the next k1. An inert channel steps as one number."""
 
     @staticmethod
     def three_channels():
@@ -299,8 +301,50 @@ class TestBatchedStages:
                            mode=SYMMETRIC_CLOSURE)
         return ch, pot, DualParams(masses=(1.0, 1.5, 2.0), zeta=2.0)
 
-    def test_matches_per_channel_reference_bitwise(self):
-        ch, pot, p = self.three_channels()
+    @staticmethod
+    def uniform_channels():
+        # every channel uniform, slopes aside, under the closure rule; S0
+        # starts at 0, so its value is the sum of its increments
+        ch = ActionChannels((RealField.zeros(GRID),
+                             RealField(np.full(256, -1.0), GRID)), (0.4, -0.2))
+        pot = PotentialSet((RealField(np.full(256, 0.3), GRID),
+                            RealField(np.full(256, -0.7), GRID)), mode=SYMMETRIC_CLOSURE)
+        return ch, pot, DualParams(masses=(1.0, 1.5), zeta=2.0)
+
+    @staticmethod
+    def uniform_s1():
+        # explicit coupling: a quadratic S0 beside a uniform S1 under a uniform Vg1
+        ch = ActionChannels((RealField(-0.05 * GRID.x ** 2, GRID),
+                             RealField(np.full(256, 1.0), GRID)))
+        pot = PotentialSet((RealField(0.01 * GRID.x ** 2, GRID),
+                            RealField(np.full(256, 0.6), GRID)))
+        return ch, pot, DualParams(masses=(1.0, 1.5))
+
+    @staticmethod
+    def negative_zero_s0():
+        # S0 of -0.0 samples moves beside an inert zero S1: the inert row's
+        # +0.0 term in row 0's sum turns S0's -0.0 samples into +0.0
+        ch = ActionChannels((RealField(np.full(256, -0.0), GRID), RealField.zeros(GRID)))
+        return ch, PotentialSet.zeros(GRID, 2), DualParams(masses=(1.0, 1.5))
+
+    @staticmethod
+    def closure_uniform_s2():
+        # S1 and S2 uniform under uniform potentials: S1 still moves, since
+        # its rate reads lap S0
+        ch, pot, p = TestBatchedStages.three_channels()
+        uniform = [RealField(np.full(256, c), GRID) for c in (1.0, 0.8, -0.6, 0.25)]
+        ch = ActionChannels((ch.channels[0], *uniform[:2]), (0.4, 0.0, 0.0))
+        pot = PotentialSet((pot.vg[0], *uniform[2:]), mode=SYMMETRIC_CLOSURE)
+        return ch, pot, p
+
+    @pytest.mark.parametrize("case, inert", [
+        ("three_channels", []), ("uniform_channels", [0, 1]), ("uniform_s1", [1]),
+        ("negative_zero_s0", [1]), ("closure_uniform_s2", [2])],
+        ids=["three_channels", "uniform_channels", "uniform_s1", "negative_zero_s0",
+             "closure_uniform_s2"])
+    def test_matches_per_channel_reference_bitwise(self, case, inert):
+        ch, pot, p = getattr(self, case)()
+        assert _inert_rows(ch.values_stack(), ch.slopes, pot) == inert
         dt, n_steps, every = 1e-3, 60, 20
         traj = evolve_hj(ch, pot, p, dt, n_steps, snapshot_every=every)
         v, ref = ch.values_stack(), [ch.values_stack()]
@@ -319,6 +363,12 @@ class TestBatchedStages:
                         == (slope * GRID.x + expected[i]).tobytes())
                 assert (grads[i].tobytes() == (
                     slope + spectral_derivative_values(expected[i], GRID, 1)).tobytes())
+
+    def test_uniform_channels_make_no_fft_call(self, fft_counter):
+        ch, pot, p = self.uniform_channels()
+        traj = evolve_hj(ch, pot, p, 1e-3, 6, snapshot_every=2)
+        assert fft_counter[0] == 0
+        assert len(traj.samples) == 4
 
     @pytest.mark.parametrize("mode", [EXPLICIT, SYMMETRIC_CLOSURE])
     def test_fft_calls_per_step(self, fft_counter, mode):

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dualwave import core
 from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate, snapshot_steps
 from dualwave.diagnostics import (
     norm_rate,
@@ -440,6 +441,22 @@ def _sweep_point(run: _SweepRecord, off):
     return t_end, run.final.norm, drift, phase, shift
 
 
+def _sweep_runs(scenarios) -> list:
+    """(record of the run, record of the asymmetry-off re-run or None) per
+    sweep point, each record or the BlowUpError that stopped its run.
+
+    Every point and every re-run go to one `evolve_many` call, so runs that
+    share their stepping advance as one stack; each keeps only what its
+    row reads."""
+    offs = [dataclasses.replace(s, nonlinear_term=NONLINEAR_OFF)
+            for s in scenarios if s.nonlinear_active]
+    runs = evolve_many(scenarios + offs, [_SweepRecord() for _ in scenarios]
+                       + [_FinalState() for _ in offs])
+    off_runs = iter(runs[len(scenarios):])
+    return [(run, next(off_runs) if s.nonlinear_active else None)
+            for s, run in zip(scenarios, runs)]
+
+
 def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -456,15 +473,13 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError("sweep supports wave scenarios only")
         scenarios.append(expanded.scenario)
 
-    # every point and every asymmetry-off re-run in one call, so runs that
-    # share their stepping advance as one stack; each keeps only what its row reads
-    offs = [dataclasses.replace(s, nonlinear_term=NONLINEAR_OFF)
-            for s in scenarios if s.nonlinear_active]
-    runs = evolve_many(scenarios + offs, [_SweepRecord() for _ in scenarios]
-                       + [_FinalState() for _ in offs])
-    off_runs = iter(runs[len(scenarios):])
-    pairs = [(run, next(off_runs) if s.nonlinear_active else None)
-             for s, run in zip(scenarios, runs)]
+    # the points dealt round-robin, one group per worker; a row's bytes do
+    # not depend on its group, since a stacked row equals its run alone
+    groups = min(core.usable_cpus(), len(scenarios))
+    pairs = [None] * len(scenarios)
+    for g, group_pairs in enumerate(core.run_tasks(
+            _sweep_runs, [scenarios[g::groups] for g in range(groups)])):
+        pairs[g::groups] = group_pairs
 
     rows, failures = [], []
     for i in np.argsort(values, kind="stable"):

@@ -1,5 +1,6 @@
 """Shared numerical substrate: periodic grid, field containers, spectral
-calculus and the dual-sector parameters.
+calculus and the dual-sector parameters, and the one worker pool that
+`sweep` and `verify` run their tasks on (`run_tasks`).
 
 Everything downstream (oscillators, Hamilton-Jacobi fields, wave solvers)
 works on a uniform periodic 1D grid. Derivatives are computed in Fourier
@@ -11,6 +12,7 @@ integrands.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +63,42 @@ class Integration:
         if self.snapshot_every < 1:
             raise ConfigurationError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; `run_tasks` starts one worker per CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_tasks(fn, tasks) -> list:
+    """[fn(task) for task in tasks], on one worker process per usable CPU.
+
+    With more than one usable CPU and task, the tasks run on a process
+    pool of min(CPUs, tasks) workers, started by the platform's default
+    method, fork or spawn; otherwise they run in this process. Results
+    come back in task order. When a task raises, the queued tasks are
+    cancelled and its error is re-raised as itself; the pool is shut down
+    before this returns. `fn` must be a module-level function, and each
+    task and result must pickle.
+    """
+    tasks = list(tasks)
+    workers = min(usable_cpus(), len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    # imported here: importing the package loads no process pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            # else every queued task runs before the error propagates
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def snapshot_steps(dt: float, n_steps: int, snapshot_every: int) -> list:

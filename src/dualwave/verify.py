@@ -5,12 +5,13 @@ an order-of-convergence ratio window, the caustic timing window, or byte
 equality. `dualwave verify` prints each measured value next to its bound,
 so the headroom of every check is visible.
 
-The criteria run as independent tasks on one worker process per usable
-CPU (in this process when there is one CPU, or one task, as with
-`--only`). Criteria share no state except the ten-period harmonic run,
-so `harmonic_stationarity` and `norm_conservation` form one task, and it
-is submitted first because it takes most of the time. The results come
-back in `CRITERIA` order with the values of a serial run.
+The criteria run as independent tasks through `core.run_tasks`, one
+worker process per usable CPU (in this process when there is one CPU, or
+one task, as with `--only`). Criteria share no state except the
+ten-period harmonic run, so `harmonic_stationarity` and
+`norm_conservation` form one task, and it is submitted first because it
+takes most of the time. The results come back in `CRITERIA` order with
+the values of a serial run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import math
-import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +31,7 @@ from dualwave.core import (
     ConfigurationError,
     DualParams,
     RealField,
+    run_tasks,
 )
 from dualwave.diagnostics import (
     energy,
@@ -391,23 +392,13 @@ def _run_task(names):
     return {name: CRITERIA[name](cache) for name in names}
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_criteria(only: str | None = None):
     """Execute acceptance criteria; returns a list of CriterionResult in
     `CRITERIA` order.
 
-    With more than one usable CPU and task, the tasks run on a process
-    pool, one worker per CPU, and the pool is shut down before this
-    returns, also when a task raises. Workers start by the platform's
-    default method, fork or spawn. Either gives the same values: a worker
-    receives only criterion names, and no criterion reads state set after
-    import.
+    The tasks run through `core.run_tasks`. Its workers give the values
+    of a serial run: a worker receives only criterion names, and no
+    criterion reads state set after import.
     """
     if only is not None:
         if only not in CRITERIA:
@@ -418,21 +409,6 @@ def run_criteria(only: str | None = None):
     else:
         names = list(CRITERIA)
 
-    tasks = _tasks(names)
-    workers = min(_usable_cpus(), len(tasks))
-    if workers <= 1:
-        done = [_run_task(task) for task in tasks]
-    else:
-        # imported here: `import dualwave.verify` stays as cheap as before
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers) as pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            try:
-                done = [future.result() for future in futures]
-            except BaseException:
-                # else every queued task runs before the error propagates
-                pool.shutdown(cancel_futures=True)
-                raise
+    done = run_tasks(_run_task, _tasks(names))
     by_name = {name: results for task in done for name, results in task.items()}
     return [result for name in names for result in by_name[name]]

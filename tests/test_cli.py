@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
 import re
 import tempfile
 import warnings
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dualwave import cli, core
 from dualwave.cli import _hj_tables, _sweep_value_spec, load_config, main
 from dualwave.core import BlowUpError, ConfigurationError, snapshot_steps
 from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_run
@@ -574,6 +577,21 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """A function that sets the CPU count `core.run_tasks` and the sweep's
+    dealing read: at 1 a sweep steps in this process, at 2 on workers."""
+    def set_count(n):
+        monkeypatch.setattr(core, "usable_cpus", lambda: n)
+    return set_count
+
+
+# a worker sees functions patched into the parent only when it is forked
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patched functions reach forked workers only")
+
+
 class TestSweep:
     def test_m1_sweep_rows_ordered_with_zero_shift_at_symmetry(self, tmp_path):
         code = main(["sweep", "--scenario", "residual_mass_plane_wave",
@@ -672,10 +690,9 @@ class TestSweep:
             expected.append([param] + ["%.17g" % c for c in row])
         assert data_cells(tmp_path / f"{spec.name}_sweep_{param}.csv") == expected
 
-    def test_dense_sweep_keeps_no_snapshots(self, tmp_path, traced_peak):
-        """Each point's run keeps only what its row reads, so a sweep's
-        memory does not grow with its snapshot count: 8 runs of 201
-        snapshots would hold 8 * 201 * 1024 complex values, 26 MB."""
+    @staticmethod
+    def dense_sweep_peak(tmp_path, traced_peak):
+        """The traced peak of an m1 sweep of 4 points, 201 snapshots each."""
         cfg = tmp_path / "dense.ini"
         cfg.write_text("[scenario]\nname = residual_mass_plane_wave\n[integration]\n"
                        "dt = 2e-5\nn_steps = 200\nsnapshot_every = 1\n")
@@ -683,7 +700,75 @@ class TestSweep:
             "sweep", "--config", str(cfg), "--param", "m1",
             "--values", "1.1,1.2,1.35,1.5", "--out", str(tmp_path)])
         assert code == 0
-        assert peak < 4e6
+        assert multiprocessing.active_children() == []
+        return peak
+
+    def test_dense_sweep_keeps_no_snapshots(self, tmp_path, traced_peak, cpus):
+        """Each point's run keeps only what its row reads, so a sweep's
+        memory does not grow with its snapshot count: 8 runs of 201
+        snapshots would hold 8 * 201 * 1024 complex values, 26 MB. On one
+        CPU the runs step in this process, where `tracemalloc` sees them."""
+        cpus(1)
+        assert self.dense_sweep_peak(tmp_path, traced_peak) < 4e6
+
+    def test_dense_sweep_on_workers_sends_back_only_what_rows_read(
+            self, tmp_path, traced_peak, cpus):
+        """On workers this process traces the tasks and the records sent
+        back, not the stepping; records of every snapshot would be 26 MB."""
+        cpus(2)
+        assert self.dense_sweep_peak(tmp_path, traced_peak) < 4e6
+
+    @pytest.mark.parametrize("source, param, values, code", [
+        (["--scenario", "residual_mass_plane_wave"], "m1", "1.5,1.0,1.2,1.35", 0),
+        (["--scenario", "plane_wave_dispersion"], "dt", "1e-3,5e-4,2.5e-4", 0),
+        (None, "lambda_Vg1", "1000,0.5,2", 3),
+    ], ids=["m1-linear-and-asymmetric", "dt-one-stack-per-point", "blow-up"])
+    def test_workers_write_the_bytes_of_one_process(self, tmp_path, capsys, cpus,
+                                                    source, param, values, code):
+        """Dealt to two workers, a sweep's points give the CSV, the stderr
+        line and the exit code of the same sweep in this process."""
+        if source is None:
+            cfg = tmp_path / "underflow.ini"
+            cfg.write_text(UNDERFLOW_INI)
+            source = ["--config", str(cfg)]
+        outputs = []
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            out = tmp_path / f"cpus{n_cpus}"
+            exit_code = main(["sweep", *source, "--param", param,
+                              "--values", values, "--out", str(out)])
+            assert multiprocessing.active_children() == []
+            [path] = out.iterdir()
+            outputs.append((exit_code, capsys.readouterr().err, path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == code
+        if code == 3:
+            assert outputs[0][1] == f"sweep aborted: {UNDERFLOW}\n"
+            assert outputs[0][2].decode().endswith(f"# lambda_Vg1=1000: {UNDERFLOW}\n")
+
+    @needs_fork
+    def test_points_run_on_workers(self, tmp_path, monkeypatch, cpus):
+        """Dealt to two workers, the points step in two processes, neither
+        of them this one."""
+        cpus(2)
+        evolve_many, sweep_point = cli.evolve_many, cli._sweep_point
+        pids = []
+
+        def tagging_evolve_many(scenarios, records):
+            for record in records:
+                record.pid = os.getpid()
+            return evolve_many(scenarios, records)
+
+        def collecting_sweep_point(run, off):
+            pids.append(run.pid)
+            return sweep_point(run, off)
+
+        monkeypatch.setattr(cli, "evolve_many", tagging_evolve_many)
+        monkeypatch.setattr(cli, "_sweep_point", collecting_sweep_point)
+        assert main(["sweep", "--scenario", "plane_wave_dispersion", "--param", "zeta",
+                     "--values", "1.0,2.0,3.0", "--out", str(tmp_path)]) == 0
+        assert len(pids) == 3 and len(set(pids)) == 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
 
     def test_zeta_sweep_doubles_phase_rate(self, tmp_path):
         code = main(["sweep", "--scenario", "plane_wave_dispersion",

@@ -196,13 +196,17 @@ def expand(spec: ScenarioSpec, grid: Grid1D = DEFAULT_GRID):
 
     Expansion runs no solver, so every failure in it is the spec's: a
     missing descriptor key, a value rejected by a field or parameter
-    type, or arithmetic that leaves the float range (a mass of 5e-324).
+    type, arithmetic that leaves the float range (a mass of 5e-324), or a
+    grid whose samples cannot be allocated.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _expand_kind(spec, grid)
     except ConfigurationError:
         raise
+    except MemoryError:
+        raise ConfigurationError(f"scenario {spec.name!r}: the samples of a grid of "
+                                 f"{grid.n_points} points cannot be allocated") from None
     except KeyError as err:
         raise ConfigurationError(
             f"scenario {spec.name!r} is missing the descriptor key {err}") from None

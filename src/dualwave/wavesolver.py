@@ -37,8 +37,10 @@ scalars come from the single-run expressions, and the operand order of
 every multiplier product is kept (`K * fft(v)` and `u *= K`, not
 `fft(v) * K`), since on some machines the two orders differ in the last bit.
 
-FFT counts hold per stack, not per row: a step costs 2 FFT calls, plus 4
-in a mass-asymmetric stack (two gradients), so 2 or 6, whatever P is.
+FFT counts hold per stack, not per row: a step costs 2 FFT calls, plus 2
+in a mass-asymmetric stack, so 2 or 4, whatever P is. A step's inverse
+transform there is one call on the (2P, N) stack [u; ik u], which gives
+psi and grad psi, and the midpoint's gradient takes one FFT pair.
 `evolve` and the reference solver share this loop driver, which gives
 each snapshot's state to a per-run record (a `WaveRun` keeps them all),
 but assemble their multipliers separately. The
@@ -229,11 +231,13 @@ def _stacked(values):
     return np.reshape(values, (-1, 1))
 
 
-def _asymmetry_potential(v: np.ndarray, grid: Grid1D) -> np.ndarray:
+def _asymmetry_potential(v: np.ndarray, grid: Grid1D, grad=None) -> np.ndarray:
     """W = |grad psi|^2 / |psi|^2, the denominator floored at
-    (W_DENOMINATOR_FLOOR max|psi|)^2, for each row of v along its last axis."""
+    (W_DENOMINATOR_FLOOR max|psi|)^2, for each row of v along its last axis;
+    `grad`, the gradient of v, is taken spectrally when not given."""
     eps = W_DENOMINATOR_FLOOR
-    grad = spectral_derivative_values(v, grid, 1)
+    if grad is None:
+        grad = spectral_derivative_values(v, grid, 1)
     rho = v.real * v.real + v.imag * v.imag
     return (grad.real * grad.real + grad.imag * grad.imag) / np.maximum(
         rho, eps * eps * np.max(rho, axis=-1, keepdims=True))
@@ -273,15 +277,17 @@ class _GeneralizedStepper:
         coeffs = [p.zeta / (2.0 * p.kinetic_mass) for p in params]
         half, full = zip(*(_kinetic_multipliers(grid, c, dt) for c in coeffs))
         self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
-        # i nu / z with nu = (z^2/4)(1/m0 - 1/m1)
-        self.asymmetry_coeff = _stacked(
-            [1j * (0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
+        # nu / z with nu = (z^2/4)(1/m0 - 1/m1): the mass-asymmetry term
+        # i nu W / z of the rate only turns the phase, at the real rate nu W / z
+        self.asymmetry_freq = _stacked(
+            [(0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
         # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
         base_a = [(s.potentials.values[1] - 1j * s.potentials.values[0]) / z
                   for s, z in zip(scenarios, zs)]
         self.base_a = _stacked(base_a)
         # a strongly growing Vg1 overflows to inf, which the snapshot check reports
         with np.errstate(over="ignore"):
+            self.linear_half = _stacked([np.exp((0.5 * dt) * a) for a in base_a])
             self.linear_base = _stacked([np.exp(dt * a) for a in base_a])
         self.tail_bound = SPECTRAL_TAIL_BOUND if self.nonlinear else math.inf
 
@@ -289,19 +295,42 @@ class _GeneralizedStepper:
         """The stepper of the rows `keep` only."""
         return _GeneralizedStepper([self.scenarios[i] for i in keep])
 
-    def asymmetry_rate(self, v: np.ndarray) -> np.ndarray:
-        """i nu W(v) / z, the mass-asymmetry term as a rate."""
-        return self.asymmetry_coeff * _asymmetry_potential(v, self.grid)
+    def asymmetry_rate(self, v: np.ndarray, grad=None) -> np.ndarray:
+        """nu W(v) / z, the real rate at which the mass-asymmetry term
+        i nu W(v) / z turns the phase."""
+        return self.asymmetry_freq * _asymmetry_potential(v, self.grid, grad)
 
-    def pointwise(self, v: np.ndarray) -> np.ndarray:
-        """Pointwise substep: the exact solution exp(a dt) u of du/dt = a u,
-        or with the mass-asymmetry potential the exponential midpoint of
-        du/dt = r(u) u, r(u) = a + i nu W(u) / z."""
+    def pointwise(self, u: np.ndarray) -> np.ndarray:
+        """Pointwise substep of the state whose spectra are u, returned as
+        samples: the exact solution exp(a dt) v of dv/dt = a v, or with the
+        mass-asymmetry potential the exponential midpoint of
+        dv/dt = r(v) v, r(v) = a + i nu W(v) / z, where each exp(tau r) is
+        exp(tau a), fixed for the run, times the phase turn exp(i tau nu W / z).
+        Takes 1 FFT call, or 3 with the mass-asymmetry potential: one
+        inverse transform of [u; ik u] gives v and grad v, and W at the
+        midpoint takes a pair."""
         if not self.nonlinear:
-            return self.linear_base * v
-        a = self.base_a
-        mid = np.exp((0.5 * self.dt) * (a + self.asymmetry_rate(v))) * v
-        return np.exp(self.dt * (a + self.asymmetry_rate(mid))) * v
+            return self.linear_base * np.fft.ifft(u)
+        ik = self.grid.derivative_multipliers[1, False]
+        p = len(u)
+        both = np.fft.ifft(np.concatenate((u, ik * u)))
+        half_turn = _phase_turn((0.5 * self.dt) * self.asymmetry_rate(both[:p], both[p:]))
+        # v is copied out so that the (2P, N) stack is freed before the
+        # midpoint: held to the end of the step, it made glibc trim and regrow
+        # the heap on most steps at P >= 3, one page fault per 4 KiB regrown
+        v = both[:p].copy()
+        del both
+        mid = self.linear_half * half_turn * v
+        return self.linear_base * _phase_turn(self.dt * self.asymmetry_rate(mid)) * v
+
+
+def _phase_turn(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta, as cos theta + i sin theta: two real
+    functions cost less than the complex exp."""
+    out = np.empty(theta.shape, complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _tail_fraction(u: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -316,8 +345,9 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> tuple:
     """n_steps >= 1 Strang steps (kinetic/pointwise/kinetic) of the (P, N)
     stack v, with adjacent kinetic half-steps merged. A stack holds rows of
     one nonlinear term, and its FFT calls per step do not grow with P: 2
-    for a linear stack and 6 for a mass-asymmetric one (two gradients),
-    plus one pair per call. A single run is a (1, N) stack. Returns the
+    for a linear stack and 4 for a mass-asymmetric one, plus one pair per
+    call. The stepper's `pointwise` takes the spectra u it holds and makes
+    its own inverse transform. A single run is a (1, N) stack. Returns the
     full Strang state after the last step and each row's `_tail_fraction`,
     read from the spectrum before the last `ifft`.
 
@@ -328,7 +358,7 @@ def _strang_steps(v: np.ndarray, stepper, n_steps: int) -> tuple:
     """
     u = stepper.kinetic_half * np.fft.fft(v)
     for i in range(1, n_steps + 1):
-        u = np.fft.fft(stepper.pointwise(np.fft.ifft(u)))
+        u = np.fft.fft(stepper.pointwise(u))
         u *= stepper.kinetic_half if i == n_steps else stepper.kinetic_full
     return np.fft.ifft(u), _tail_fraction(u, stepper.grid)
 
@@ -450,8 +480,10 @@ class _ReferenceStepper:
         self.phase = np.exp(dt * (-1j * vg0 / z))
         self.tail_bound = math.inf
 
-    def pointwise(self, v: np.ndarray) -> np.ndarray:
-        return self.phase * v
+    def pointwise(self, u: np.ndarray) -> np.ndarray:
+        """exp(-i Vg0 dt / z) times the samples of the spectra u: each
+        stepper of the loop driver makes its own inverse transform."""
+        return self.phase * np.fft.ifft(u)
 
 
 def schrodinger_reference(psi0: ComplexField, vg0, mass: float,

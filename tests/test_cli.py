@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -575,6 +577,37 @@ class TestConfigFile:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[scenario]\nkind = wave\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("name, command", [
+        ("residual_mass_plane_wave", ["run"]),
+        ("hj_caustic", ["run"]),
+        ("residual_mass_plane_wave", ["sweep", "--param", "m1", "--values", "1.0,1.2"]),
+    ], ids=["wave", "hj", "sweep"])
+    def test_grid_beyond_memory_exits_2_with_one_line(self, tmp_path, name, command):
+        """The 8 TiB of samples of a 2**40-point grid cannot be allocated.
+        The run goes in a subprocess whose address space is capped at
+        16 GiB, so the allocation fails at once whatever the kernel's
+        overcommit policy."""
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(f"[grid]\nn = {2 ** 40}\n[scenario]\nname = {name}\n")
+        out = tmp_path / "out"
+        argv = [*command, "--config", str(cfg), "--out", str(out)]
+        probe = ("import resource, sys\n"
+                 "cap = 16 << 30\n"
+                 "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                 "if hard != resource.RLIM_INFINITY:\n"
+                 "    cap = min(cap, hard)\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+                 "from dualwave.cli import main\n"
+                 f"sys.exit(main({argv!r}))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"configuration error: scenario {name!r}: the samples "
+                               f"of a grid of {2 ** 40} points cannot be allocated\n")
+        assert not out.exists()
 
 
 @pytest.fixture

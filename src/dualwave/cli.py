@@ -108,7 +108,7 @@ def _wave_tables(expanded: ExpandedWave):
                             scenario.params.kinetic_mass, scenario.params.zeta)
     return (code, comments,
             (("t", "x", "re_psi", "im_psi", "rho", "S0", "S1"), snapshots()),
-            (("t", "norm", "energy", "drift_rate", "continuity_residual"), summary))
+            (("t", "norm", "energy", "drift_rate", "clamped_samples"), summary))
 
 
 class _HJRecord:

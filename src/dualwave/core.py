@@ -297,6 +297,23 @@ class DualParams:
         return 2.0 * self.reduced_mass
 
     @property
+    def kinetic_rate_coeff(self) -> float:
+        """c = zeta / (2 kinetic_mass): the wave equation's kinetic term is
+        i c lap psi, and c is the closure coefficient of the HJ route."""
+        return self.zeta / (2.0 * self.kinetic_mass)
+
+    def check_kinetic_rate(self, grid: Grid1D, dt: float, rate: str) -> None:
+        """Raise ConfigurationError, naming the `rate`, when dt c k_max^2
+        leaves the float range: the kinetic multipliers or the closure
+        terms would be NaN, a blow-up that only the configuration caused."""
+        kmax = grid.nyquist
+        if not math.isfinite(self.kinetic_rate_coeff * kmax * kmax * dt):
+            raise ConfigurationError(
+                f"{rate} rate dt * zeta * k_max^2 / (2 kinetic_mass) at zeta = "
+                f"{self.zeta:g}, masses {self.masses} and dt = {dt:g} leaves the "
+                "float range; raise the masses or lower zeta or dt")
+
+    @property
     def residual_inv_mass(self) -> float:
         """1/m0 - 1/m1; exactly zero iff m0 == m1."""
         if self.m0 == self.m1:

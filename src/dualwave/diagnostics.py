@@ -1,9 +1,10 @@
 """Physical observables and deviation probes computed on run snapshots.
 
-The quantum potential and the continuity residual quantify how far a run
-sits from ideal Schrodinger behavior, at the action scale zeta; the rms
-width is the natural length scale of a density. A wave run's summary rows,
-energy, rates and phase shift are written here once, for `cli` and `verify`.
+The quantum potential quantifies how far a density sits from ideal
+Schrodinger behavior, at the action scale zeta; the rms width is the
+natural length scale of a density. A wave run's summary rows (with the
+count of samples at which the inverse Madelung map clamps), energy, rates
+and phase shift are written here once, for `cli` and `verify`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 
 import numpy as np
 
-from dualwave.core import ComplexField, Grid1D, RealField, spectral_derivative_values
-from dualwave.madelung import AMPLITUDE_FLOOR
+from dualwave.core import ComplexField, RealField, spectral_derivative_values
+from dualwave.madelung import AMPLITUDE_FLOOR, clamped_count
 
 
 def quantum_potential(rho: RealField, mass: float, zeta: float) -> RealField:
@@ -44,31 +45,6 @@ def rms_width(rho: RealField) -> float:
     mean = float(np.sum(x * vals)) / total
     var = float(np.sum((x - mean) ** 2 * vals)) / total
     return math.sqrt(max(var, 0.0))
-
-
-def probability_current(psi_values: np.ndarray, grid: Grid1D, mass: float,
-                        zeta: float) -> np.ndarray:
-    """J = (zeta/m) Im(psi* grad psi), the Madelung flux rho * grad(S0)/m."""
-    grad = spectral_derivative_values(psi_values, grid, 1)
-    return (zeta / mass) * np.imag(np.conj(psi_values) * grad)
-
-
-def continuity_residual_l2(psi_prev: np.ndarray, psi_next: np.ndarray,
-                           grid: Grid1D, delta_t: float, mass: float,
-                           zeta: float) -> float:
-    """L2 norm of d(rho)/dt + div J across one snapshot interval.
-
-    The time derivative is the centered difference about the interval
-    midpoint and the flux is evaluated on the averaged state, so the
-    residual of an exact solution is O(dt^2).
-    """
-    rho_prev = np.abs(psi_prev) ** 2
-    rho_next = np.abs(psi_next) ** 2
-    mid = 0.5 * (psi_prev + psi_next)
-    flux = probability_current(mid, grid, mass, zeta)
-    resid = (rho_next - rho_prev) / delta_t + spectral_derivative_values(
-        flux, grid, 1)
-    return math.sqrt(float(np.sum(resid ** 2) * grid.dx))
 
 
 def energy(psi: ComplexField, vg0: np.ndarray, mass: float, zeta: float) -> float:
@@ -111,13 +87,10 @@ def phase_shift(off_run, on_run) -> float:
 
 def summarize_run(run, vg0: np.ndarray, mass: float, zeta: float) -> np.ndarray:
     """The (n, 5) summary rows of a WaveRun's n snapshots: t, norm, energy
-    at the guiding potential Vg0, norm drift rate and continuity residual,
-    the last two differenced against the previous snapshot (0 for the first)."""
+    at the guiding potential Vg0, the norm drift rate against the previous
+    snapshot (0 for the first) and the number of samples at which the
+    inverse Madelung map clamps |psi|^2 (`madelung.clamped_count`)."""
     snaps = run.snapshots
-    rows = [(snaps[0].t, snaps[0].norm, energy(snaps[0].psi, vg0, mass, zeta), 0.0, 0.0)]
-    for prev, snap in zip(snaps, snaps[1:]):
-        rows.append((snap.t, snap.norm, energy(snap.psi, vg0, mass, zeta),
-                     norm_rate(prev, snap),
-                     continuity_residual_l2(prev.psi.values, snap.psi.values,
-                                            snap.psi.grid, snap.t - prev.t, mass, zeta)))
-    return np.array(rows)
+    rates = [0.0] + [norm_rate(prev, snap) for prev, snap in zip(snaps, snaps[1:])]
+    return np.array([(s.t, s.norm, energy(s.psi, vg0, mass, zeta), rate,
+                      clamped_count(s.psi)) for s, rate in zip(snaps, rates)])

@@ -195,7 +195,7 @@ def _hj_rhs(slopes, pot: PotentialSet, p: DualParams, grid: Grid1D, rows=None):
     mult1 = grid.derivative_multipliers[1, True]
     if closure:
         mult2 = grid.derivative_multipliers[2, True]
-        c = p.zeta / (2.0 * p.kinetic_mass)
+        c = p.kinetic_rate_coeff
         coupling = full_rows((c, -c))
 
     def rate(v, spectral=True):
@@ -316,14 +316,7 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     n_ch, n = len(slopes), grid.n_points
     rate = _hj_rhs(slopes, pot, p, grid)
     if pot.mode == SYMMETRIC_CLOSURE:
-        # as the wave route's kinetic rate, in that operation order
-        kmax = grid.nyquist
-        c = p.zeta / (2.0 * p.kinetic_mass)
-        if not math.isfinite(c * kmax * kmax * dt):
-            raise ConfigurationError(
-                f"closure rate dt * zeta * k_max^2 / (2 kinetic_mass) at zeta = "
-                f"{p.zeta:g}, masses {p.masses} and dt = {dt:g} leaves the float "
-                "range; raise the masses or lower zeta or dt")
+        p.check_kinetic_rate(grid, dt, "closure")
     # the stage sum k1 + 2 k2 + 2 k3 + k4 adds Vg six times per channel
     vmax = pot.max_abs()
     if not math.isfinite(6.0 * vmax):

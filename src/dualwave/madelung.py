@@ -4,7 +4,8 @@ Forward map: psi = exp(i*S0/zeta - S1/zeta), so the phase carries the
 conservative action and the amplitude carries the dissipative channel.
 The inverse needs a 1D phase unwrap (cumulative wrapped differences,
 anchored to the principal value at the first grid point) and an amplitude
-floor at near-zeros of psi. Only S0 and S1 enter psi; further environment
+floor at near-zeros of psi, where it is undefined; `clamped_count` says how
+many samples the floor takes. Only S0 and S1 enter psi; further environment
 channels of a Hamilton-Jacobi run have no wavefunction counterpart here.
 """
 
@@ -64,6 +65,20 @@ def unwrap_phase(theta: np.ndarray) -> np.ndarray:
     return theta[0] + unwrapped
 
 
+def _density_and_floor(psi: ComplexField):
+    """|psi|^2 and the floor the inverse map clamps it at: (AMPLITUDE_FLOOR
+    * max|psi|)^2, but not below the smallest normal float."""
+    v = psi.values
+    amax = float(np.max(np.abs(v)))
+    if amax == 0.0:
+        raise DegenerateWavefunctionError("degenerate wavefunction")
+
+    # at amax below ~1e-142 the relative floor itself would underflow to
+    # zero and S1 to infinity; the smallest normal float keeps it finite
+    floor2 = max((AMPLITUDE_FLOOR * amax) ** 2, np.finfo(float).tiny)
+    return v.real * v.real + v.imag * v.imag, floor2
+
+
 def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
     """Invert the Madelung map: S1 from the amplitude, S0 from the unwrapped phase.
 
@@ -75,15 +90,16 @@ def from_wavefunction(psi: ComplexField, p: DualParams) -> UnwrapResult:
     term that would need S. Raises DegenerateWavefunctionError for psi
     identically zero.
     """
-    v = psi.values
-    amax = float(np.max(np.abs(v)))
-    if amax == 0.0:
-        raise DegenerateWavefunctionError("degenerate wavefunction")
-
-    # at amax below ~1e-142 the relative floor itself would underflow to
-    # zero and S1 to infinity; the smallest normal float keeps it finite
-    floor2 = max((AMPLITUDE_FLOOR * amax) ** 2, np.finfo(float).tiny)
-    rho = (v.real * v.real + v.imag * v.imag)
+    rho, floor2 = _density_and_floor(psi)
     s1 = -0.5 * p.zeta * np.log(np.maximum(rho, floor2))
-    s0 = p.zeta * unwrap_phase(np.angle(v))
+    s0 = p.zeta * unwrap_phase(np.angle(psi.values))
     return UnwrapResult(RealField(s0, psi.grid), RealField(s1, psi.grid))
+
+
+def clamped_count(psi: ComplexField) -> int:
+    """The number of samples whose S1 `from_wavefunction` writes at the
+    clamp: |psi|^2 at or below the floor. There S0 is the phase of
+    rounding noise. Raises DegenerateWavefunctionError for psi
+    identically zero."""
+    rho, floor2 = _density_and_floor(psi)
+    return int(np.count_nonzero(rho <= floor2))

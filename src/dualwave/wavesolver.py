@@ -157,20 +157,12 @@ class WaveScenario:
                 f"potential rate max|Vg| / zeta = {rate:g} at zeta = {z:g} "
                 f"and dt = {self.dt:g} leaves the float range; raise zeta or "
                 f"lower dt or the potentials")
-        # the kinetic multipliers' exponent c k^2 dt, c = zeta / (2 kinetic_mass),
-        # in their operation order; an infinite one gives NaN multipliers
-        kmax = self.grid.nyquist
-        c = z / (2.0 * self.params.kinetic_mass)
-        if not math.isfinite(c * kmax * kmax * self.dt):
-            raise ConfigurationError(
-                f"kinetic rate dt * zeta * k_max^2 / (2 kinetic_mass) at zeta = "
-                f"{z:g}, kinetic_mass = {self.params.kinetic_mass:g} and dt = "
-                f"{self.dt:g} leaves the float range; raise the masses or lower "
-                f"zeta or dt")
+        # an infinite exponent c k^2 dt of the kinetic multipliers gives NaN
+        self.params.check_kinetic_rate(self.grid, self.dt, "kinetic")
         if self.nonlinear_active:
             # conservative for the exponential-midpoint substep; relaxing it
             # needs a convergence study of that substep in dt
-            rate = self.params.zeta * kmax ** 2 / (4.0 * self.params.reduced_mass)
+            rate = self.params.kinetic_rate_coeff * self.grid.nyquist ** 2
             if self.dt * rate >= 0.5:
                 raise ConfigurationError(
                     f"dt * max kinetic eigenvalue = {self.dt * rate:.3g} >= 0.5; "
@@ -274,8 +266,8 @@ class _GeneralizedStepper:
         self.grid, self.dt = grid, dt
         params = [s.params for s in scenarios]
         zs = [p.zeta for p in params]
-        coeffs = [p.zeta / (2.0 * p.kinetic_mass) for p in params]
-        half, full = zip(*(_kinetic_multipliers(grid, c, dt) for c in coeffs))
+        half, full = zip(*(_kinetic_multipliers(grid, p.kinetic_rate_coeff, dt)
+                           for p in params))
         self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
         # nu / z with nu = (z^2/4)(1/m0 - 1/m1): the mass-asymmetry term
         # i nu W / z of the rate only turns the phase, at the real rate nu W / z

@@ -20,7 +20,7 @@ from dualwave.cli import _hj_tables, _sweep_value_spec, load_config, main
 from dualwave.core import BlowUpError, ConfigurationError, snapshot_steps
 from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_run
 from dualwave.hamilton_jacobi import evolve_hj
-from dualwave.madelung import from_wavefunction
+from dualwave.madelung import AMPLITUDE_FLOOR, from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import DEFAULT_GRID, Integration, builtin_by_name, expand
 from dualwave.wavesolver import NONLINEAR_OFF, NONLINEAR_ON, evolve
@@ -182,7 +182,7 @@ class TestRun:
         snaps = read_lines(tmp_path / "plane_wave_dispersion_snapshots.csv")
         assert snaps[0] == "t,x,re_psi,im_psi,rho,S0,S1"
         summary = read_lines(tmp_path / "plane_wave_dispersion_summary.csv")
-        assert summary[0] == "t,norm,energy,drift_rate,continuity_residual"
+        assert summary[0] == "t,norm,energy,drift_rate,clamped_samples"
         # 17 significant digits round-trip 64-bit floats exactly
         val = summary[1].split(",")[1]
         assert float(val) == float(format(float(val), ".17g"))
@@ -533,21 +533,6 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "masses" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("nonlinear", ["on", "off"])
-    def test_continuity_residual_uses_flux_mass(self, tmp_path, nonlinear):
-        # with m0 != m1 the stepped kinetic term is zeta^2 k^2 / (4 m_red):
-        # the flux mass is 2 m_red; differencing with m0 leaves ~1e-2
-        cfg = tmp_path / "asym.ini"
-        cfg.write_text(
-            "[scenario]\nkind = wave\nlabel = asym\n"
-            "initial_type = gaussian\ninitial_sigma = 0.5\n"
-            f"nonlinear = {nonlinear}\n"
-            "[params]\nm0 = 1.0\nm1 = 1.5\n"
-            "[integration]\ndt = 2e-5\nn_steps = 2000\nsnapshot_every = 200\n")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        summary = parse_csv(tmp_path / "asym_summary.csv")
-        assert np.max(summary[:, 4]) < 1e-4
 
     def test_snapshot_cadence_override(self, tmp_path):
         assert main(["run", "--scenario", "plane_wave_dispersion",
@@ -924,6 +909,23 @@ class TestByteContract:
         summary = summarize_run(run, scenario.potentials.values[0],
                                 2.0 * scenario.params.reduced_mass, scenario.params.zeta)
         assert_bitwise(parse_csv(tmp_path / f"{name}_summary.csv"), summary)
+
+    def test_clamped_samples_are_the_s1_cells_at_the_clamp(self, tmp_path):
+        """Each summary row counts the cells of its snapshot whose S1 holds
+        the clamp value -(zeta/2) ln (AMPLITUDE_FLOOR max|psi|)^2, zeta = 1."""
+        name = "free_gaussian_symmetric"
+        assert main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
+        snaps = parse_csv(tmp_path / f"{name}_snapshots.csv")
+        summary = parse_csv(tmp_path / f"{name}_summary.csv")
+        blocks = np.split(snaps, len(summary))
+        assert np.any(summary[:, 4] > 0) and np.any(summary[:, 4] == 0)
+        for row, block in zip(summary, blocks):
+            assert np.all(block[:, 0] == row[0])
+            s1 = block[:, 6]
+            clamp = -0.5 * math.log((AMPLITUDE_FLOOR * math.sqrt(np.max(block[:, 4]))) ** 2)
+            at_clamp = np.isclose(s1, clamp, rtol=1e-13, atol=0.0)
+            assert row[4] == np.count_nonzero(at_clamp)
+            assert np.all(s1[at_clamp] == np.max(s1))
 
     def test_hj_run_keeps_no_gradient_stacks(self, traced_peak):
         """A dense HJ run holds the samples its snapshot CSV writes and

@@ -13,9 +13,11 @@ from dualwave.core import (
 )
 from dualwave.madelung import (
     DegenerateWavefunctionError,
+    clamped_count,
     from_wavefunction,
     to_wavefunction,
 )
+from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
 
 GRID = Grid1D(256, 0.0, 2.0 * math.pi)
 P = DualParams(masses=(1.0, 1.0))
@@ -102,6 +104,8 @@ class TestInverseMap:
     def test_degenerate_wavefunction_rejected(self):
         with pytest.raises(DegenerateWavefunctionError):
             from_wavefunction(ComplexField.zeros(GRID), P)
+        with pytest.raises(DegenerateWavefunctionError):
+            clamped_count(ComplexField.zeros(GRID))
 
     def test_anchor_at_reference_index(self):
         # the unwrapped phase is anchored to its principal value at index 0
@@ -109,6 +113,17 @@ class TestInverseMap:
         res = from_wavefunction(psi, P)
         principal = float(np.angle(psi.values[0]))
         assert res.s0.values[0] == P.zeta * principal
+
+
+class TestClampedCount:
+    @pytest.mark.parametrize("name, count", [
+        ("free_gaussian_symmetric", 485), ("harmonic_ground_symmetric", 263),
+        ("interference_two_gaussian", 229), ("plane_wave_dispersion", 0)])
+    def test_initial_state_counts(self, name, count):
+        # a Gaussian tail falls below (1e-12 max|psi|)^2 in |psi|^2 on the
+        # default grid; a plane wave has no small sample
+        psi = expand(builtin_by_name(name), DEFAULT_GRID).scenario.psi0
+        assert clamped_count(psi) == count
 
 
 def reference_from_wavefunction(v, zeta):

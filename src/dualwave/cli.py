@@ -11,7 +11,8 @@ Every run writes two CSV files, `<name>_snapshots.csv` and
 `<name>_summary.csv`. Floats are serialized with 17 significant digits so
 the files round-trip 64-bit values exactly; identical configurations
 produce byte-identical output. A wave run's summary rows and a sweep
-point's rates and phase shift come from `diagnostics`.
+point's rates and phase shift come from `diagnostics`; `scenarios.FIELDS`
+lists every scenario field, and this module only parses their values.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from dualwave.scenarios import (
     ExpandedHJ,
     ExpandedOscillator,
     ExpandedWave,
+    FIELDS,
     Integration,
     ScenarioSpec,
     builtin_by_name,
@@ -306,10 +308,8 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
             f"label {name!r} must be 1-100 letters, digits or '_.+-'; "
             "it names the output files")
     if kind == "oscillator":
-        osc = {"formalism": scen.get("formalism", "bateman")}
-        for key in ("gamma", "omega", "mass", "x0", "v0", "y0", "vy0"):
-            if key in scen:
-                osc[key] = _number(scen, key)
+        osc = {key: scen[key] if key == "formalism" else _number(scen, key)
+               for key in FIELDS["oscillator"] if key in scen}
         return ScenarioSpec(name=name, kind=kind, integration=integ, osc=osc)
     if kind == "hj":
         channels = []
@@ -323,8 +323,7 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
         if initial is None:
             raise ConfigurationError("wave scenario needs initial_type keys")
         n_channels = 2
-        modes = {"closure_mode": scen.get("closure_mode", "symmetric_closure"),
-                 "nonlinear_term": scen.get("nonlinear", "auto")}
+        modes = {"closure_mode": scen["closure_mode"]} if "closure_mode" in scen else {}
     else:
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
     # one guiding potential per channel, for both kinds
@@ -341,8 +340,11 @@ def _custom_spec(parser, scen, integ: Integration) -> ScenarioSpec:
 # --------------------------------------------------------------------------
 
 def _source(args):
-    """(spec, grid, out_dir) from `--config` or `--scenario`; `--out`
-    overrides the output directory."""
+    """(spec, grid, out_dir) from exactly one of `--config` and
+    `--scenario`; `--out` overrides the output directory."""
+    if bool(args.config) == bool(args.scenario):
+        raise ConfigurationError(
+            f"{args.command}: give one of --scenario NAME and --config FILE")
     if args.config:
         spec, grid, out_dir = load_config(args.config)
     else:
@@ -360,8 +362,6 @@ def cmd_run(args) -> int:
     code = run_scenario_to_files(spec, grid, out_dir)
     if code == EXIT_BLOWUP:
         print(f"blow-up: partial output written to {out_dir}", file=sys.stderr)
-    elif args.verbose:
-        print(f"wrote {out_dir / (spec.name + '_snapshots.csv')} and summary")
     return code
 
 
@@ -513,7 +513,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="INI config file")
     p_run.add_argument("--out", help="output directory (default runs/)")
     p_run.add_argument("--snapshot-every", type=int, default=None)
-    p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")
@@ -531,10 +530,6 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    if args.command in ("run", "sweep") and not (args.scenario or args.config):
-        print(f"{args.command}: need --scenario NAME or --config FILE",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigurationError as err:

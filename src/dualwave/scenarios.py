@@ -3,9 +3,10 @@
 A ScenarioSpec binds initial data, potentials, physical parameters and
 integration settings; `expand` turns it into solver-ready inputs on a
 concrete grid. Descriptors are plain dicts with a "type" key so they map
-one-to-one onto config-file sections. Expansion is a pure function: two
-expansions of the same spec are bitwise identical, and nothing is seeded
-because nothing is random.
+one-to-one onto config-file sections; `FIELDS` is the one list of their
+fields and the oscillator keys, and expansion rejects any other. It is a
+pure function: two expansions of the same spec are bitwise identical, and
+nothing is seeded because nothing is random.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class ScenarioSpec:
     hbar: float = 1.0
     zeta: float | None = None
     closure_mode: str = SYMMETRIC_CLOSURE
-    nonlinear_term: str = "auto"
     osc: dict = field(default_factory=dict)
 
     def dual_params(self) -> DualParams:
@@ -91,6 +91,40 @@ class ExpandedOscillator:
 # Descriptor expansion
 # --------------------------------------------------------------------------
 
+# The one list of scenario fields: for each initial-data, potential and
+# action-channel type, and for the oscillator keys, each field and its
+# default; a required field's default is None.
+FIELDS = {
+    "initial-data": {"gaussian": {"sigma": 0.5, "center": 0.0, "k": 0.0},
+                     "plane_wave": {"mode": None},
+                     "two_gaussian": {"sigma": 0.5, "center": 0.0, "separation": None,
+                                      "k_rel": 0.0}},
+    "potential": {"none": {}, "harmonic": {"omega": 1.0}, "constant": {"v0": None},
+                  "double_well": {"a": 0.01, "b": 2.0}},
+    "action channel": {"zero": {}, "linear": {"slope": 0.0}, "quadratic": {"coeff": -0.5}},
+    "oscillator": {"formalism": "bateman", "mass": 1.0, "omega": 1.0, "gamma": 0.0,
+                   "x0": 1.0, "v0": 0.0, "y0": 0.0, "vy0": 0.0},
+}
+
+
+def _fields(desc: dict, group: str, default_type=None) -> dict:
+    """The fields of `desc`, a descriptor of `group` (its type is its "type"
+    key, else `default_type`) or the oscillator keys, with the defaults of
+    FIELDS filled in. A field FIELDS does not list is a ConfigurationError
+    that names it; a missing required field is the KeyError `expand` reports."""
+    table, what = FIELDS[group], group
+    if group != "oscillator":
+        kind = desc.get("type", default_type)
+        if kind not in table:
+            raise ConfigurationError(f"unknown {group} type {kind!r}")
+        table, what = {"type": kind, **table[kind]}, f"{group} type {kind!r}"
+    for key in desc:
+        if key not in table:
+            raise ConfigurationError(f"{what} has no field {key!r}")
+    return {key: desc[key] if default is None else desc.get(key, default)
+            for key, default in table.items()}
+
+
 def _check_wavenumber(k: float, grid: Grid1D, name: str):
     if abs(k) >= 0.5 * grid.nyquist:
         raise ConfigurationError(
@@ -111,38 +145,25 @@ def _gaussian(grid, sigma, center, k):
 
 def expand_initial_wave(desc: dict, grid: Grid1D) -> ComplexField:
     """Build and unit-normalize the initial wavefunction from its descriptor."""
-    kind = desc.get("type")
-    if kind == "gaussian":
-        sigma = float(desc.get("sigma", 0.5))
-        center = float(desc.get("center", 0.0))
-        k = float(desc.get("k", 0.0))
-        _check_width(sigma, grid, "initial.sigma")
-        _check_wavenumber(k, grid, "initial.k")
-        values = _gaussian(grid, sigma, center, k)
-    elif kind == "plane_wave":
-        if "mode" in desc:
-            mode = int(desc["mode"])
-            k = 2.0 * np.pi * mode / grid.length
-        else:
-            k = float(desc["k"])
-            mode = k * grid.length / (2.0 * np.pi)
-            if abs(mode - round(mode)) > 1e-9:
-                raise ConfigurationError(
-                    f"initial.k = {k:g} is not a harmonic of the periodic domain")
-        _check_wavenumber(k, grid, "initial.k")
+    f = _fields(desc, "initial-data")
+    if f["type"] == "plane_wave":
+        mode = int(f["mode"])
+        k = 2.0 * np.pi * mode / grid.length
+        _check_wavenumber(k, grid, f"initial.mode = {mode}: k")
         values = np.exp(1j * k * grid.x)
-    elif kind == "two_gaussian":
-        sigma = float(desc.get("sigma", 0.5))
-        separation = float(desc["separation"])
-        k_rel = float(desc.get("k_rel", 0.0))
-        center = float(desc.get("center", 0.0))
-        _check_width(sigma, grid, "initial.sigma")
-        _check_wavenumber(k_rel, grid, "initial.k_rel")
-        left = _gaussian(grid, sigma, center - 0.5 * separation, +k_rel)
-        right = _gaussian(grid, sigma, center + 0.5 * separation, -k_rel)
-        values = left + right
     else:
-        raise ConfigurationError(f"unknown initial-data type {kind!r}")
+        sigma, center = float(f["sigma"]), float(f["center"])
+        _check_width(sigma, grid, "initial.sigma")
+        if f["type"] == "gaussian":
+            k = float(f["k"])
+            _check_wavenumber(k, grid, "initial.k")
+            values = _gaussian(grid, sigma, center, k)
+        else:
+            separation, k_rel = float(f["separation"]), float(f["k_rel"])
+            _check_wavenumber(k_rel, grid, "initial.k_rel")
+            left = _gaussian(grid, sigma, center - 0.5 * separation, +k_rel)
+            right = _gaussian(grid, sigma, center + 0.5 * separation, -k_rel)
+            values = left + right
     psi = ComplexField(values, grid)
     nrm = field_norm(psi)
     if nrm <= 0:
@@ -152,37 +173,23 @@ def expand_initial_wave(desc: dict, grid: Grid1D) -> ComplexField:
 
 def expand_potential(desc, grid: Grid1D, mass: float) -> RealField:
     """Build one potential field from its descriptor (None means zero)."""
-    if desc is None:
-        return RealField.zeros(grid)
-    kind = desc.get("type", "none")
+    f = _fields(desc or {}, "potential", "none")
     x = grid.x
-    if kind == "none":
-        return RealField.zeros(grid)
-    if kind == "harmonic":
-        omega = float(desc.get("omega", 1.0))
-        return RealField(0.5 * mass * omega ** 2 * x ** 2, grid)
-    if kind == "constant":
-        return RealField(np.full(grid.n_points, float(desc["v0"])), grid)
-    if kind == "double_well":
-        a = float(desc.get("a", 0.01))
-        b = float(desc.get("b", 2.0))
-        return RealField(a * (x ** 2 - b ** 2) ** 2, grid)
-    raise ConfigurationError(f"unknown potential type {kind!r}")
+    if f["type"] == "harmonic":
+        return RealField(0.5 * mass * float(f["omega"]) ** 2 * x ** 2, grid)
+    if f["type"] == "constant":
+        return RealField(np.full(grid.n_points, float(f["v0"])), grid)
+    if f["type"] == "double_well":
+        return RealField(float(f["a"]) * (x ** 2 - float(f["b"]) ** 2) ** 2, grid)
+    return RealField.zeros(grid)
 
 
 def expand_action_channel(desc, grid: Grid1D):
     """Returns (RealField periodic part, slope) for one action channel."""
-    if desc is None:
-        return RealField.zeros(grid), 0.0
-    kind = desc.get("type", "zero")
-    if kind == "zero":
-        return RealField.zeros(grid), 0.0
-    if kind == "linear":
-        return RealField.zeros(grid), float(desc.get("slope", 0.0))
-    if kind == "quadratic":
-        coeff = float(desc.get("coeff", -0.5))
-        return RealField(coeff * grid.x ** 2, grid), 0.0
-    raise ConfigurationError(f"unknown action channel type {kind!r}")
+    f = _fields(desc or {}, "action channel", "zero")
+    if f["type"] == "quadratic":
+        return RealField(float(f["coeff"]) * grid.x ** 2, grid), 0.0
+    return RealField.zeros(grid), float(f.get("slope", 0.0))
 
 
 def _expand_potentials(spec: ScenarioSpec, grid: Grid1D, n_channels: int) -> PotentialSet:
@@ -227,7 +234,6 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
             n_steps=spec.integration.n_steps,
             snapshot_every=spec.integration.snapshot_every,
             closure_mode=spec.closure_mode,
-            nonlinear_term=spec.nonlinear_term,
         )
         return ExpandedWave(scenario=scenario)
 
@@ -253,17 +259,15 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
                           integration=spec.integration)
 
     if spec.kind == KIND_OSCILLATOR:
-        osc = spec.osc
-        formalism = osc.get("formalism", "bateman")
+        osc = _fields(spec.osc, "oscillator")
+        formalism = osc["formalism"]
         table = FORMALISMS.get(formalism)
         if table is None:
             raise ConfigurationError(f"unknown oscillator formalism {formalism!r}")
-        mass = float(osc.get("mass", 1.0))
-        omega = float(osc.get("omega", 1.0))
-        gamma = float(osc.get("gamma", 0.0))
-        params = OscParams(mass=mass, gamma=gamma, stiffness=mass * omega ** 2)
-        state0 = np.array([float(osc.get(key, default)) for key, default in
-                           (("x0", 1.0), ("v0", 0.0), ("y0", 0.0), ("vy0", 0.0))])
+        mass, omega = float(osc["mass"]), float(osc["omega"])
+        params = OscParams(mass=mass, gamma=float(osc["gamma"]),
+                           stiffness=mass * omega ** 2)
+        state0 = np.array([float(osc[key]) for key in ("x0", "v0", "y0", "vy0")])
         return ExpandedOscillator(
             formalism=formalism, state0=state0[:len(table.columns)],
             params=params, integration=spec.integration)

@@ -183,9 +183,8 @@ def crit_residual_mass_term(cache):
     out = [_lt("residual_mass_term[bracket]", dev, 1e-10)]
 
     spec = builtin_by_name("residual_mass_plane_wave")
-    sym = dataclasses.replace(spec, masses=(1.0, 1.0),
-                              nonlinear_term=NONLINEAR_ON)
-    scen = expand(sym, grid).scenario
+    sym = expand(dataclasses.replace(spec, masses=(1.0, 1.0)), grid).scenario
+    scen = dataclasses.replace(sym, nonlinear_term=NONLINEAR_ON)
     on, off = _runs_or_raise(evolve_many(
         [scen, dataclasses.replace(scen, nonlinear_term=NONLINEAR_OFF)]))
     shift = abs(phase_shift(off, on))

@@ -22,7 +22,7 @@ from dualwave.diagnostics import norm_rate, phase_rate, phase_shift, summarize_r
 from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import AMPLITUDE_FLOOR, from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
-from dualwave.scenarios import DEFAULT_GRID, Integration, builtin_by_name, expand
+from dualwave.scenarios import DEFAULT_GRID, FIELDS, Integration, builtin_by_name, expand
 from dualwave.wavesolver import NONLINEAR_OFF, NONLINEAR_ON, evolve
 
 def read_lines(path):
@@ -174,6 +174,28 @@ ASYM_EDGE_INI = ("[grid]\nn = 64\nx_min = -5\nx_max = 5\n"
                  "[integration]\ndt = 4e-3\nn_steps = {n_steps}\nsnapshot_every = 200\n")
 
 
+# a field that its descriptor type, or the oscillator, does not list, with
+# the line that names it
+UNLISTED_FIELDS = {
+    "misspelt_initial_field": (
+        WAVE_INI.replace("initial_sigma = 0.5\n", "initial_sigam = 2.0\n"),
+        "initial-data type 'gaussian' has no field 'sigam'"),
+    "field_of_another_potential_type": (
+        WAVE_INI.replace("kind = wave\n",
+                         "kind = wave\nvg0_type = none\nvg0_omega = 3.0\n"),
+        "potential type 'none' has no field 'omega'"),
+    "slope_on_zero_channel": (
+        HJ_LINEAR_INI.format(keys="").replace(
+            "channel1_type = zero\n", "channel1_type = zero\nchannel1_slope = 2.0\n"),
+        "action channel type 'zero' has no field 'slope'"),
+    # k = 2 pi 8 / 20, a harmonic of the default domain
+    "plane_wave_k": (
+        WAVE_INI.replace("initial_type = gaussian\ninitial_sigma = 0.5\n",
+                         "initial_type = plane_wave\ninitial_k = 2.5132741228718345\n"),
+        "initial-data type 'plane_wave' has no field 'k'"),
+}
+
+
 class TestRun:
     def test_wave_run_writes_contracted_csvs(self, tmp_path):
         code = main(["run", "--scenario", "plane_wave_dispersion",
@@ -246,6 +268,8 @@ class TestRun:
         (HJ_LINEAR_INI.format(keys="potential_mode = symmetric_closure\n")
          + "[params]\nm0 = 4e-309\nm1 = 4e-309\n", []),
         (HUGE_ZETA_CLOSURE_HJ_INI, []),
+        *((ini, []) for ini, _ in UNLISTED_FIELDS.values()),
+        (WAVE_INI.replace("kind = wave\n", "kind = wave\nnonlinear = auto\n"), []),
     ], ids=["grid_not_number", "scenario_not_number", "n_steps_not_int",
             "wave_samples_without_values", "hj_samples_without_values",
             "oscillator_dt_negative", "oscillator_snapshot_every_0",
@@ -261,7 +285,8 @@ class TestRun:
             "bare_vc0_type_key", "builtin_with_unread_vg0", "misspelt_initial_key",
             "hj_with_nonlinear_key", "unknown_section", "schedule_beyond_memory",
             "hj_inverse_mass_overflows", "hj_inverse_mass_overflows_at_zero_gradient",
-            "hj_closure_coefficient_overflows", "hj_closure_rate_overflows"])
+            "hj_closure_coefficient_overflows", "hj_closure_rate_overflows",
+            *UNLISTED_FIELDS, "wave_nonlinear_key"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, ini, flags):
         if ini is not None:
             cfg = tmp_path / "bad.ini"
@@ -275,6 +300,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", UNLISTED_FIELDS)
+    def test_unlisted_field_is_named(self, tmp_path, capsys, case):
+        ini, line = UNLISTED_FIELDS[case]
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {line}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "free_gaussian_symmetric"],
+        ["sweep", "--scenario", "residual_mass_plane_wave", "--param", "m1",
+         "--values", "1.0"],
+    ], ids=["run", "sweep"])
+    def test_scenario_and_config_together_exit_2(self, tmp_path, capsys, command):
+        # each command takes its scenario from exactly one source
+        cfg = tmp_path / "both.ini"
+        cfg.write_text("[scenario]\nname = plane_wave_dispersion\n"
+                       if command[0] == "sweep" else HJ_LINEAR_INI.format(keys=""))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {command[0]}: give one of --scenario NAME "
+            "and --config FILE\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("ini", [
@@ -1099,6 +1149,22 @@ class TestReadmeSchema:
             cfg.write_text(ini)
             assert main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / kind)]) == 0, kind
+
+
+    def test_every_field_is_listed(self):
+        """Each field of `scenarios.FIELDS` is a line of the README
+        [scenario] block, as a key of its group with its default."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("[scenario]\n", 1)[1].split("[integration]", 1)[0]
+        prefixes = {"initial-data": "initial_", "potential": "vg0_",
+                    "action channel": "channel0_", "oscillator": ""}
+        for group, table in FIELDS.items():
+            fields = (table if group == "oscillator" else
+                      {f: d for kind in table.values() for f, d in kind.items()})
+            for field, default in fields.items():
+                value = "(required)" if default is None else default
+                line = f"; {prefixes[group]}{field} = {value}"
+                assert re.search(f"^{re.escape(line)}( |$)", block, re.M), line
 
 
 class TestConfigFuzz:

@@ -73,10 +73,36 @@ class TestExpansion:
             expand(spec, DEFAULT_GRID)
 
     def test_non_harmonic_wavenumber_rejected(self):
+        # a plane wave is given by its integer mode alone
         spec = ScenarioSpec(name="bad", kind="wave",
                             integration=Integration(1e-3, 10),
                             initial={"type": "plane_wave", "k": 3.0})
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=
+                           "^initial-data type 'plane_wave' has no field 'k'$"):
+            expand(spec, DEFAULT_GRID)
+
+    @pytest.mark.parametrize("changes, line", [
+        ({"osc": {"formalism": "bateman", "gama": 0.2}}, "oscillator has no field 'gama'"),
+        ({"initial": {"type": "gaussian", "sigam": 2.0}},
+         "initial-data type 'gaussian' has no field 'sigam'"),
+        ({"potentials": {"vg1": {"type": "constant", "v0": 1.0, "omega": 2.0}}},
+         "potential type 'constant' has no field 'omega'"),
+        ({"kind": "hj", "initial": {"channels": [{"type": "linear", "coeff": 1.0}]}},
+         "action channel type 'linear' has no field 'coeff'"),
+    ], ids=["oscillator", "initial", "potential", "channel"])
+    def test_unlisted_field_rejected(self, changes, line):
+        base = {"kind": "oscillator"} if "osc" in changes else {
+            "kind": "wave", "initial": {"type": "gaussian"}}
+        spec = ScenarioSpec(name="bad", integration=Integration(1e-3, 10),
+                            **{**base, **changes})
+        with pytest.raises(ConfigurationError, match=f"^{line}$"):
+            expand(spec, DEFAULT_GRID)
+
+    def test_missing_required_field_named(self):
+        spec = ScenarioSpec(name="bad", kind="wave", integration=Integration(1e-3, 10),
+                            initial={"type": "two_gaussian"})
+        with pytest.raises(ConfigurationError, match="^scenario 'bad' is missing "
+                           "the descriptor key 'separation'$"):
             expand(spec, DEFAULT_GRID)
 
     def test_under_resolved_packet_rejected(self):

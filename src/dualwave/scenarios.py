@@ -106,6 +106,9 @@ FIELDS = {
                    "x0": 1.0, "v0": 0.0, "y0": 0.0, "vy0": 0.0},
 }
 
+# The oscillator's state keys; a formalism of n columns reads the first n.
+STATE_KEYS = ("x0", "v0", "y0", "vy0")
+
 
 def _fields(desc: dict, group: str, default_type=None) -> dict:
     """The fields of `desc`, a descriptor of `group` (its type is its "type"
@@ -193,6 +196,11 @@ def expand_action_channel(desc, grid: Grid1D):
 
 
 def _expand_potentials(spec: ScenarioSpec, grid: Grid1D, n_channels: int) -> PotentialSet:
+    names = ["mode"] + [f"vg{i}" for i in range(n_channels)]
+    for key in spec.potentials:
+        if key not in names:
+            raise ConfigurationError(
+                f"a scenario of {n_channels} channels has no potential {key!r}")
     vg = tuple(expand_potential(spec.potentials.get(f"vg{i}"), grid, spec.masses[0])
                for i in range(n_channels))
     return PotentialSet(vg=vg, mode=spec.potentials.get("mode", EXPLICIT))
@@ -267,10 +275,13 @@ def _expand_kind(spec: ScenarioSpec, grid: Grid1D):
         mass, omega = float(osc["mass"]), float(osc["omega"])
         params = OscParams(mass=mass, gamma=float(osc["gamma"]),
                            stiffness=mass * omega ** 2)
-        state0 = np.array([float(osc[key]) for key in ("x0", "v0", "y0", "vy0")])
-        return ExpandedOscillator(
-            formalism=formalism, state0=state0[:len(table.columns)],
-            params=params, integration=spec.integration)
+        n = len(table.columns)
+        for key in STATE_KEYS[n:]:
+            if key in spec.osc:
+                raise ConfigurationError(f"formalism {formalism!r} has no field {key!r}")
+        state0 = np.array([float(osc[key]) for key in STATE_KEYS[:n]])
+        return ExpandedOscillator(formalism=formalism, state0=state0,
+                                  params=params, integration=spec.integration)
 
     raise ConfigurationError(f"unknown scenario kind {spec.kind!r}")
 

@@ -215,14 +215,6 @@ class WaveRun:
 # Term evaluation
 # --------------------------------------------------------------------------
 
-def _stacked(values):
-    """Per-row values stacked along a leading row axis: arrays to (P, N),
-    scalars to a (P, 1) column."""
-    if isinstance(values[0], np.ndarray):
-        return np.stack(values)
-    return np.reshape(values, (-1, 1))
-
-
 def _asymmetry_potential(v: np.ndarray, grid: Grid1D, grad=None) -> np.ndarray:
     """W = |grad psi|^2 / |psi|^2, the denominator floored at
     (W_DENOMINATOR_FLOOR max|psi|)^2, for each row of v along its last axis;
@@ -255,12 +247,11 @@ class _GeneralizedStepper:
     Row p belongs to scenarios[p]. The rows share the grid, dt and
     nonlinear term and may differ in masses, zeta and potentials.
     Each row's operands are built from its scenario alone, by the
-    expressions a single run uses, and then stacked (`_stacked`), so each
-    row steps bit for bit as it would alone.
+    expressions a single run uses, and then stacked, so each row steps bit
+    for bit as it would alone.
     """
 
     def __init__(self, scenarios):
-        self.scenarios = scenarios = list(scenarios)
         self.nonlinear = scenarios[0].nonlinear_active
         grid, dt = scenarios[0].grid, scenarios[0].dt
         self.grid, self.dt = grid, dt
@@ -268,24 +259,20 @@ class _GeneralizedStepper:
         zs = [p.zeta for p in params]
         half, full = zip(*(_kinetic_multipliers(grid, p.kinetic_rate_coeff, dt)
                            for p in params))
-        self.kinetic_half, self.kinetic_full = _stacked(half), _stacked(full)
+        self.kinetic_half, self.kinetic_full = np.stack(half), np.stack(full)
         # nu / z with nu = (z^2/4)(1/m0 - 1/m1): the mass-asymmetry term
         # i nu W / z of the rate only turns the phase, at the real rate nu W / z
-        self.asymmetry_freq = _stacked(
-            [(0.25 * z * z * p.residual_inv_mass) / z for z, p in zip(zs, params)])
+        self.asymmetry_freq = np.reshape([(0.25 * z * z * p.residual_inv_mass) / z
+                                          for z, p in zip(zs, params)], (-1, 1))
         # (1/iz) * [vg0 + i*vg1] = (vg1 - i*vg0)/z
         base_a = [(s.potentials.values[1] - 1j * s.potentials.values[0]) / z
                   for s, z in zip(scenarios, zs)]
-        self.base_a = _stacked(base_a)
+        self.base_a = np.stack(base_a)
         # a strongly growing Vg1 overflows to inf, which the snapshot check reports
         with np.errstate(over="ignore"):
-            self.linear_half = _stacked([np.exp((0.5 * dt) * a) for a in base_a])
-            self.linear_base = _stacked([np.exp(dt * a) for a in base_a])
+            self.linear_half = np.stack([np.exp((0.5 * dt) * a) for a in base_a])
+            self.linear_base = np.stack([np.exp(dt * a) for a in base_a])
         self.tail_bound = SPECTRAL_TAIL_BOUND if self.nonlinear else math.inf
-
-    def select(self, keep) -> "_GeneralizedStepper":
-        """The stepper of the rows `keep` only."""
-        return _GeneralizedStepper([self.scenarios[i] for i in keep])
 
     def asymmetry_rate(self, v: np.ndarray, grad=None) -> np.ndarray:
         """nu W(v) / z, the real rate at which the mass-asymmetry term
@@ -367,44 +354,39 @@ def _integrate(stepper, v: np.ndarray, steps: list, records: list) -> list:
     norm has underflowed to zero (no diagnostic or inverse map is defined
     there), and at one whose spectral tail fraction exceeds the stepper's
     `tail_bound` and then (by one FFT) SPECTRAL_TAIL_GROWTH times its share
-    at t = 0; rows are checked at snapshot steps only. The other rows go
-    on with the stepper of the rows left (`stepper.select`, needed only
-    for P > 1), which is bitwise safe because every segment already starts
-    from the full Strang state.
+    at t = 0; rows are checked at snapshot steps only. A stopped row is
+    stepped on with its stack, unread, until the stack's last live row
+    ends: no other row reads it, so the live rows keep their bytes, and its
+    inf, NaN or zero values stay inside the loop's `np.errstate`. The
+    trade-off is that a stack keeps paying for a stopped row.
     """
     grid, dt, v0 = stepper.grid, stepper.dt, v
     for record, row in zip(records, v):
         record.add(Snapshot(0.0, ComplexField(row.copy(), grid)))
     results = list(records)
-    alive = list(range(len(records)))
     for start, step in zip(steps, steps[1:]):
         # the snapshot check below reports any overflow or NaN as a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
             v, tail = _strang_steps(v, stepper, step - start)
         # False for a NaN or infinite maximum too
         bounded = np.max(np.abs(v), axis=-1) <= OVERFLOW_THRESHOLD
-        keep = []
-        for row, run_index in enumerate(alive):
+        for row, record in enumerate(records):
+            if isinstance(results[row], BlowUpError):
+                continue
             snap = Snapshot(step * dt, ComplexField(v[row].copy(), grid))
             if not bounded[row]:
                 cause = "blow-up"
             elif snap.norm == 0.0:
                 cause = "norm underflowed to zero"
             elif tail[row] > stepper.tail_bound and tail[row] > SPECTRAL_TAIL_GROWTH * (
-                    _tail_fraction(np.fft.fft(v0[run_index]), grid)):
+                    _tail_fraction(np.fft.fft(v0[row]), grid)):
                 cause = f"spectral tail {tail[row]:.2e}"
             else:
-                records[run_index].add(snap)
-                keep.append(row)
+                record.add(snap)
                 continue
-            results[run_index] = BlowUpError(
-                f"{cause} at step {step}", step=step, partial=records[run_index])
-        if len(keep) < len(alive):
-            if not keep:
-                break
-            alive = [alive[row] for row in keep]
-            v = v[keep]
-            stepper = stepper.select(keep)
+            results[row] = BlowUpError(f"{cause} at step {step}", step=step, partial=record)
+        if all(isinstance(result, BlowUpError) for result in results):
+            break
     return results
 
 
@@ -424,8 +406,9 @@ def evolve_many(scenarios, records=None) -> list:
     `records[i]` receives scenario i's snapshots (`_integrate`); by default
     each is a new WaveRun. Returns, in input order, each scenario's record
     or the BlowUpError, carrying its partial record, that stopped it (see
-    `evolve`); a row that stops leaves its stack and the others go on.
-    Every run is bitwise equal to `evolve` of its scenario alone.
+    `evolve`); a row that stops is stepped on with its stack, unread, until
+    the stack's last live row ends. Every run is bitwise equal to `evolve`
+    of its scenario alone.
     """
     if records is None:
         records = [WaveRun() for _ in scenarios]

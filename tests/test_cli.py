@@ -193,6 +193,15 @@ UNLISTED_FIELDS = {
         WAVE_INI.replace("initial_type = gaussian\ninitial_sigma = 0.5\n",
                          "initial_type = plane_wave\ninitial_k = 2.5132741228718345\n"),
         "initial-data type 'plane_wave' has no field 'k'"),
+    # ck has the columns x and xdot only
+    "ck_y0": (
+        "[scenario]\nkind = oscillator\nlabel = ck\nformalism = ck\ny0 = 5.0\n"
+        "[integration]\ndt = 1e-3\nn_steps = 10\n",
+        "formalism 'ck' has no field 'y0'"),
+    "ck_vy0": (
+        "[scenario]\nkind = oscillator\nlabel = ck\nformalism = ck\nvy0 = 0.5\n"
+        "[integration]\ndt = 1e-3\nn_steps = 10\n",
+        "formalism 'ck' has no field 'vy0'"),
 }
 
 

@@ -89,7 +89,14 @@ class TestExpansion:
          "potential type 'constant' has no field 'omega'"),
         ({"kind": "hj", "initial": {"channels": [{"type": "linear", "coeff": 1.0}]}},
          "action channel type 'linear' has no field 'coeff'"),
-    ], ids=["oscillator", "initial", "potential", "channel"])
+        ({"osc": {"formalism": "ck", "y0": 5.0}}, "formalism 'ck' has no field 'y0'"),
+        ({"osc": {"formalism": "ck", "vy0": 0.5}}, "formalism 'ck' has no field 'vy0'"),
+        ({"potentials": {"vg2": {"type": "harmonic"}}},
+         "a scenario of 2 channels has no potential 'vg2'"),
+        ({"potentials": {"vc0": {"type": "none"}}},
+         "a scenario of 2 channels has no potential 'vc0'"),
+    ], ids=["oscillator", "initial", "potential", "channel", "ck_y0", "ck_vy0",
+            "wave_vg2", "wave_vc0"])
     def test_unlisted_field_rejected(self, changes, line):
         base = {"kind": "oscillator"} if "osc" in changes else {
             "kind": "wave", "initial": {"type": "gaussian"}}
@@ -97,6 +104,15 @@ class TestExpansion:
                             **{**base, **changes})
         with pytest.raises(ConfigurationError, match=f"^{line}$"):
             expand(spec, DEFAULT_GRID)
+
+    def test_potential_of_each_hj_channel_expands(self):
+        spec = ScenarioSpec(name="three", kind="hj", integration=Integration(1e-3, 10),
+                            initial={"channels": [{"type": "linear", "slope": 1.0},
+                                                  {"type": "zero"}, {"type": "zero"}]},
+                            masses=(1.0, 1.0, 1.0),
+                            potentials={"vg2": {"type": "constant", "v0": 0.5}})
+        vg = expand(spec, DEFAULT_GRID).potentials.vg
+        assert len(vg) == 3 and np.all(vg[2].values == 0.5)
 
     def test_missing_required_field_named(self):
         spec = ScenarioSpec(name="bad", kind="wave", integration=Integration(1e-3, 10),

@@ -541,6 +541,47 @@ class TestStackedRows:
         assert [(err.step, len(err.partial.snapshots)) for err in failed] == [(50, 2)]
         assert all(len(r.snapshots) == 4 for r in results if isinstance(r, WaveRun))
 
+    @staticmethod
+    def losing_stack(kind):
+        """A stack that loses rows mid-run. nonlinear: [grow, quiet, grow],
+        mass-asymmetric plane waves, where grow's constant Vg1 = 3e5
+        overflows at step 100; linear: norm_drift_constant_Vg1 at decay
+        rate lambda = 1000, whose norm underflows at step 400, beside
+        lambda = 0.5."""
+        if kind == "nonlinear":
+            base = builtin_by_name("residual_mass_plane_wave")
+            grow = dataclasses.replace(
+                base, potentials={"vg1": {"type": "constant", "v0": 3e5}})
+            specs = [grow, dataclasses.replace(base, masses=(1.0, 1.2)), grow]
+        else:
+            base = builtin_by_name("norm_drift_constant_Vg1")
+            specs = [dataclasses.replace(
+                base, potentials={"vg1": {"type": "constant", "v0": -lam}})
+                for lam in (1000.0, 0.5)]
+        return [expand(spec, GRID).scenario for spec in specs]
+
+    @pytest.mark.parametrize("kind, stops", [
+        ("nonlinear", [(100, 1), (100, 1)]),
+        ("linear", [(400, 4)]),
+    ], ids=["nonlinear", "linear"])
+    def test_stopped_row_leaves_live_rows_unchanged(self, kind, stops):
+        # a stopped row is stepped on with its stack, unread: each live row
+        # equals its run alone in every snapshot, and each stopped row has
+        # the error and partial record of its run alone
+        stack = self.losing_stack(kind)
+        results = evolve_many(stack)
+        for scenario, got in zip(stack, results):
+            try:
+                want = evolve(scenario)
+            except BlowUpError as err:
+                assert isinstance(got, BlowUpError)
+                assert (got.step, str(got)) == (err.step, str(err))
+                got, want = got.partial, err.partial
+            assert_same_run(got, want)
+        assert [(err.step, len(err.partial.snapshots)) for err in results
+                if isinstance(err, BlowUpError)] == stops
+        assert all(len(r.snapshots) == 11 for r in results if isinstance(r, WaveRun))
+
     def test_rows_of_other_stepping_form_their_own_stack(self):
         base = expand(builtin_by_name("plane_wave_dispersion"), GRID).scenario
         short = dataclasses.replace(base, n_steps=40, snapshot_every=20)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from dualwave import core
-from dualwave.core import BlowUpError, ConfigurationError, Grid1D, integrate, snapshot_steps
+from dualwave.core import BlowUpError, ConfigurationError, Grid1D, snapshot_steps
 from dualwave.diagnostics import (
     norm_rate,
     overlap_phase,
@@ -36,7 +36,7 @@ from dualwave.diagnostics import (
     summarize_run,
     unwrapped_rate,
 )
-from dualwave.hamilton_jacobi import evolve_hj, participation_metric
+from dualwave.hamilton_jacobi import evolve_hj
 from dualwave.madelung import from_wavefunction
 from dualwave.oscillators import FORMALISMS, integrate_rk4
 from dualwave.scenarios import (
@@ -113,34 +113,21 @@ def _wave_tables(expanded: ExpandedWave):
             (("t", "norm", "energy", "drift_rate", "clamped_samples"), summary))
 
 
-class _HJRecord:
-    """The record an HJ run gives `evolve_hj`: the samples its snapshot CSV
-    writes and each gradient stack's summary row (t, max|dS|, participation
-    integral), taken as the stack arrives; no stack is kept."""
-
-    def __init__(self, grid: Grid1D):
-        self.grid = grid
-        self.times, self.samples, self.summary = [], [], []
-
-    def add(self, t, samples, gradients):
-        self.times.append(t)
-        self.samples.append(samples)
-        self.summary.append((t, float(np.max(np.abs(gradients))),
-                             integrate(participation_metric(gradients), self.grid)))
-
-
 def _hj_tables(expanded: ExpandedHJ):
+    """The tables of `evolve_hj`'s default record: the samples and, per
+    recorded step, t and the max|dS| of the gradient stack."""
     integ = expanded.integration
     grid = expanded.channels.grid
     record, comments, code = _solve(
         evolve_hj, expanded.channels, expanded.potentials, expanded.params,
-        integ.dt, integ.n_steps, integ.snapshot_every, _HJRecord(grid))
+        integ.dt, integ.n_steps, integ.snapshot_every)
     n_ch = expanded.channels.n_channels
     snapshots = (np.column_stack((np.full(grid.n_points, t), grid.x, *samples))
                  for t, samples in zip(record.times, record.samples))
     return (code, comments,
             (("t", "x") + tuple(f"S{i}" for i in range(n_ch)), snapshots),
-            (("t", "max_abs_grad", "participation_integral"), np.array(record.summary)))
+            (("t", "max_abs_grad"),
+             np.column_stack((record.times, record.max_abs_grad))))
 
 
 def _oscillator_tables(expanded: ExpandedOscillator):

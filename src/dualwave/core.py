@@ -235,11 +235,6 @@ def field_norm(f) -> float:
     return float(np.sum(np.abs(v) ** 2) * f.grid.dx)
 
 
-def integrate(values: np.ndarray, grid: Grid1D) -> float:
-    """Rectangle-rule integral of samples over the periodic domain."""
-    return float(np.sum(values) * grid.dx)
-
-
 # --------------------------------------------------------------------------
 # Physical parameters of the dual-sector pair
 # --------------------------------------------------------------------------

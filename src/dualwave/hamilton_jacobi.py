@@ -262,17 +262,19 @@ def _inert_rows(v, slopes, pot: PotentialSet):
 
 @dataclass
 class HJTrajectory:
-    """The default record of `evolve_hj`, which keeps every recorded step:
-    times, (n_ch, N) channel samples slope*x + periodic, gradient stacks."""
+    """The default record of `evolve_hj`: at each recorded step the time,
+    the (n_ch, N) channel samples slope*x + periodic and `max_abs_grad`,
+    the max|dS| over the gradient stack it is given, the quantity the
+    caustic check bounds. The stack itself is not kept."""
 
     times: list = field(default_factory=list)
     samples: list = field(default_factory=list)
-    gradients: list = field(default_factory=list)
+    max_abs_grad: list = field(default_factory=list)
 
     def add(self, t: float, samples: np.ndarray, gradients: np.ndarray):
         self.times.append(t)
         self.samples.append(samples)
-        self.gradients.append(gradients)
+        self.max_abs_grad.append(float(np.max(np.abs(gradients))))
 
 
 def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
@@ -281,8 +283,9 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
     """RK4 time integration of the coupled channel equations, giving the
     time, channel samples and gradient stack at each step of
     `core.snapshot_steps`, t = 0 included, to `record.add` and returning
-    the record; by default a new HJTrajectory, which keeps them all. A
-    caller that reads less passes a record that keeps less.
+    the record; by default a new HJTrajectory, which keeps the samples and
+    each stack's max|dS|. A caller that reads the gradients passes a record
+    that keeps them.
 
     The channels are classified once, by `_inert_rows`. An inert channel
     steps as one float by its constant rate, in the RK4 update's operation
@@ -385,9 +388,3 @@ def evolve_hj(S0: ActionChannels, pot: PotentialSet, p: DualParams,
                        stack(grads, inert_grads))
     return record
 
-
-def participation_metric(gradients: np.ndarray) -> np.ndarray:
-    """Gram field W(x) = sum_{mu>=1} (dS_mu)^2 of one recorded gradient stack:
-    the sum over the environment rows, the system row 0 excluded. In 1D the
-    metric is a single non-negative scalar field."""
-    return np.sum(gradients[1:] * gradients[1:], axis=0)

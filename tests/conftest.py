@@ -39,3 +39,22 @@ def traced_peak():
             if not tracing:
                 tracemalloc.stop()
     return measure
+
+
+class StackRecord:
+    """An `evolve_hj` record that keeps every gradient stack it is given,
+    beside each recorded step's time and samples."""
+
+    def __init__(self):
+        self.times, self.samples, self.gradients = [], [], []
+
+    def add(self, t, samples, gradients):
+        self.times.append(t)
+        self.samples.append(samples)
+        self.gradients.append(gradients)
+
+
+@pytest.fixture
+def stack_record():
+    """A new StackRecord."""
+    return StackRecord()

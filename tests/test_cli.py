@@ -360,7 +360,7 @@ class TestRun:
         code = main(["run", "--scenario", "hj_caustic", "--out", str(tmp_path)])
         assert code == 3
         summary = read_lines(tmp_path / "hj_caustic_summary.csv")
-        assert summary[0] == "t,max_abs_grad,participation_integral"
+        assert summary[0] == "t,max_abs_grad"
         assert "# caustic/blow-up detected at step 4978" in summary
         snaps = read_lines(tmp_path / "hj_caustic_snapshots.csv")
         assert snaps[0] == "t,x,S0,S1"
@@ -707,6 +707,24 @@ class TestSweep:
         cells = data_cells(tmp_path / f"{name}_sweep_m1.csv")
         assert [float(row[-1]) for row in cells] == shifts
 
+    def test_values_below_zero_need_the_equals_form(self, tmp_path, capsys):
+        """lambda < 0 is the anti-damped sector, and each row's drift rate
+        is -2 lambda / zeta. argparse reads a value list that starts with
+        '-' as an option unless '=' joins it to --values."""
+        name = "norm_drift_constant_Vg1"
+        argv = ["sweep", "--scenario", name, "--param", "lambda_Vg1",
+                "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--values", "-0.5,0,0.5"])
+        assert exit_.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(argv + ["--values=-0.5,0,0.5"]) == 0
+        cells = data_cells(tmp_path / f"{name}_sweep_lambda_Vg1.csv")
+        assert [float(row[1]) for row in cells] == [-0.5, 0.0, 0.5]
+        drift = np.array([float(row[4]) for row in cells])
+        assert np.max(np.abs(drift - [1.0, 0.0, -1.0])) < 1e-12
+
     def test_norm_underflow_exits_3_with_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "underflow.ini"
         cfg.write_text(UNDERFLOW_INI)
@@ -928,6 +946,22 @@ n_steps = 2000
 snapshot_every = 100
 """
 
+# HJ runs under the closure rule, by label: two channels that both move,
+# and three where a zero S1 moves, since its rate reads lap S0
+CLOSURE_HJ_INI = {
+    label: "[grid]\nn = 64\nx_min = -3.141592653589793\nx_max = 3.141592653589793\n"
+           f"[scenario]\nkind = hj\nlabel = {label}\n{channels}"
+           "potential_mode = symmetric_closure\n"
+           f"[integration]\ndt = 1e-4\nn_steps = 100\nsnapshot_every = 50\n{params}"
+    for label, channels, params in (
+        ("closure2", "channel0_type = quadratic\nchannel0_coeff = -0.1\n"
+                     "channel1_type = quadratic\nchannel1_coeff = 0.05\n", ""),
+        ("closure3", "channel0_type = quadratic\nchannel0_coeff = -0.1\n"
+                     "channel1_type = zero\n"
+                     "channel2_type = linear\nchannel2_slope = 0.3\n",
+         "[params]\nm2 = 1\n"))
+}
+
 # sha256 of the (snapshots, summary) CSVs; the oscillator runs use no FFT
 OSCILLATOR_SHA256 = {
     "bateman_damped": (
@@ -943,7 +977,7 @@ OSCILLATOR_SHA256 = {
 # and of hj_free_particle's, whose channels are uniform: it makes no FFT call
 HJ_FREE_SHA256 = (
     "19a37378affb193058c7f0841feabcde3b47181bba42451c98e3e9a034200690",
-    "c0780a7689bcdd775c8127b76dcde65651303e8a13616b7f97f407f4e1539705")
+    "9de254b4840050f9661cd8a2b19535e445025e680b8ba66b2c2121da40a4fbc2")
 
 
 class TestByteContract:
@@ -989,7 +1023,7 @@ class TestByteContract:
     def test_hj_run_keeps_no_gradient_stacks(self, traced_peak):
         """A dense HJ run holds the samples its snapshot CSV writes and
         reduces each gradient stack, which takes as many bytes, to its
-        summary row as it arrives: what the run's tables hold beyond the
+        max|dS| as it arrives: what the run's tables hold beyond the
         samples is far below what the stacks would take. (The CSV writer
         then holds one block at a time.)"""
         spec = builtin_by_name("hj_free_particle")
@@ -1029,11 +1063,42 @@ class TestByteContract:
                               for t, samples in zip(traj.times, traj.samples)])
         assert_bitwise(parse_csv(out / f"{spec.name}_snapshots.csv"), expected)
         summary = read_lines(out / f"{spec.name}_summary.csv")
-        assert len(parse_csv(out / f"{spec.name}_summary.csv")) == len(traj.times)
+        assert_bitwise(parse_csv(out / f"{spec.name}_summary.csv"),
+                       np.column_stack((traj.times, traj.max_abs_grad)))
         assert summary[-1].startswith("# caustic") == caustic
         if not caustic:
             assert (sha256(out / f"{spec.name}_snapshots.csv"),
                     sha256(out / f"{spec.name}_summary.csv")) == HJ_FREE_SHA256
+
+    @pytest.mark.parametrize("label", sorted(CLOSURE_HJ_INI))
+    def test_hj_closure_rule_run(self, tmp_path, stack_record, label):
+        """Each snapshot cell is a sample of `evolve_hj`, each summary row the
+        time and the max|dS| of the gradient stack recorded then, and a
+        second run writes the same bytes."""
+        cfg = tmp_path / f"{label}.ini"
+        cfg.write_text(CLOSURE_HJ_INI[label])
+        for out in ("a", "b"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        spec, grid, _ = load_config(str(cfg))
+        exp = expand(spec, grid)
+        integ = exp.integration
+        args = (exp.channels, exp.potentials, exp.params, integ.dt, integ.n_steps,
+                integ.snapshot_every)
+        traj = evolve_hj(*args)
+        stacks = evolve_hj(*args, record=stack_record)
+        assert traj.times == stacks.times and len(traj.times) == 3
+        x = grid.x
+        files = [tmp_path / "a" / f"{label}_{kind}.csv"
+                 for kind in ("snapshots", "summary")]
+        assert_bitwise(parse_csv(files[0]), np.vstack([
+            np.column_stack((np.full(x.size, t), x, *samples))
+            for t, samples in zip(traj.times, traj.samples)]))
+        assert read_lines(files[1])[0] == "t,max_abs_grad"
+        assert_bitwise(parse_csv(files[1]), np.array([
+            (t, np.max(np.abs(grads)))
+            for t, grads in zip(stacks.times, stacks.gradients)]))
+        for path in files:
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
     def test_hj_run_adds_no_fft_to_evolve_hj(self, tmp_path, fft_counter):
         # the summary's gradients are the ones the solver recorded; a

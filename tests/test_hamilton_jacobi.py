@@ -19,8 +19,8 @@ from dualwave.hamilton_jacobi import (
     _hj_rhs,
     _inert_rows,
     evolve_hj,
-    participation_metric,
 )
+from dualwave.scenarios import DEFAULT_GRID, builtin_by_name, expand
 
 GRID = Grid1D(256, -10.0, 10.0)
 P_EQUAL = DualParams(masses=(1.0, 1.0))
@@ -63,10 +63,11 @@ class TestActionChannels:
             evolve_hj(ch, PotentialSet.zeros(GRID, 2),
                       DualParams(masses=(1.0, 1.0, 1.0)), 1e-3, 1)
 
-    def test_gradient_includes_slope(self):
+    def test_gradient_includes_slope(self, stack_record):
         ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
                             (2.5, 0.0))
-        traj = evolve_hj(ch, PotentialSet.zeros(GRID, 2), P_EQUAL, 1e-3, 0)
+        traj = evolve_hj(ch, PotentialSet.zeros(GRID, 2), P_EQUAL, 1e-3, 0,
+                         record=stack_record)
         assert traj.times == [0.0]
         assert np.allclose(traj.gradients[0][0], 2.5, rtol=0, atol=1e-15)
         assert np.allclose(traj.samples[0][0], 2.5 * GRID.x, rtol=0, atol=0)
@@ -342,11 +343,12 @@ class TestBatchedStages:
         ("negative_zero_s0", [1]), ("closure_uniform_s2", [2])],
         ids=["three_channels", "uniform_channels", "uniform_s1", "negative_zero_s0",
              "closure_uniform_s2"])
-    def test_matches_per_channel_reference_bitwise(self, case, inert):
+    def test_matches_per_channel_reference_bitwise(self, case, inert, stack_record):
         ch, pot, p = getattr(self, case)()
         assert _inert_rows(ch.values_stack(), ch.slopes, pot) == inert
         dt, n_steps, every = 1e-3, 60, 20
-        traj = evolve_hj(ch, pot, p, dt, n_steps, snapshot_every=every)
+        traj = evolve_hj(ch, pot, p, dt, n_steps, snapshot_every=every,
+                         record=stack_record)
         v, ref = ch.values_stack(), [ch.values_stack()]
         for step in range(1, n_steps + 1):
             k1 = per_channel_rhs(v, ch, pot, p)
@@ -498,37 +500,18 @@ class TestChannelIdentities:
         assert np.max(np.abs(one[0] - self.final((), ())[0])) > 1e-3
 
 
-def recorded_metric(ch):
-    """participation_metric of the gradients evolve_hj records at t = 0."""
-    n_ch = ch.n_channels
-    traj = evolve_hj(ch, PotentialSet.zeros(GRID, n_ch),
-                     DualParams(masses=(1.0,) * n_ch), 1e-3, 0)
-    return participation_metric(traj.gradients[0])
-
-
-class TestParticipationMetric:
-    def test_constant_environment_gives_zero(self):
-        ch = ActionChannels((RealField(GRID.x ** 0, GRID),
-                             RealField(np.full(256, 3.0), GRID)))
-        assert np.max(np.abs(recorded_metric(ch))) < 1e-15
-
-    def test_linear_channel_gives_slope_squared(self):
-        ch = ActionChannels((RealField.zeros(GRID), RealField.zeros(GRID)),
-                            (0.0, 1.7))
-        w = recorded_metric(ch)
-        assert np.max(np.abs(w - 1.7 ** 2)) < 1e-12
-
-    def test_nonnegative_and_offset_invariant(self):
-        s0, s1 = smooth_pair()
-        ch = ActionChannels((s0, s1))
-        w = recorded_metric(ch)
-        assert np.all(w >= 0.0)
-        ch2 = ActionChannels((s0, RealField(s1.values + 13.0, GRID)))
-        assert np.max(np.abs(recorded_metric(ch2) - w)) < 1e-10
-
-    def test_environment_permutation_invariant(self):
-        s0, s1 = smooth_pair()
-        s2 = RealField(0.4 * np.sin(2 * np.pi * 4 * GRID.x / GRID.length), GRID)
-        a = ActionChannels((s0, s1, s2))
-        b = ActionChannels((s0, s2, s1))
-        assert np.max(np.abs(recorded_metric(a) - recorded_metric(b))) < 1e-14
+class TestHJTrajectory:
+    def test_default_record_keeps_no_gradient_stacks(self, traced_peak):
+        """The default record keeps each recorded step's samples and reduces
+        its gradient stack, which takes as many bytes, to max|dS|: beyond
+        the samples, a dense run holds less than a quarter of their bytes."""
+        exp = expand(builtin_by_name("hj_free_particle"), DEFAULT_GRID)
+        integ = exp.integration
+        records = integ.n_steps + 1
+        samples_bytes = records * exp.channels.n_channels * DEFAULT_GRID.n_points * 8
+        traj, peak = traced_peak(evolve_hj, exp.channels, exp.potentials,
+                                 exp.params, integ.dt, integ.n_steps, 1)
+        assert len(traj.samples) == records
+        # uniform channels: each gradient row is its slope
+        assert traj.max_abs_grad == [max(map(abs, exp.channels.slopes))] * records
+        assert peak - samples_bytes < samples_bytes / 4
